@@ -35,7 +35,7 @@ from .registration import (
     CalibrationProfile,
     Homography,
     VirtualMarker,
-    build_calibration,
+    calibrate_scene,
     estimate_homography,
     load_profile,
     order_corners,
@@ -72,8 +72,8 @@ __all__ = [
     "SceneSpec",
     "VirtualMarker",
     "abs_diff",
-    "build_calibration",
     "calibrate_hue_bounds",
+    "calibrate_scene",
     "cminmax_corners",
     "correct_parallax",
     "detect_pointer_2d",

@@ -21,7 +21,7 @@ import numpy as np
 from . import pnm
 from .bench import format_table, run_benchmark
 from .errors import PipelineError
-from .imaging import AffineTransform, DepthImage, warp_affine
+from .imaging import AffineTransform, warp_affine
 from .registration import calibrate_scene, load_profile, save_profile
 from .simulator import (
     SceneSpec,
@@ -68,11 +68,6 @@ def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
     return np.array([float(p) for p in parts])
 
 
-def _parse_point(text: str, label: str) -> tuple[float, float]:
-    vals = _parse_floats(text, 2, label)
-    return float(vals[0]), float(vals[1])
-
-
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit():
@@ -106,7 +101,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     try:
         depth_to_rgb = AffineTransform(
             _parse_floats(args.depth_to_rgb, 6, "--depth-to-rgb").reshape(2, 3))
-        principal = _parse_point(args.principal_point, "--principal-point")
+        principal = tuple(_parse_floats(args.principal_point, 2, "--principal-point"))
     except ValueError as exc:
         return _fail(EXIT_VALIDATION, f"Validation: {exc}")
 
@@ -156,28 +151,12 @@ def _scan_frames(frames_dir: str) -> list[tuple[int, str, str]]:
     return entries
 
 
-class _WarpCache:
-    """Nearest-neighbor source indices are identical for every frame of a
-    size, so compute them once."""
-
-    def __init__(self, transform: AffineTransform):
-        self.transform = transform
-        self.identity = bool(
-            np.array_equal(transform.matrix,
-                           np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])))
-
-    def align(self, depth: DepthImage) -> DepthImage:
-        if self.identity:
-            return depth
-        return warp_affine(depth, self.transform)
-
-
 def cmd_track(args: argparse.Namespace) -> int:
     try:
         profile = load_profile(args.calib)
     except OSError as exc:
         return _fail(EXIT_IO, f"IOError: {exc}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, LookupError) as exc:
         return _fail(EXIT_VALIDATION, f"BadProfile: {exc}")
 
     try:
@@ -198,7 +177,8 @@ def cmd_track(args: argparse.Namespace) -> int:
             return _fail(EXIT_IO, f"IOError: {exc}")
         log.info("streaming on %s:%d", *server.address)
 
-    warp = _WarpCache(profile.depth_to_rgb)
+    align = not np.array_equal(profile.depth_to_rgb.matrix,
+                               AffineTransform.identity().matrix)
     kernel_seconds = 0.0
     wall_start = time.perf_counter()
     seq = 0
@@ -208,7 +188,9 @@ def cmd_track(args: argparse.Namespace) -> int:
             try:
                 rgb = pnm.read_ppm(rgb_path)
                 depth = pnm.read_depth(depth_path, profile.raw_to_mm)
-                frame = FramePair(rgb, warp.align(depth))
+                if align:
+                    depth = warp_affine(depth, profile.depth_to_rgb)
+                frame = FramePair(rgb, depth)
             except OSError as exc:
                 log.warning("frame %d unreadable: %s", idx, exc)
                 record = error_record(idx, "IOError")

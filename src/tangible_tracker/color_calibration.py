@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LowSaturationError
-from .imaging import HUE_BINS, BinaryMask, HsvImage, RgbImage, rgb_to_hsv
+from .imaging import HUE_BINS, BinaryMask, HsvImage, RgbImage, hue_histogram, rgb_to_hsv
 from .mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
 
 PEAK_MARGIN = 15  # hue bins kept on each side of the histogram peak
@@ -62,15 +62,13 @@ def calibrate_hue_bounds(
     """
     mask = extract_mask(MaskRequest(background, with_pointer, min_area))
     hsv = rgb_to_hsv(with_pointer)
-    sat = hsv.pixels[..., 1][mask.bits]
-    saturated = sat >= min_saturation
-    if 2 * int(saturated.sum()) < sat.size:
+    saturated = BinaryMask(mask.bits & (hsv.pixels[..., 1] >= min_saturation))
+    if 2 * saturated.area < mask.area:
         raise LowSaturationError(
-            f"only {int(saturated.sum())} of {sat.size} masked pixels reach "
+            f"only {saturated.area} of {mask.area} masked pixels reach "
             f"saturation {min_saturation}"
         )
-    hues = hsv.pixels[..., 0][mask.bits][saturated]
-    peak = int(np.argmax(np.bincount(hues, minlength=HUE_BINS)))
+    peak = int(np.argmax(hue_histogram(hsv, saturated)))
     lo = (peak - PEAK_MARGIN) % HUE_BINS
     hi = (peak + PEAK_MARGIN) % HUE_BINS
     return HueBounds(lo, hi, wraps=lo > hi,
@@ -78,18 +76,16 @@ def calibrate_hue_bounds(
 
 
 def hue_in_bounds(h: int, s: int, v: int, bounds: HueBounds) -> bool:
-    """Membership test for one HSV pixel, honoring wrap-around intervals."""
+    """Membership test for one HSV pixel: ``hue_bounds_mask`` of a 1x1 image."""
     if not 0 <= h < HUE_BINS:
         raise ValueError("hue must be < 180")
-    if s < bounds.min_saturation or v < bounds.min_value:
-        return False
-    if bounds.wraps:
-        return h >= bounds.lo or h <= bounds.hi
-    return bounds.lo <= h <= bounds.hi
+    pixel = HsvImage(np.array([[[h, s, v]]], dtype=np.uint8))
+    return bool(hue_bounds_mask(pixel, bounds).bits[0, 0])
 
 
 def hue_bounds_mask(img: HsvImage, bounds: HueBounds) -> BinaryMask:
-    """Vectorized ``hue_in_bounds`` over a whole image."""
+    """Pixels whose hue lies in the interval, wrapping through 0 when
+    ``bounds.wraps``, and whose saturation and value reach the floors."""
     h = img.pixels[..., 0]
     s = img.pixels[..., 1]
     v = img.pixels[..., 2]

@@ -128,6 +128,8 @@ class AffineTransform:
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.float64))
         if self.matrix.shape != (2, 3):
             raise ValueError("AffineTransform expects a 2x3 matrix")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("transform must be finite")
         if np.linalg.det(self.matrix[:, :2]) == 0.0:
             raise ValueError("singular transform")
 
@@ -258,11 +260,8 @@ def warp_affine(img: DepthImage, t: AffineTransform) -> DepthImage:
     Destination pixels that map outside the source get raw value 0, which
     downstream consumers already treat as no-data.
     """
-    linear = t.matrix[:, :2]
+    inv = np.linalg.inv(t.matrix[:, :2])
     offset = t.matrix[:, 2]
-    if np.linalg.det(linear) == 0.0:
-        raise ValueError("singular transform")
-    inv = np.linalg.inv(linear)
 
     h, w = img.pixels.shape
     gx, gy = np.meshgrid(np.arange(w, dtype=np.float64),

@@ -102,8 +102,7 @@ def write_mask(path, mask: BinaryMask) -> None:
 
 
 def read_depth(path, raw_to_mm: float = 1.0) -> DepthImage:
-    plane = read_pgm(path)
-    return DepthImage(plane.astype(np.uint16), raw_to_mm)
+    return DepthImage(read_pgm(path), raw_to_mm)
 
 
 def write_depth(path, depth: DepthImage) -> None:

@@ -61,11 +61,13 @@ class Homography:
             raise ValueError("Homography expects a 3x3 matrix")
         if m[2, 2] != 0.0:
             m = m / m[2, 2]
+        if not np.isfinite(m).all():
+            raise ValueError("homography matrix must be finite")
         if np.linalg.det(m) == 0.0:
             raise ValueError("homography matrix must be invertible")
         object.__setattr__(self, "matrix", m)
-        if not self.rho_z > 0:
-            raise ValueError("rho_z must be positive")
+        if not 0 < self.rho_z < math.inf:
+            raise ValueError("rho_z must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +82,12 @@ class CalibrationProfile:
     raw_to_mm: float = 1.0
 
     def __post_init__(self):
-        if not self.camera_height_mm > 0:
-            raise ValueError("camera_height_mm must be positive")
-        if not self.raw_to_mm > 0:
-            raise ValueError("raw_to_mm must be positive")
+        if not 0 < self.camera_height_mm < math.inf:
+            raise ValueError("camera_height_mm must be positive and finite")
+        if not 0 < self.raw_to_mm < math.inf:
+            raise ValueError("raw_to_mm must be positive and finite")
+        if not np.isfinite(self.principal_point).all():
+            raise ValueError("principal_point must be finite")
 
 
 _TOP_LEFT_ANGLE = math.atan2(-1.0, -1.0) % math.tau
@@ -198,10 +202,18 @@ def estimate_homography(src, dst) -> np.ndarray:
 
 
 def apply_homography(h: np.ndarray, pts) -> np.ndarray:
+    """Map (N, 2) points through a 3x3 projective matrix.
+
+    Raises DegenerateError when a point maps to infinity.
+    """
+    m = np.asarray(h, dtype=np.float64)
     p = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    ones = np.ones((len(p), 1))
-    mapped = np.hstack([p, ones]) @ np.asarray(h).T
-    return mapped[:, :2] / mapped[:, 2:3]
+    x, y = p[:, 0], p[:, 1]
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    if (np.abs(w) < 1e-12).any():
+        raise DegenerateError("point maps to infinity under the homography")
+    return np.stack([(m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w,
+                     (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w], axis=1)
 
 
 def mean_reprojection_error(h: np.ndarray, src, dst) -> float:
@@ -269,29 +281,6 @@ def calibrate_scene(
         raw_to_mm=float(raw_to_mm),
     )
     return CalibrationSummary(profile, ordered, centroid, residual)
-
-
-def build_calibration(
-    background: RgbImage,
-    with_marker: RgbImage,
-    with_pointer: RgbImage,
-    *,
-    depth_to_rgb: AffineTransform,
-    camera_height_mm: float,
-    principal_point: Point2,
-    rho_z: float,
-    raw_to_mm: float = 1.0,
-    min_area: int = DEFAULT_MIN_AREA,
-) -> CalibrationProfile:
-    return calibrate_scene(
-        background, with_marker, with_pointer,
-        depth_to_rgb=depth_to_rgb,
-        camera_height_mm=camera_height_mm,
-        principal_point=principal_point,
-        rho_z=rho_z,
-        raw_to_mm=raw_to_mm,
-        min_area=min_area,
-    ).profile
 
 
 def profile_to_dict(profile: CalibrationProfile) -> dict:

@@ -17,7 +17,6 @@ from scipy import ndimage
 from .color_calibration import HueBounds, hue_bounds_mask
 from .errors import (
     AllFilteredError,
-    DegenerateError,
     InvalidHeightError,
     NoDepthError,
     NoPointerError,
@@ -31,7 +30,7 @@ from .imaging import (
     _largest_label,
     rgb_to_hsv,
 )
-from .registration import CalibrationProfile
+from .registration import CalibrationProfile, apply_homography
 
 MIN_POINTER_PIXELS = 20
 BACKGROUND_FACTOR = 1.10  # depth samples above this multiple of the mean are background
@@ -142,12 +141,7 @@ def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
 
     plane_pt = correct_parallax(center, cal.principal_point, height, cam_h)
 
-    m = cal.t_rv.matrix
-    wv = m[2, 0] * plane_pt[0] + m[2, 1] * plane_pt[1] + m[2, 2]
-    if abs(wv) < 1e-12:
-        raise DegenerateError("plane point maps to infinity under t_rv")
-    xv = (m[0, 0] * plane_pt[0] + m[0, 1] * plane_pt[1] + m[0, 2]) / wv
-    yv = (m[1, 0] * plane_pt[0] + m[1, 1] * plane_pt[1] + m[1, 2]) / wv
+    (xv, yv), = apply_homography(cal.t_rv.matrix, [plane_pt])
     zv = cal.t_rv.rho_z * height
 
     return PointerFix(

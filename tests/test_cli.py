@@ -7,7 +7,9 @@ import time
 import numpy as np
 import pytest
 
+from tangible_tracker import cli
 from tangible_tracker.cli import main
+from tangible_tracker.imaging import warp_affine
 from tangible_tracker.registration import apply_homography, load_profile
 
 
@@ -141,6 +143,80 @@ def test_track_empty_frames_dir_exits_5(sequence_profile_path, tmp_path):
     rc = main(["track", "--calib", str(sequence_profile_path),
                "--frames", str(tmp_path)])
     assert rc == 5
+
+
+def _set(key, index, value):
+    def mutate(doc):
+        doc[key][index] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set("t_rv", 0, float("nan")),
+    _set("depth_to_rgb", 2, float("inf")),
+    _set("principal_point", 1, float("nan")),
+    lambda doc: doc.update(camera_height_mm=float("inf")),
+    lambda doc: doc.update(hue_bounds=5),
+    lambda doc: doc.pop("rho_z"),
+    None,  # not JSON at all
+], ids=["nan-t_rv", "inf-depth_to_rgb", "nan-principal_point",
+        "inf-camera_height", "int-hue_bounds", "missing-rho_z", "invalid-json"])
+def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
+                                         tmp_path, capsys, mutate):
+    doc = json.loads(sequence_profile_path.read_text())
+    bad = tmp_path / "bad.json"
+    if mutate is None:
+        bad.write_text("{not json")
+    else:
+        mutate(doc)
+        bad.write_text(json.dumps(doc))
+    rc = main(["track", "--calib", str(bad), "--frames", str(sequence_dir)])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert captured.out == ""
+    assert captured.err.startswith("BadProfile:")
+    assert "Traceback" not in captured.err
+
+
+# the names perfbench/tracer.py patches onto the cli module; a missing one
+# would be created silently there and read as zero work
+CLI_SEAMS = ("pnm", "json", "load_profile", "warp_affine", "track_frame",
+             "calibrate_scene", "save_profile", "StreamServer")
+
+
+def test_cli_seams_exist():
+    for name in CLI_SEAMS:
+        assert hasattr(cli, name), name
+
+
+@pytest.mark.parametrize("depth_to_rgb,calls", [
+    ([1.0, 0.0, 4.0, 0.0, 1.0, 2.0], 3),
+    ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], 0),
+])
+def test_track_warps_each_frame_only_for_non_identity(
+        sequence_dir, sequence_profile_path, tmp_path, capsys, monkeypatch,
+        depth_to_rgb, calls):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(3):
+        for kind in ("rgb_%04d.ppm", "depth_%04d.pgm"):
+            (frames / (kind % i)).write_bytes((sequence_dir / (kind % i)).read_bytes())
+    doc = json.loads(sequence_profile_path.read_text())
+    doc["depth_to_rgb"] = depth_to_rgb
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    seen = []
+
+    def counting_warp(depth, transform):
+        seen.append(transform)
+        return warp_affine(depth, transform)
+
+    monkeypatch.setattr(cli, "warp_affine", counting_warp)
+    rc = main(["track", "--calib", str(profile), "--frames", str(frames)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    assert [r["status"] for r in records] == ["ok"] * 3
+    assert len(seen) == calls
 
 
 def test_track_stream_clients_get_contiguous_suffix(sequence_dir,

@@ -97,20 +97,19 @@ def test_membership_matches_exhaustive_enumeration(peak):
     assert len(member) == 31
 
 
-def test_vectorized_mask_agrees_with_scalar():
-    rng = np.random.default_rng(1)
-    hsv = np.stack([
-        rng.integers(0, 180, size=(40, 40)),
-        rng.integers(0, 256, size=(40, 40)),
-        rng.integers(0, 256, size=(40, 40)),
-    ], axis=2).astype(np.uint8)
-    img = HsvImage(hsv)
+def test_mask_exhaustive_over_hues_and_floors():
+    # every hue, with saturation and value each one below and at the floor
     for bounds in (HueBounds(5, 35), HueBounds(173, 23, wraps=True)):
-        mask = hue_bounds_mask(img, bounds).bits
-        for y in range(0, 40, 7):
-            for x in range(0, 40, 7):
-                h, s, v = (int(c) for c in hsv[y, x])
-                assert mask[y, x] == hue_in_bounds(h, s, v, bounds)
+        inside = wrap_membership_oracle(bounds.lo, bounds.hi)
+        floors = [(s, v) for s in (bounds.min_saturation - 1, bounds.min_saturation)
+                  for v in (bounds.min_value - 1, bounds.min_value)]
+        hsv = np.array([[(h, s, v) for h in range(180)] for s, v in floors],
+                       dtype=np.uint8)
+        mask = hue_bounds_mask(HsvImage(hsv), bounds).bits
+        for row, (s, v) in enumerate(floors):
+            expected = [h in inside and s >= bounds.min_saturation
+                        and v >= bounds.min_value for h in range(180)]
+            assert mask[row].tolist() == expected
 
 
 def test_bounds_invariant_validation():

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tangible_tracker.errors import (
     DegenerateError,
@@ -16,7 +18,7 @@ from tangible_tracker.registration import (
     Homography,
     VirtualMarker,
     apply_homography,
-    build_calibration,
+    calibrate_scene,
     estimate_homography,
     load_profile,
     mean_reprojection_error,
@@ -127,7 +129,32 @@ def test_residual_helper():
     assert mean_reprojection_error(h, src, dst) == pytest.approx(0.1)
 
 
-# ------------------------------------------------------------ build_calibration
+# ----------------------------------------------------------- apply_homography
+
+ENTRY = st.floats(-1e3, 1e3, allow_nan=False)
+COORD = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(ENTRY, min_size=9, max_size=9), x=COORD, y=COORD)
+def test_one_point_map_matches_scalar_expression_bitwise(entries, x, y):
+    m = np.array(entries).reshape(3, 3)
+    # reference: the projective map written out on scalars
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    assume(abs(w) >= 1e-12)
+    xv = (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w
+    yv = (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w
+    got = apply_homography(m, [(x, y)])
+    assert got.tobytes() == np.array([[xv, yv]]).tobytes()
+
+
+def test_point_at_infinity_is_degenerate():
+    m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -2.0]])
+    with pytest.raises(DegenerateError):
+        apply_homography(m, [(0.0, 0.0), (2.0, 5.0)])
+
+
+# -------------------------------------------------------------- calibrate_scene
 
 def test_identity_scene_yields_pure_scale_map():
     # axis-aligned marker sized to the virtual 2:3 aspect; the fitted map
@@ -169,7 +196,7 @@ def test_blank_marker_scene_propagates_empty_mask():
     spec = SceneSpec()
     background, _, with_pointer = render_calibration_trio(spec)
     with pytest.raises(EmptyMaskError):
-        build_calibration(
+        calibrate_scene(
             background, background, with_pointer,
             depth_to_rgb=depth_alignment(spec),
             camera_height_mm=spec.camera_height_mm,
@@ -193,7 +220,7 @@ def test_residual_gate_fires_on_distorted_corners(monkeypatch):
 
     monkeypatch.setattr(registration, "cminmax_corners", skewed)
     with pytest.raises(ResidualTooHighError):
-        build_calibration(
+        calibrate_scene(
             background, with_marker, with_pointer,
             depth_to_rgb=depth_alignment(spec),
             camera_height_mm=spec.camera_height_mm,
@@ -206,7 +233,7 @@ def test_principal_point_must_be_inside_image():
     spec = SceneSpec()
     background, with_marker, with_pointer = render_calibration_trio(spec)
     with pytest.raises(ValueError):
-        build_calibration(
+        calibrate_scene(
             background, with_marker, with_pointer,
             depth_to_rgb=depth_alignment(spec),
             camera_height_mm=spec.camera_height_mm,

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangible_tracker.errors import (
+    DegenerateError,
     InvalidHeightError,
     NoDepthError,
     NoPointerError,
 )
 from tangible_tracker.color_calibration import HueBounds
 from tangible_tracker.imaging import DepthImage, RgbImage, warp_affine
-from tangible_tracker.registration import apply_homography
+from tangible_tracker.registration import Homography, apply_homography
 from tangible_tracker.simulator import (
     SceneSpec,
     ball_geometry,
@@ -225,6 +226,19 @@ def test_track_frame_height_clamp_and_error(default_spec, profile):
     far = DepthImage(np.full((100, 100), 650, dtype=np.uint16), 1.0)  # 8% below
     with pytest.raises(InvalidHeightError):
         track_frame(FramePair(rgb, far), profile)
+
+
+def test_track_frame_plane_point_at_infinity(profile):
+    rgb = paint_disc(solid_rgb(100, 100, (190, 190, 190)), 50, 50, 10,
+                     (230, 180, 50))
+    on_plane = DepthImage(np.full((100, 100), 600, dtype=np.uint16), 1.0)
+    (px, _), _ = detect_pointer_2d(rgb, profile.hue_bounds)
+    # at height 0 the plane point is the pixel itself, and this t_rv sends
+    # the column x = px to infinity
+    t_rv = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -px]]),
+                      profile.t_rv.rho_z)
+    with pytest.raises(DegenerateError):
+        track_frame(FramePair(rgb, on_plane), dataclasses.replace(profile, t_rv=t_rv))
 
 
 def test_track_frame_monotone_in_height(default_spec, profile):
