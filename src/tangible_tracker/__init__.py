@@ -6,7 +6,7 @@ per-frame RGB-D tracking, and the synthetic scene generator used as the
 test oracle.
 """
 
-from .color_calibration import HueBounds, calibrate_hue_bounds, hue_in_bounds
+from .color_calibration import HueBounds, calibrate_hue_bounds, color_key, hue_in_bounds
 from .corner_detection import (
     CMinMaxParams,
     CornerSet,
@@ -75,6 +75,7 @@ __all__ = [
     "calibrate_hue_bounds",
     "calibrate_scene",
     "cminmax_corners",
+    "color_key",
     "correct_parallax",
     "detect_pointer_2d",
     "estimate_homography",

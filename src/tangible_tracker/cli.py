@@ -206,7 +206,7 @@ def cmd_track(args: argparse.Namespace) -> int:
                 else:
                     record = frame_record(idx, fix)
                 kernel_seconds += time.perf_counter() - t0
-            line = json.dumps({"seq": seq, **record})
+            line = json.dumps({"seq": seq, **record}, allow_nan=False)
             print(line, flush=True)
             if server is not None:
                 server.publish((line + "\n").encode("utf-8"))

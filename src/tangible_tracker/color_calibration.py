@@ -3,11 +3,13 @@
 The pointer is isolated with a background-pair mask, its hue histogram is
 peaked, and the calibrated interval is the peak widened by 15 bins on each
 side (wrapping through 0 when needed), so the same object keys reliably as
-room lighting drifts.
+room lighting drifts. ``color_key`` applies the calibrated interval to a
+frame.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,3 +96,50 @@ def hue_bounds_mask(img: HsvImage, bounds: HueBounds) -> BinaryMask:
     else:
         in_hue = (h >= bounds.lo) & (h <= bounds.hi)
     return BinaryMask(in_hue & (s >= bounds.min_saturation) & (v >= bounds.min_value))
+
+
+@functools.lru_cache(maxsize=8)
+def _floor_thresholds(min_saturation: int, min_value: int) -> np.ndarray:
+    """Smallest chroma ``delta = max - min`` that passes both floors, per
+    value ``v = max(r, g, b)``; 256 where no delta passes.
+
+    Built by running the reference ``rgb_to_hsv`` and ``hue_bounds_mask``
+    (over every hue) on the 256x256 grid of colors (v, v - delta, v - delta).
+    The floors depend on (v, delta) alone, and for a fixed v the saturation
+    ``rint(255 * delta / v)`` never decreases as delta grows, so a pixel
+    passes both floors exactly when ``delta >= table[v]``. The result is
+    shared between callers and marked read-only.
+    """
+    v = np.arange(256)[:, None]
+    delta = np.arange(256)[None, :]
+    low = np.clip(v - delta, 0, 255)
+    grid = RgbImage(np.stack(np.broadcast_arrays(v, low, low), axis=2))
+    any_hue = HueBounds(0, HUE_BINS - 1, min_saturation=min_saturation,
+                        min_value=min_value)
+    passes = hue_bounds_mask(rgb_to_hsv(grid), any_hue).bits & (delta <= v)
+    table = np.where(passes.any(axis=1), passes.argmax(axis=1), 256).astype(np.uint16)
+    table.flags.writeable = False
+    return table
+
+
+def color_key(rgb: RgbImage, bounds: HueBounds) -> BinaryMask:
+    """``hue_bounds_mask(rgb_to_hsv(rgb), bounds)``, converting only the
+    pixels that pass the saturation and value floors.
+
+    The floors are applied in RGB through ``_floor_thresholds``; the
+    survivors go through the reference conversion and predicate and are
+    scattered back. Frames where most pixels pass the floors cost a little
+    more than the reference; frames of mostly gray or dark pixels far less.
+    """
+    pixels = rgb.pixels
+    r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
+    v = np.maximum(np.maximum(r, g), b)
+    delta = v - np.minimum(np.minimum(r, g), b)
+    table = _floor_thresholds(bounds.min_saturation, bounds.min_value)
+    keep = delta >= np.take(table, v)  # np.take: twice as fast as table[v]
+    flat = keep.reshape(-1)  # row-major, like pixels.reshape(-1, 3)
+    survivors = np.flatnonzero(flat)
+    if survivors.size:
+        hsv = rgb_to_hsv(RgbImage(pixels.reshape(-1, 3)[survivors][:, None, :]))
+        flat[survivors] = hue_bounds_mask(hsv, bounds).bits[:, 0]
+    return BinaryMask(flat.reshape(keep.shape))

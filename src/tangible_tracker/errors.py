@@ -69,3 +69,9 @@ class InvalidHeightError(PipelineError):
     """Recovered pointer height is outside the geometrically valid range."""
 
     name = "InvalidHeight"
+
+
+class NonFiniteError(PipelineError):
+    """The mapped fix has a non-finite depth or coordinate."""
+
+    name = "NonFinite"

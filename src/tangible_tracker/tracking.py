@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .color_calibration import HueBounds, hue_bounds_mask
+from .color_calibration import HueBounds, color_key
 from .errors import (
     AllFilteredError,
     InvalidHeightError,
     NoDepthError,
+    NonFiniteError,
     NoPointerError,
 )
 from .imaging import (
@@ -28,7 +29,6 @@ from .imaging import (
     Point3,
     RgbImage,
     _largest_label,
-    rgb_to_hsv,
 )
 from .registration import CalibrationProfile, apply_homography
 
@@ -70,20 +70,27 @@ def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
     NoPointerError when nothing passes the color key or the largest blob
     is below MIN_POINTER_PIXELS.
     """
-    keep = hue_bounds_mask(rgb_to_hsv(rgb), bounds)
-    if not keep.bits.any():
+    keep = color_key(rgb, bounds).bits
+    rows = np.flatnonzero(keep.any(axis=1))
+    if rows.size == 0:
         raise NoPointerError("no pixels inside the color bounds")
-    labels, _ = ndimage.label(keep.bits, structure=EIGHT_CONNECTED)
+    cols = np.flatnonzero(keep.any(axis=0))
+    # Every blob lies inside the keyed pixels' bounding box, and row-major
+    # order inside the box is row-major order in the frame, so labelling the
+    # box alone picks the same winner, area ties included.
+    top, left = int(rows[0]), int(cols[0])
+    labels, _ = ndimage.label(keep[top:rows[-1] + 1, left:cols[-1] + 1],
+                              structure=EIGHT_CONNECTED)
     winner, area = _largest_label(labels)
     if area < MIN_POINTER_PIXELS:
         raise NoPointerError(
             f"largest in-bounds blob is {area} px, need >= {MIN_POINTER_PIXELS}"
         )
     ys, xs = np.nonzero(labels == winner)
-    x0 = int(xs.min())
-    y0 = int(ys.min())
-    w = int(xs.max()) - x0 + 1
-    h = int(ys.max()) - y0 + 1
+    x0 = left + int(xs.min())
+    y0 = top + int(ys.min())
+    w = int(xs.max() - xs.min()) + 1
+    h = int(ys.max() - ys.min()) + 1
     center = (x0 + (w - 1) / 2.0, y0 + (h - 1) / 2.0)
     return center, (x0, y0, w, h)
 
@@ -144,12 +151,16 @@ def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
     (xv, yv), = apply_homography(cal.t_rv.matrix, [plane_pt])
     zv = cal.t_rv.rho_z * height
 
+    real = (plane_pt[0], plane_pt[1], height)
+    virtual = (xv, yv, zv)
+    if not np.isfinite([depth_mm, *real, *virtual]).all():
+        raise NonFiniteError(f"non-finite fix: real {real}, virtual {virtual}")
     return PointerFix(
         pixel=center,
         bbox=bbox,
         depth_mm=depth_mm,
-        real=(plane_pt[0], plane_pt[1], height),
-        virtual=(xv, yv, zv),
+        real=real,
+        virtual=virtual,
     )
 
 

@@ -178,6 +178,32 @@ def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
     assert "Traceback" not in captured.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_track_non_finite_fix_is_a_status_not_infinity(
+        sequence_dir, sequence_profile_path, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(3):
+        for kind in ("rgb_%04d.ppm", "depth_%04d.pgm"):
+            (frames / (kind % i)).write_bytes((sequence_dir / (kind % i)).read_bytes())
+    doc = json.loads(sequence_profile_path.read_text())
+    doc["rho_z"] = 1e308  # finite, so it loads; rho_z * height overflows
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    rc = main(["track", "--calib", str(profile), "--frames", str(frames),
+               "--fps-report"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    parsed = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+    records = parsed[:-1]
+    assert [r["status"] for r in records] == ["NonFinite"] * 3
+    for r in records:
+        assert r["px"] is r["depth_mm"] is r["real"] is r["virtual"] is None
+
+
 # the names perfbench/tracer.py patches onto the cli module; a missing one
 # would be created silently there and read as zero work
 CLI_SEAMS = ("pnm", "json", "load_profile", "warp_affine", "track_frame",

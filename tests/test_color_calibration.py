@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tangible_tracker.color_calibration import (
     HueBounds,
+    _floor_thresholds,
     calibrate_hue_bounds,
+    color_key,
     hue_bounds_mask,
     hue_in_bounds,
 )
@@ -110,6 +112,98 @@ def test_mask_exhaustive_over_hues_and_floors():
             expected = [h in inside and s >= bounds.min_saturation
                         and v >= bounds.min_value for h in range(180)]
             assert mask[row].tolist() == expected
+
+
+# ------------------------------------------------------------------ color_key
+
+KEY_BOUNDS = (HueBounds(5, 35), HueBounds(165, 15, wraps=True))
+
+
+def test_color_key_exhaustive_over_all_rgb_colors():
+    # all 2^24 colors, one 256x256 (g, b) plane per red value
+    g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    for r in range(256):
+        img = RgbImage(np.stack([np.full_like(g, r), g, b], axis=2))
+        hsv = rgb_to_hsv(img)
+        for bounds in KEY_BOUNDS:
+            expected = hue_bounds_mask(hsv, bounds).bits
+            assert np.array_equal(color_key(img, bounds).bits, expected), (r, bounds)
+
+
+def value_chroma_colors():
+    """Every valid (v, delta) pair, with the middle channel at three points
+    of [v - delta, v] and the channels in all six orders, so each pair
+    appears at many hues."""
+    v, delta = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    v, delta = v[delta <= v], delta[delta <= v]
+    low = v - delta
+    colors = []
+    for mid in (low, low + delta // 2, v):
+        for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            channels = (v, mid, low)
+            colors.append(np.stack([channels[i] for i in order], axis=1))
+    return RgbImage(np.concatenate(colors)[:, None, :])
+
+
+@pytest.mark.parametrize("floors", [(0, 0), (255, 255)])
+def test_color_key_at_extreme_floors(floors):
+    img = value_chroma_colors()
+    hsv = rgb_to_hsv(img)
+    for hue in KEY_BOUNDS + (HueBounds(0, 179),):
+        bounds = HueBounds(hue.lo, hue.hi, hue.wraps, *floors)
+        expected = hue_bounds_mask(hsv, bounds).bits
+        assert expected.any()
+        assert np.array_equal(color_key(img, bounds).bits, expected), bounds
+
+
+@pytest.mark.parametrize("layout", [
+    np.ascontiguousarray, np.asfortranarray,
+    lambda a: a.transpose(1, 0, 2), lambda a: a[::2, ::-3],
+], ids=["c", "fortran", "transposed", "strided"])
+def test_color_key_any_memory_layout(layout):
+    pixels = np.random.default_rng(3).integers(0, 256, (48, 64, 3), dtype=np.uint8)
+    img = RgbImage(layout(pixels))
+    for bounds in KEY_BOUNDS:
+        expected = hue_bounds_mask(rgb_to_hsv(img), bounds).bits
+        assert np.array_equal(color_key(img, bounds).bits, expected)
+
+
+def reference_floor_passes(min_saturation, min_value):
+    """passes[v, delta]: does the color (v, v - delta, v - delta) reach both
+    floors under the reference conversion? False where delta > v."""
+    v, delta = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    low = np.clip(v - delta, 0, 255)
+    hsv = rgb_to_hsv(RgbImage(np.stack([v, low, low], axis=2)))
+    passes = ((hsv.pixels[..., 1] >= min_saturation)
+              & (hsv.pixels[..., 2] >= min_value))
+    return passes & (delta <= v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(min_saturation=st.integers(0, 255), min_value=st.integers(0, 255))
+@example(min_saturation=0, min_value=0)
+@example(min_saturation=255, min_value=255)
+@example(min_saturation=60, min_value=40)
+@example(min_saturation=1, min_value=0)
+def test_floor_table_is_the_start_of_a_suffix(min_saturation, min_value):
+    passes = reference_floor_passes(min_saturation, min_value)
+    valid = np.arange(256)[None, :] <= np.arange(256)[:, None]
+    # the passing deltas of each v form a suffix of 0..v ...
+    for v in range(256):
+        row = passes[v, :v + 1]
+        assert not (row[:-1] & ~row[1:]).any(), v
+    # ... and the table holds exactly where that suffix starts
+    table = _floor_thresholds(min_saturation, min_value)
+    assert table.shape == (256,) and table.dtype == np.uint16
+    assert np.array_equal(passes, (np.arange(256)[None, :] >= table[:, None]) & valid)
+
+
+def test_floor_table_extremes_and_cache():
+    assert not _floor_thresholds(0, 0).any()
+    top = _floor_thresholds(255, 255)
+    assert top[255] == 255 and (top[:255] == 256).all()
+    assert _floor_thresholds(60, 40) is _floor_thresholds(60, 40)
+    assert not _floor_thresholds(60, 40).flags.writeable
 
 
 def test_bounds_invariant_validation():

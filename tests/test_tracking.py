@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from tangible_tracker.errors import (
     DegenerateError,
@@ -12,8 +13,15 @@ from tangible_tracker.errors import (
     NoDepthError,
     NoPointerError,
 )
-from tangible_tracker.color_calibration import HueBounds
-from tangible_tracker.imaging import DepthImage, RgbImage, warp_affine
+from tangible_tracker.color_calibration import HueBounds, hue_bounds_mask
+from tangible_tracker.imaging import (
+    EIGHT_CONNECTED,
+    DepthImage,
+    RgbImage,
+    _largest_label,
+    rgb_to_hsv,
+    warp_affine,
+)
 from tangible_tracker.registration import Homography, apply_homography
 from tangible_tracker.simulator import (
     SceneSpec,
@@ -21,6 +29,7 @@ from tangible_tracker.simulator import (
     render_scene,
 )
 from tangible_tracker.tracking import (
+    MIN_POINTER_PIXELS,
     FramePair,
     correct_parallax,
     detect_pointer_2d,
@@ -73,6 +82,94 @@ def test_detect_prefers_larger_blob():
     img = paint_disc(img, 150, 150, 5, (230, 180, 50))   # ~80 px
     center, bbox = detect_pointer_2d(img, BOUNDS)
     assert abs(center[0] - 60) <= 1 and abs(center[1] - 60) <= 1
+
+
+def full_frame_detect_oracle(rgb: RgbImage, bounds: HueBounds):
+    """``detect_pointer_2d`` as it was before the key and the labelling were
+    narrowed: reference HSV and predicate, then labels over the whole frame."""
+    keep = hue_bounds_mask(rgb_to_hsv(rgb), bounds)
+    if not keep.bits.any():
+        raise NoPointerError("no pixels inside the color bounds")
+    labels, _ = ndimage.label(keep.bits, structure=EIGHT_CONNECTED)
+    winner, area = _largest_label(labels)
+    if area < MIN_POINTER_PIXELS:
+        raise NoPointerError("largest in-bounds blob too small")
+    ys, xs = np.nonzero(labels == winner)
+    x0 = int(xs.min())
+    y0 = int(ys.min())
+    w = int(xs.max()) - x0 + 1
+    h = int(ys.max()) - y0 + 1
+    center = (x0 + (w - 1) / 2.0, y0 + (h - 1) / 2.0)
+    return center, (x0, y0, w, h)
+
+
+KEYED = [(230, 180, 50), (200, 120, 40), (235, 60, 60)]  # hues 22, 15, 0
+UNKEYED = [
+    (190, 190, 190),  # gray
+    (50, 100, 230),   # blue, outside every bounds below
+    (200, 190, 170),  # hue 20 but saturation 38, under the floor
+    (30, 24, 7),      # hue 22 but value 30, under the floor
+]
+KEY = KEYED[0]
+DETECT_BOUNDS = [HueBounds(5, 35), HueBounds(170, 25, wraps=True)]
+
+
+def paint_rects(height, width, background, rects) -> RgbImage:
+    """Rectangles (y, x, h, w, color), clipped where they cross the border."""
+    pixels = np.empty((height, width, 3), dtype=np.uint8)
+    pixels[:] = background
+    for y, x, h, w, color in rects:
+        pixels[max(y, 0):y + h, max(x, 0):x + w] = color
+    return RgbImage(pixels)
+
+
+@st.composite
+def blob_frames(draw):
+    height = draw(st.integers(3, 40))
+    width = draw(st.integers(3, 40))
+    rects = []
+    for _ in range(draw(st.integers(0, 5))):
+        h = draw(st.integers(1, 8))
+        w = draw(st.integers(1, 8))
+        color = draw(st.sampled_from(KEYED + KEYED + UNKEYED))
+        for _ in range(draw(st.integers(1, 3))):  # same-size copies tie on area
+            rects.append((draw(st.integers(1 - h, height - 1)),
+                          draw(st.integers(1 - w, width - 1)), h, w, color))
+    if draw(st.booleans()):
+        # two equal keyed rectangles, side by side with a gap: an area tie
+        h = draw(st.integers(1, min(height, 8)))
+        w = draw(st.integers(1, min((width - 1) // 2, 8)))
+        split = draw(st.integers(w, width - w - 1))
+        y1 = draw(st.integers(0, height - h))
+        y2 = draw(st.integers(0, height - h))
+        rects.append((y1, draw(st.integers(0, split - w)), h, w, KEY))
+        rects.append((y2, draw(st.integers(split + 1, width - w)), h, w, KEY))
+    return height, width, draw(st.sampled_from(UNKEYED)), rects
+
+
+@settings(max_examples=400, deadline=None)
+@given(frame=blob_frames(), bounds=st.sampled_from(DETECT_BOUNDS))
+@example(frame=(30, 30, UNKEYED[0], []), bounds=DETECT_BOUNDS[0])  # nothing keyed
+@example(frame=(30, 30, UNKEYED[2], [(3, 3, 4, 4, UNKEYED[3])]),
+         bounds=DETECT_BOUNDS[0])  # only floor near-misses
+@example(frame=(30, 30, UNKEYED[0], [(2, 2, 4, 4, KEY), (20, 20, 3, 3, KEY)]),
+         bounds=DETECT_BOUNDS[0])  # every blob under MIN_POINTER_PIXELS
+@example(frame=(30, 30, UNKEYED[0], [(20, 3, 5, 5, KEY), (3, 20, 5, 5, KEY)]),
+         bounds=DETECT_BOUNDS[0])  # equal areas: the earlier first pixel wins
+@example(frame=(30, 30, UNKEYED[0], [(10, 22, 5, 5, KEY), (10, 3, 5, 5, KEY)]),
+         bounds=DETECT_BOUNDS[1])  # equal areas starting on the same row
+@example(frame=(20, 24, UNKEYED[1], [(-2, -3, 6, 7, KEY), (15, 19, 6, 6, KEY),
+                                     (0, 18, 6, 6, KEYED[2]), (14, 0, 6, 5, KEY)]),
+         bounds=DETECT_BOUNDS[1])  # blobs touching all four borders
+def test_detect_matches_full_frame_oracle(frame, bounds):
+    rgb = paint_rects(*frame)
+    try:
+        expected = full_frame_detect_oracle(rgb, bounds)
+    except NoPointerError:
+        with pytest.raises(NoPointerError):
+            detect_pointer_2d(rgb, bounds)
+    else:
+        assert detect_pointer_2d(rgb, bounds) == expected
 
 
 # -------------------------------------------------------- estimate_pointer_depth
