@@ -15,13 +15,14 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
 from . import pnm
 from .bench import format_table, run_benchmark
 from .errors import PipelineError
-from .imaging import AffineTransform, warp_affine
+from .imaging import AffineTransform
 from .registration import calibrate_scene, load_profile, save_profile
 from .simulator import (
     SceneSpec,
@@ -177,8 +178,9 @@ def cmd_track(args: argparse.Namespace) -> int:
             return _fail(EXIT_IO, f"IOError: {exc}")
         log.info("streaming on %s:%d", *server.address)
 
-    align = not np.array_equal(profile.depth_to_rgb.matrix,
-                               AffineTransform.identity().matrix)
+    px, py = profile.principal_point
+    checked_principal = False
+    status_counts: Counter[str] = Counter()
     kernel_seconds = 0.0
     wall_start = time.perf_counter()
     seq = 0
@@ -188,8 +190,6 @@ def cmd_track(args: argparse.Namespace) -> int:
             try:
                 rgb = pnm.read_ppm(rgb_path)
                 depth = pnm.read_depth(depth_path, profile.raw_to_mm)
-                if align:
-                    depth = warp_affine(depth, profile.depth_to_rgb)
                 frame = FramePair(rgb, depth)
             except OSError as exc:
                 log.warning("frame %d unreadable: %s", idx, exc)
@@ -197,6 +197,12 @@ def cmd_track(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 log.warning("frame %d invalid: %s", idx, exc)
                 record = error_record(idx, "BadFrame")
+            if record is None and not checked_principal:
+                if not (0 <= px < rgb.width and 0 <= py < rgb.height):
+                    return _fail(EXIT_VALIDATION,
+                                 f"BadProfile: principal point ({px}, {py}) lies "
+                                 f"outside the {rgb.width}x{rgb.height} frame")
+                checked_principal = True
             if record is None:
                 t0 = time.perf_counter()
                 try:
@@ -206,6 +212,7 @@ def cmd_track(args: argparse.Namespace) -> int:
                 else:
                     record = frame_record(idx, fix)
                 kernel_seconds += time.perf_counter() - t0
+            status_counts[record["status"]] += 1
             line = json.dumps({"seq": seq, **record}, allow_nan=False)
             print(line, flush=True)
             if server is not None:
@@ -223,6 +230,7 @@ def cmd_track(args: argparse.Namespace) -> int:
             "frames": seq,
             "kernel_seconds": kernel_seconds,
             "wall_seconds": wall,
+            "status_counts": status_counts,
         }), flush=True)
     return EXIT_OK
 

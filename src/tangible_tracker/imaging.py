@@ -118,6 +118,9 @@ class BinaryMask:
         return int(self.bits.sum())
 
 
+_IDENTITY = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
 @dataclass(frozen=True, eq=False)
 class AffineTransform:
     """2x3 matrix mapping depth-image pixel coordinates into RGB pixels."""
@@ -135,7 +138,7 @@ class AffineTransform:
 
     @staticmethod
     def identity() -> "AffineTransform":
-        return AffineTransform(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        return AffineTransform(_IDENTITY.copy())
 
 
 def rgb_to_hsv(img: RgbImage) -> HsvImage:
@@ -254,25 +257,38 @@ def largest_component(mask: BinaryMask) -> BinaryMask:
     return BinaryMask(comp | holes)
 
 
-def warp_affine(img: DepthImage, t: AffineTransform) -> DepthImage:
+def warp_affine(img: DepthImage, t: AffineTransform,
+                box: tuple[int, int, int, int] | None = None) -> DepthImage:
     """Resample into the target frame by nearest neighbor.
+
+    The target frame has the source's size. With ``box = (x, y, w, h)``,
+    which must lie inside that frame, only the window's pixels are sampled
+    and the w x h result equals that crop of the full warp: each pixel is
+    computed alone, by the same float operations. The identity transform
+    returns a view of the source and samples nothing.
 
     Destination pixels that map outside the source get raw value 0, which
     downstream consumers already treat as no-data.
     """
+    h, w = img.pixels.shape
+    x, y, bw, bh = (0, 0, w, h) if box is None else box
+    if bw < 1 or bh < 1 or x < 0 or y < 0 or x + bw > w or y + bh > h:
+        raise ValueError("box must lie within the frame")
+    if np.array_equal(t.matrix, _IDENTITY):
+        return DepthImage(img.pixels[y:y + bh, x:x + bw], img.raw_to_mm)
+
     inv = np.linalg.inv(t.matrix[:, :2])
     offset = t.matrix[:, 2]
 
-    h, w = img.pixels.shape
-    gx, gy = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
+    gx, gy = np.meshgrid(np.arange(x, x + bw, dtype=np.float64),
+                         np.arange(y, y + bh, dtype=np.float64))
     dx = gx - offset[0]
     dy = gy - offset[1]
     sx = np.rint(inv[0, 0] * dx + inv[0, 1] * dy).astype(np.int64)
     sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy).astype(np.int64)
     ok = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
 
-    out = np.zeros_like(img.pixels)
+    out = np.zeros((bh, bw), dtype=img.pixels.dtype)
     out[ok] = img.pixels[sy[ok], sx[ok]]
     return DepthImage(out, img.raw_to_mm)
 

@@ -1,7 +1,8 @@
 """Per-frame pointer localization.
 
-Each frame finds the pointer blob by its calibrated color, reads a filtered
-depth from the aligned depth crop, shifts the observed pixel to its
+Each frame finds the pointer blob by its calibrated color, aligns only the
+depth pixels under the blob's bounding box into the RGB frame, reads a
+filtered depth from that crop, shifts the observed pixel to its
 marker-plane footprint to undo parallax, and maps the result into virtual
 coordinates. Frames are independent: the function is pure with respect to
 an immutable calibration profile.
@@ -29,6 +30,7 @@ from .imaging import (
     Point3,
     RgbImage,
     _largest_label,
+    warp_affine,
 )
 from .registration import CalibrationProfile, apply_homography
 
@@ -53,14 +55,18 @@ class PointerFix:
 
 @dataclass(frozen=True, eq=False)
 class FramePair:
-    """RGB frame plus the depth frame already aligned into RGB pixels."""
+    """RGB frame plus the depth frame as read, in depth pixels.
+
+    ``track_frame`` aligns the depth pixels it reads through the profile's
+    ``depth_to_rgb``; both frames must have the same size.
+    """
 
     rgb: RgbImage
     depth: DepthImage
 
     def __post_init__(self):
         if (self.rgb.height, self.rgb.width) != (self.depth.height, self.depth.width):
-            raise ValueError("rgb and depth dimensions must match after alignment")
+            raise ValueError("rgb and depth dimensions must match")
 
 
 def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
@@ -133,9 +139,11 @@ def correct_parallax(b: Point2, o: Point2, h: float, camera_height_mm: float) ->
 
 
 def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
-    """Detect, depth-filter, parallax-correct, and map one frame."""
+    """Detect, align the depth crop, depth-filter, parallax-correct, and map
+    one frame."""
     center, bbox = detect_pointer_2d(frame.rgb, cal.hue_bounds)
-    depth_mm = estimate_pointer_depth(frame.depth, bbox)
+    crop = warp_affine(frame.depth, cal.depth_to_rgb, bbox)
+    depth_mm = estimate_pointer_depth(crop, (0, 0, crop.width, crop.height))
 
     cam_h = cal.camera_height_mm
     height = cam_h - depth_mm

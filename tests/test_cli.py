@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import socket
 import subprocess
@@ -7,10 +8,19 @@ import time
 import numpy as np
 import pytest
 
-from tangible_tracker import cli
+from tangible_tracker import cli, imaging, pnm, tracking
 from tangible_tracker.cli import main
-from tangible_tracker.imaging import warp_affine
+from tangible_tracker.errors import PipelineError
+from tangible_tracker.imaging import AffineTransform
 from tangible_tracker.registration import apply_homography, load_profile
+from tangible_tracker.tracking import (
+    FramePair,
+    detect_pointer_2d,
+    error_record,
+    frame_record,
+    track_frame,
+)
+from tests.test_imaging import full_warp_oracle
 
 
 def run_cli(*args, env=None):
@@ -206,7 +216,7 @@ def test_track_non_finite_fix_is_a_status_not_infinity(
 
 # the names perfbench/tracer.py patches onto the cli module; a missing one
 # would be created silently there and read as zero work
-CLI_SEAMS = ("pnm", "json", "load_profile", "warp_affine", "track_frame",
+CLI_SEAMS = ("pnm", "json", "load_profile", "track_frame",
              "calibrate_scene", "save_profile", "StreamServer")
 
 
@@ -215,34 +225,133 @@ def test_cli_seams_exist():
         assert hasattr(cli, name), name
 
 
-@pytest.mark.parametrize("depth_to_rgb,calls", [
-    ([1.0, 0.0, 4.0, 0.0, 1.0, 2.0], 3),
-    ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], 0),
-])
-def test_track_warps_each_frame_only_for_non_identity(
-        sequence_dir, sequence_profile_path, tmp_path, capsys, monkeypatch,
-        depth_to_rgb, calls):
-    frames = tmp_path / "frames"
+def _frames_with_miss_and_bad(sequence_dir, frames):
+    """Frames 0-2 of the sequence, a pointer-free frame 3 and a truncated
+    frame 4."""
     frames.mkdir()
     for i in range(3):
         for kind in ("rgb_%04d.ppm", "depth_%04d.pgm"):
             (frames / (kind % i)).write_bytes((sequence_dir / (kind % i)).read_bytes())
+    (frames / "rgb_0003.ppm").write_bytes((sequence_dir / "background.ppm").read_bytes())
+    (frames / "depth_0003.pgm").write_bytes(
+        (sequence_dir / "background_depth.pgm").read_bytes())
+    (frames / "rgb_0004.ppm").write_bytes(b"P6\n9 9\n255\n")
+    (frames / "depth_0004.pgm").write_bytes((sequence_dir / "depth_0000.pgm").read_bytes())
+    return frames
+
+
+def _profile_with(sequence_profile_path, path, **fields):
     doc = json.loads(sequence_profile_path.read_text())
-    doc["depth_to_rgb"] = depth_to_rgb
-    profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps(doc))
-    seen = []
+    doc.update(fields)
+    path.write_text(json.dumps(doc))
+    return path
 
-    def counting_warp(depth, transform):
-        seen.append(transform)
-        return warp_affine(depth, transform)
 
-    monkeypatch.setattr(cli, "warp_affine", counting_warp)
-    rc = main(["track", "--calib", str(profile), "--frames", str(frames)])
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+ROTATE_SCALE = [1.02 * np.cos(0.03), -1.02 * np.sin(0.03), 4.3,
+                1.02 * np.sin(0.03), 1.02 * np.cos(0.03), -2.6]
+
+
+def full_warp_records(frames, profile):
+    """Records of the pipeline that warped each whole depth frame with the
+    frozen full-frame warp, then tracked it with nothing left to align."""
+    aligned_profile = dataclasses.replace(profile,
+                                          depth_to_rgb=AffineTransform.identity())
+    lines = []
+    for seq, (idx, rgb_path, depth_path) in enumerate(cli._scan_frames(str(frames))):
+        try:
+            rgb = pnm.read_ppm(rgb_path)
+            depth = pnm.read_depth(depth_path, profile.raw_to_mm)
+            frame = FramePair(rgb, full_warp_oracle(depth, profile.depth_to_rgb))
+        except ValueError:
+            record = error_record(idx, "BadFrame")
+        else:
+            try:
+                record = frame_record(idx, track_frame(frame, aligned_profile))
+            except PipelineError as exc:
+                record = error_record(idx, exc.name)
+        lines.append(json.dumps({"seq": seq, **record}, allow_nan=False))
+    return lines
+
+
+@pytest.mark.parametrize("depth_to_rgb,aligns", [
+    (ROTATE_SCALE, True),
+    ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], False),
+], ids=["rotate-scale", "identity"])
+def test_track_aligns_only_the_pointer_box(
+        sequence_dir, sequence_profile_path, tmp_path, capsys, monkeypatch,
+        depth_to_rgb, aligns):
+    frames = _frames_with_miss_and_bad(sequence_dir, tmp_path / "frames")
+    profile_path = _profile_with(sequence_profile_path, tmp_path / "profile.json",
+                                 depth_to_rgb=depth_to_rgb)
+    profile = load_profile(profile_path)
+    real_warp = imaging.warp_affine
+    calls = []
+
+    def counting_warp(img, t, box=None):
+        out = real_warp(img, t, box)
+        # a view of the source is a slice: nothing was sampled
+        sampled = 0 if np.shares_memory(out.pixels, img.pixels) else out.pixels.size
+        calls.append((box, sampled))
+        return out
+
+    # tracking binds the name at import; the module attribute catches any
+    # other caller
+    monkeypatch.setattr(imaging, "warp_affine", counting_warp)
+    monkeypatch.setattr(tracking, "warp_affine", counting_warp)
+    rc = main(["track", "--calib", str(profile_path), "--frames", str(frames)])
+    lines = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert [r["status"] for r in records] == ["ok"] * 3
-    assert len(seen) == calls
+    monkeypatch.undo()
+
+    statuses = [json.loads(line)["status"] for line in lines]
+    assert statuses == ["ok", "ok", "ok", "NoPointer", "BadFrame"]
+    boxes = [detect_pointer_2d(pnm.read_ppm(str(frames / f"rgb_{i:04d}.ppm")),
+                               profile.hue_bounds)[1] for i in range(3)]
+    assert [box for box, _ in calls] == boxes  # one call per hit, none on the miss
+    for box, sampled in calls:
+        assert sampled == (box[2] * box[3] if aligns else 0)
+    assert lines == full_warp_records(frames, profile)
+
+
+@pytest.mark.parametrize("principal_point", [
+    [5000.0, -300.0], [640.0, 239.5], [319.5, -0.5],
+], ids=["far-outside", "x-at-width", "y-below-0"])
+def test_track_principal_point_outside_frame_exits_5(
+        sequence_dir, sequence_profile_path, tmp_path, capsys, principal_point):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    # frame 0 does not read, so frame 1 is the first whose size is known
+    (frames / "rgb_0000.ppm").write_bytes(b"P6\n9 9\n255\n")
+    (frames / "depth_0000.pgm").write_bytes((sequence_dir / "depth_0000.pgm").read_bytes())
+    for i in (1, 2):
+        for kind in ("rgb_%04d.ppm", "depth_%04d.pgm"):
+            (frames / (kind % i)).write_bytes((sequence_dir / (kind % i)).read_bytes())
+    profile = _profile_with(sequence_profile_path, tmp_path / "profile.json",
+                            principal_point=principal_point)
+    rc = main(["track", "--calib", str(profile), "--frames", str(frames),
+               "--fps-report"])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert [json.loads(line)["status"] for line in captured.out.splitlines()] \
+        == ["BadFrame"]
+    assert captured.err.startswith("BadProfile:")
+    assert "Traceback" not in captured.err
+
+
+def test_fps_report_counts_statuses(sequence_dir, sequence_profile_path,
+                                    tmp_path, capsys):
+    frames = _frames_with_miss_and_bad(sequence_dir, tmp_path / "frames")
+    rc = main(["track", "--calib", str(sequence_profile_path),
+               "--frames", str(frames), "--fps-report"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    report = json.loads(lines[-1])
+    assert list(report) == ["fps", "frames", "kernel_seconds", "wall_seconds",
+                            "status_counts"]
+    assert report["frames"] == 5
+    assert report["fps"] > 0
+    assert 0 < report["kernel_seconds"] <= report["wall_seconds"]
+    assert report["status_counts"] == {"ok": 3, "NoPointer": 1, "BadFrame": 1}
 
 
 def test_track_stream_clients_get_contiguous_suffix(sequence_dir,

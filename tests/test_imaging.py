@@ -323,6 +323,99 @@ def test_warp_rejects_singular_transform():
         AffineTransform(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
 
 
+def full_warp_oracle(img: DepthImage, t: AffineTransform) -> DepthImage:
+    """The full-frame nearest-neighbor warp as it was before windows, frozen."""
+    inv = np.linalg.inv(t.matrix[:, :2])
+    offset = t.matrix[:, 2]
+
+    h, w = img.pixels.shape
+    gx, gy = np.meshgrid(np.arange(w, dtype=np.float64),
+                         np.arange(h, dtype=np.float64))
+    dx = gx - offset[0]
+    dy = gy - offset[1]
+    sx = np.rint(inv[0, 0] * dx + inv[0, 1] * dy).astype(np.int64)
+    sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy).astype(np.int64)
+    ok = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
+
+    out = np.zeros_like(img.pixels)
+    out[ok] = img.pixels[sy[ok], sx[ok]]
+    return DepthImage(out, img.raw_to_mm)
+
+
+def affine(angle, scale_x, scale_y, shear, tx, ty) -> AffineTransform:
+    c, s = np.cos(angle), np.sin(angle)
+    linear = np.array([[c, -s], [s, c]]) @ np.array([[scale_x, shear], [0.0, scale_y]])
+    return AffineTransform(np.column_stack([linear, [tx, ty]]))
+
+
+@st.composite
+def warp_cases(draw):
+    h = draw(st.integers(1, 40))
+    w = draw(st.integers(1, 40))
+    x = draw(st.integers(0, w - 1))
+    y = draw(st.integers(0, h - 1))
+    box = (x, y, draw(st.integers(1, w - x)), draw(st.integers(1, h - y)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # fractional translations up to twice the frame push boxes partly or
+    # wholly off the source
+    reach = 2.0 * max(h, w)
+    t = affine(draw(st.floats(-np.pi, np.pi)),
+               draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)),
+               draw(st.floats(-0.5, 0.5)),
+               draw(st.floats(-reach, reach)), draw(st.floats(-reach, reach)))
+    return h, w, box, seed, t
+
+
+@given(warp_cases())
+@settings(max_examples=400, deadline=None)
+def test_warp_box_is_the_crop_of_the_full_warp(case):
+    h, w, (x, y, bw, bh), seed, t = case
+    rng = np.random.default_rng(seed)
+    # no zero in the source, so a 0 in the output can only mean off-source
+    img = DepthImage(rng.integers(1, 65536, size=(h, w), dtype=np.uint16), 2.5)
+    full = full_warp_oracle(img, t)
+    out = warp_affine(img, t, (x, y, bw, bh))
+    assert out.pixels.shape == (bh, bw)
+    assert out.raw_to_mm == 2.5
+    assert (out.pixels == full.pixels[y:y + bh, x:x + bw]).all()
+    assert (warp_affine(img, t).pixels == full.pixels).all()
+
+
+@given(warp_cases(), st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_warp_box_wholly_off_the_source_is_no_data(case, sign_x, sign_y):
+    h, w, box, seed, t = case
+    # a shift of 1000 px dwarfs a 40 px frame under scales of 0.5..2
+    shifted = t.matrix.copy()
+    shifted[:, 2] += (1000.0 * sign_x, 1000.0 * sign_y)
+    img = DepthImage(np.random.default_rng(seed).integers(
+        1, 65536, size=(h, w), dtype=np.uint16))
+    out = warp_affine(img, AffineTransform(shifted), box)
+    assert out.pixels.shape == (box[3], box[2])
+    assert (out.pixels == 0).all()
+
+
+def test_warp_identity_box_is_the_slice():
+    rng = np.random.default_rng(9)
+    img = DepthImage(rng.integers(0, 5000, size=(30, 40), dtype=np.uint16), 0.5)
+    out = warp_affine(img, AffineTransform.identity(), (7, 11, 13, 5))
+    assert (out.pixels == img.pixels[11:16, 7:20]).all()
+    assert out.raw_to_mm == 0.5
+    assert np.shares_memory(out.pixels, img.pixels)  # nothing was sampled
+
+
+@pytest.mark.parametrize("box", [
+    (-1, 0, 5, 5), (0, -1, 5, 5), (36, 0, 5, 5), (0, 26, 5, 5),
+    (0, 0, 0, 5), (0, 0, 5, 0),
+])
+def test_warp_box_outside_the_frame_is_rejected(box):
+    img = DepthImage(np.ones((30, 40), dtype=np.uint16))
+    t = AffineTransform(np.array([[1.0, 0.0, 4.0], [0.0, 1.0, 2.0]]))
+    for transform in (t, AffineTransform.identity()):
+        with pytest.raises(ValueError):
+            warp_affine(img, transform, box)
+
+
 # ------------------------------------------------------------- hue_histogram
 
 def test_hue_histogram_single_hue_object():

@@ -20,7 +20,6 @@ from tangible_tracker.imaging import (
     RgbImage,
     _largest_label,
     rgb_to_hsv,
-    warp_affine,
 )
 from tangible_tracker.registration import Homography, apply_homography
 from tangible_tracker.simulator import (
@@ -44,9 +43,9 @@ from tests.test_imaging import disc_bits, solid_rgb
 BOUNDS = HueBounds(5, 35)
 
 
-def scene_frame(spec: SceneSpec, profile):
+def scene_frame(spec: SceneSpec):
     rgb, depth, truth = render_scene(spec)
-    return FramePair(rgb, warp_affine(depth, profile.depth_to_rgb)), truth
+    return FramePair(rgb, depth), truth
 
 
 # ------------------------------------------------------------ detect_pointer_2d
@@ -289,7 +288,7 @@ def profile(default_spec):
 
 
 def test_track_frame_matches_truth(default_spec, profile):
-    frame, truth = scene_frame(default_spec, profile)
+    frame, truth = scene_frame(default_spec)
     fix = track_frame(frame, profile)
     assert math.hypot(fix.virtual[0] - truth.expected_virtual[0],
                       fix.virtual[1] - truth.expected_virtual[1]) < 0.02
@@ -299,7 +298,7 @@ def test_track_frame_matches_truth(default_spec, profile):
 
 def test_track_frame_plane_contact(default_spec, profile):
     spec = dataclasses.replace(default_spec, ball_height_mm=0.0)
-    frame, _ = scene_frame(spec, profile)
+    frame, _ = scene_frame(spec)
     fix = track_frame(frame, profile)
     assert fix.real[2] == 0.0
     assert fix.virtual[2] == 0.0
@@ -361,7 +360,7 @@ def test_track_frame_monotone_in_height(default_spec, profile):
 def test_track_frame_stateless_across_order(default_spec, profile):
     specs = [dataclasses.replace(default_spec, ball_plane_mm=(x, 10.0), seed=s)
              for s, x in enumerate((0.0, 25.0, 50.0))]
-    frames = [scene_frame(s, profile)[0] for s in specs]
+    frames = [scene_frame(s)[0] for s in specs]
     forward = [track_frame(f, profile) for f in frames]
     backward = [track_frame(f, profile) for f in reversed(frames)]
     assert [f.virtual for f in forward] == [b.virtual for b in reversed(backward)]
@@ -370,15 +369,14 @@ def test_track_frame_stateless_across_order(default_spec, profile):
 def test_scene_translation_leaves_virtual_unchanged(default_spec, profile):
     # move marker and ball together by a whole-pixel offset; registration
     # absorbs the shift
-    base_fix = track_frame(scene_frame(default_spec, profile)[0], profile)
+    base_fix = track_frame(scene_frame(default_spec)[0], profile)
     shift = np.array([[1.0, 0.0, 37.0], [0.0, 1.0, -22.0], [0.0, 0.0, 1.0]])
     moved_spec = dataclasses.replace(
         default_spec, marker_to_image=shift @ default_spec.marker_to_image,
         principal_point=(default_spec.principal_point[0] + 37.0,
                          default_spec.principal_point[1] - 22.0))
     moved_profile = calibrate_spec(moved_spec).profile
-    moved_fix = track_frame(scene_frame(moved_spec, moved_profile)[0],
-                            moved_profile)
+    moved_fix = track_frame(scene_frame(moved_spec)[0], moved_profile)
     assert np.abs(np.array(moved_fix.virtual) - np.array(base_fix.virtual)).max() \
         < 0.02
 
@@ -386,7 +384,7 @@ def test_scene_translation_leaves_virtual_unchanged(default_spec, profile):
 # ---------------------------------------------------------------- JSONL records
 
 def test_record_shapes(default_spec, profile):
-    frame, _ = scene_frame(default_spec, profile)
+    frame, _ = scene_frame(default_spec)
     fix = track_frame(frame, profile)
     rec = frame_record(3, fix)
     assert list(rec) == ["frame", "px", "depth_mm", "real", "virtual", "status"]
