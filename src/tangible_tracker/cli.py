@@ -23,7 +23,7 @@ from . import pnm
 from .bench import format_table, run_benchmark
 from .errors import PipelineError
 from .imaging import AffineTransform
-from .registration import calibrate_scene, load_profile, save_profile
+from .registration import calibrate_scene, check_principal_point, load_profile, save_profile
 from .simulator import (
     SceneSpec,
     circular_trajectory,
@@ -178,7 +178,6 @@ def cmd_track(args: argparse.Namespace) -> int:
             return _fail(EXIT_IO, f"IOError: {exc}")
         log.info("streaming on %s:%d", *server.address)
 
-    px, py = profile.principal_point
     checked_principal = False
     status_counts: Counter[str] = Counter()
     kernel_seconds = 0.0
@@ -198,10 +197,10 @@ def cmd_track(args: argparse.Namespace) -> int:
                 log.warning("frame %d invalid: %s", idx, exc)
                 record = error_record(idx, "BadFrame")
             if record is None and not checked_principal:
-                if not (0 <= px < rgb.width and 0 <= py < rgb.height):
-                    return _fail(EXIT_VALIDATION,
-                                 f"BadProfile: principal point ({px}, {py}) lies "
-                                 f"outside the {rgb.width}x{rgb.height} frame")
+                try:
+                    check_principal_point(profile.principal_point, rgb.width, rgb.height)
+                except ValueError as exc:
+                    return _fail(EXIT_VALIDATION, f"BadProfile: {exc}")
                 checked_principal = True
             if record is None:
                 t0 = time.perf_counter()

@@ -52,8 +52,6 @@ def calibrate_hue_bounds(
     background: RgbImage,
     with_pointer: RgbImage,
     *,
-    min_saturation: int = DEFAULT_MIN_SATURATION,
-    min_value: int = DEFAULT_MIN_VALUE,
     min_area: int = DEFAULT_MIN_AREA,
 ) -> HueBounds:
     """Histogram the masked pointer's hue and take the peak +- 15 bins.
@@ -64,17 +62,16 @@ def calibrate_hue_bounds(
     """
     mask = extract_mask(MaskRequest(background, with_pointer, min_area))
     hsv = rgb_to_hsv(with_pointer)
-    saturated = BinaryMask(mask.bits & (hsv.pixels[..., 1] >= min_saturation))
+    saturated = BinaryMask(mask.bits & (hsv.pixels[..., 1] >= DEFAULT_MIN_SATURATION))
     if 2 * saturated.area < mask.area:
         raise LowSaturationError(
             f"only {saturated.area} of {mask.area} masked pixels reach "
-            f"saturation {min_saturation}"
+            f"saturation {DEFAULT_MIN_SATURATION}"
         )
     peak = int(np.argmax(hue_histogram(hsv, saturated)))
     lo = (peak - PEAK_MARGIN) % HUE_BINS
     hi = (peak + PEAK_MARGIN) % HUE_BINS
-    return HueBounds(lo, hi, wraps=lo > hi,
-                     min_saturation=min_saturation, min_value=min_value)
+    return HueBounds(lo, hi, wraps=lo > hi)
 
 
 def hue_in_bounds(h: int, s: int, v: int, bounds: HueBounds) -> bool:

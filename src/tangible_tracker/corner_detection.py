@@ -25,17 +25,13 @@ HARRIS_REL_THRESHOLD = 0.01
 
 @dataclass(frozen=True)
 class CMinMaxParams:
-    """n is the expected maximum vertex count; candidates closer than
-    cluster_epsilon merge into one corner (default scales with mask size)."""
+    """n is the expected maximum vertex count."""
 
     n: int = 4
-    cluster_epsilon: float | None = None
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("n must be at least 3")
-        if self.cluster_epsilon is not None and not self.cluster_epsilon > 0:
-            raise ValueError("cluster_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -139,11 +135,8 @@ def cminmax_corners(mask: BinaryMask, params: CMinMaxParams | None = None) -> Co
     if np.abs(dx * evecs[0, 0] + dy * evecs[1, 0]).max() < 1.0:
         raise DegenerateMaskError("set pixels are collinear within 1 px")
 
-    if params.cluster_epsilon is not None:
-        eps = params.cluster_epsilon
-    else:
-        diag = math.hypot(float(xf.max()), float(yf.max()))
-        eps = max(3.0, 0.01 * diag)
+    # candidates closer than eps merge into one corner
+    eps = max(3.0, 0.01 * math.hypot(float(xf.max()), float(yf.max())))
 
     n_passes = n // 2
 
@@ -154,11 +147,8 @@ def cminmax_corners(mask: BinaryMask, params: CMinMaxParams | None = None) -> Co
         picked: list[int] = []
         for k in range(n_passes):
             theta = k * math.pi / n + offset
-            if theta == 0.0:
-                picked.extend(_extreme_indices(xf, yf))
-            else:
-                c, s = math.cos(theta), math.sin(theta)
-                picked.extend(_extreme_indices(c * dx - s * dy, s * dx + c * dy))
+            c, s = math.cos(theta), math.sin(theta)
+            picked.extend(_extreme_indices(c * dx - s * dy, s * dx + c * dy))
         candidates = np.column_stack([xf[picked], yf[picked]])
         return _clusters(candidates, eps)
 

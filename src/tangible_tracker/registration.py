@@ -232,6 +232,14 @@ class CalibrationSummary:
     fit_residual: float
 
 
+def check_principal_point(point: Point2, width: int, height: int) -> None:
+    """Raise ValueError unless the point lies inside a width x height frame."""
+    px, py = point
+    if not (0 <= px < width and 0 <= py < height):
+        raise ValueError(f"principal point ({px}, {py}) lies outside the "
+                         f"{width}x{height} frame")
+
+
 def calibrate_scene(
     background: RgbImage,
     with_marker: RgbImage,
@@ -254,8 +262,7 @@ def calibrate_scene(
     if not camera_height_mm > 0:
         raise ValueError("camera_height_mm must be positive")
     px, py = float(principal_point[0]), float(principal_point[1])
-    if not (0 <= px < background.width and 0 <= py < background.height):
-        raise ValueError("principal point must lie inside the image bounds")
+    check_principal_point((px, py), background.width, background.height)
 
     marker_mask = extract_mask(MaskRequest(background, with_marker, min_area))
     detected = cminmax_corners(marker_mask, CMinMaxParams(n=4))
@@ -303,19 +310,23 @@ def profile_to_dict(profile: CalibrationProfile) -> dict:
     }
 
 
+_HUE_FIELD_TYPES = {"lo": int, "hi": int, "wraps": bool,
+                    "min_saturation": int, "min_value": int}
+
+
 def profile_from_dict(data: dict) -> CalibrationProfile:
     bounds = data["hue_bounds"]
+    for key, kind in _HUE_FIELD_TYPES.items():
+        # exact types: a JSON float, string or boolean never stands in for an integer
+        if type(bounds[key]) is not kind:
+            raise ValueError(f"hue_bounds.{key} must be a JSON "
+                             f"{'boolean' if kind is bool else 'integer'}, "
+                             f"got {bounds[key]!r}")
     return CalibrationProfile(
         depth_to_rgb=AffineTransform(
             np.asarray(data["depth_to_rgb"], dtype=np.float64).reshape(2, 3)
         ),
-        hue_bounds=HueBounds(
-            lo=int(bounds["lo"]),
-            hi=int(bounds["hi"]),
-            wraps=bool(bounds["wraps"]),
-            min_saturation=int(bounds["min_saturation"]),
-            min_value=int(bounds["min_value"]),
-        ),
+        hue_bounds=HueBounds(**{key: bounds[key] for key in _HUE_FIELD_TYPES}),
         t_rv=Homography(
             np.asarray(data["t_rv"], dtype=np.float64).reshape(3, 3),
             float(data["rho_z"]),

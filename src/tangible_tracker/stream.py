@@ -1,88 +1,48 @@
-"""TCP fan-out of newline-delimited records.
+"""TCP fan-out of newline-delimited records, served on the caller's thread.
 
-The publisher never blocks on the network: every client owns a bounded
-byte queue drained by its own writer thread, and a client that falls more
-than the buffer limit behind is dropped so the tracking loop keeps pace.
+The listener and every client socket are non-blocking, and no thread is
+started. ``publish`` first accepts the clients that are waiting, then adds
+the line to each client's pending bytes and sends what the socket takes at
+once; it never waits on the network. A client whose send fails, or whose
+pending bytes exceed the limit, is closed and dropped, so the tracking loop
+keeps pace. Every client socket asks the kernel for a fixed 64 KiB send
+buffer, so the limit applies near ``max_buffered`` bytes of backlog rather
+than after the megabytes a self-sized buffer would take first. A server is
+not for concurrent use: call it from one thread at a time.
 """
 
 from __future__ import annotations
 
 import logging
+import selectors
 import socket
-import threading
-from collections import deque
+import time
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_BUFFERED = 1 << 20  # bytes queued per client before it is dropped
+DEFAULT_MAX_BUFFERED = 1 << 20  # pending bytes per client before it is dropped
+SEND_BUFFER = 64 << 10  # SO_SNDBUF of every client socket
+FLUSH_SECONDS = 2.0  # close() waits at most this long for all clients together
 
 
-class _Client:
-    def __init__(self, conn: socket.socket, limit: int):
-        self.conn = conn
-        self.limit = limit
-        self.queue: deque[bytes] = deque()
-        self.buffered = 0
-        self.cond = threading.Condition()
-        self.alive = True
-        self.finishing = False
-        self.thread = threading.Thread(target=self._write_loop, daemon=True)
-        self.thread.start()
-
-    def enqueue(self, payload: bytes) -> bool:
-        with self.cond:
-            if not self.alive:
-                return False
-            if self.buffered + len(payload) > self.limit:
-                # slow consumer: drop it rather than stall the producer
-                self.alive = False
-                self.cond.notify()
-                self._close_socket()
-                return False
-            self.queue.append(payload)
-            self.buffered += len(payload)
-            self.cond.notify()
-            return True
-
-    def _write_loop(self):
-        while True:
-            with self.cond:
-                while self.alive and not self.queue and not self.finishing:
-                    self.cond.wait()
-                if not self.alive or (self.finishing and not self.queue):
-                    break
-                payload = self.queue.popleft()
-                self.buffered -= len(payload)
-            try:
-                self.conn.sendall(payload)
-            except OSError:
-                with self.cond:
-                    self.alive = False
-                break
-        self._close_socket()
-
-    def _close_socket(self):
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def finish(self, timeout: float):
-        with self.cond:
-            self.finishing = True
-            self.cond.notify()
-        self.thread.join(timeout)
-        with self.cond:
-            self.alive = False
-            self.cond.notify()
-        self._close_socket()
+def _send(conn: socket.socket, pending: bytearray) -> bool:
+    """Send what the socket takes now; False when the client is gone."""
+    try:
+        del pending[:conn.send(pending)]
+    except BlockingIOError:
+        pass
+    except OSError:
+        return False
+    return True
 
 
 class StreamServer:
     """Accepts clients and fans published lines out to all of them.
 
-    A client receives every record published after it connected, in order
-    and with no gaps, unless it is dropped for falling behind.
+    A client receives every record published after it was accepted, in
+    order and with no gaps, unless it is dropped for falling behind.
+    Clients that connect are accepted by the next ``publish`` or
+    ``client_count``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -92,53 +52,59 @@ class StreamServer:
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen()
-        self._lock = threading.Lock()
-        self._clients: list[_Client] = []
-        self._closing = False
-        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        self._acceptor.start()
+        self._listener.setblocking(False)
+        self._clients: dict[socket.socket, bytearray] = {}
 
     @property
     def address(self) -> tuple[str, int]:
         name = self._listener.getsockname()
         return name[0], name[1]
 
-    def _accept_loop(self):
+    def _accept(self) -> None:
         while True:
             try:
                 conn, peer = self._listener.accept()
-            except OSError:
-                break
-            if self._closing:
-                conn.close()
-                break
+            except OSError:  # none waiting, or the listener is closed
+                return
+            conn.setblocking(False)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER)
             log.info("stream client connected: %s:%s", *peer[:2])
-            with self._lock:
-                self._clients.append(_Client(conn, self._limit))
+            self._clients[conn] = bytearray()
 
     def publish(self, line: bytes) -> None:
-        """Queue one already-terminated line for every connected client."""
-        with self._lock:
-            targets = list(self._clients)
-        dropped = [c for c in targets if not c.enqueue(line)]
+        """Send one already-terminated line to every connected client, as
+        far as each socket takes it now; drop the clients whose send fails
+        or whose pending bytes exceed the limit."""
+        self._accept()
+        dropped = []
+        for conn, pending in self._clients.items():
+            pending += line
+            if not _send(conn, pending) or len(pending) > self._limit:
+                dropped.append(conn)
+        for conn in dropped:
+            conn.close()
+            del self._clients[conn]
         if dropped:
-            with self._lock:
-                self._clients = [c for c in self._clients if c not in dropped]
             log.info("dropped %d slow stream client(s)", len(dropped))
 
     def client_count(self) -> int:
-        with self._lock:
-            return len(self._clients)
+        self._accept()
+        return len(self._clients)
 
-    def close(self, flush_timeout: float = 2.0) -> None:
-        """Stop accepting, flush what each client has queued, disconnect."""
-        self._closing = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            clients = list(self._clients)
-            self._clients = []
-        for client in clients:
-            client.finish(flush_timeout)
+    def close(self) -> None:
+        """Stop accepting, send what the clients have pending for at most
+        FLUSH_SECONDS in all, then disconnect every client."""
+        self._accept()  # a client still waiting gets an end of stream, not a reset
+        self._listener.close()
+        deadline = time.monotonic() + FLUSH_SECONDS
+        with selectors.DefaultSelector() as waiting:
+            for conn, pending in self._clients.items():
+                if pending:
+                    waiting.register(conn, selectors.EVENT_WRITE, pending)
+            while waiting.get_map() and (left := deadline - time.monotonic()) > 0:
+                for key, _ in waiting.select(left):
+                    if not _send(key.fileobj, key.data) or not key.data:
+                        waiting.unregister(key.fileobj)
+        for conn in self._clients:
+            conn.close()
+        self._clients.clear()

@@ -47,7 +47,6 @@ class PointerFix:
     virtual coordinates."""
 
     pixel: Point2
-    bbox: BBox
     depth_mm: float
     real: Point3
     virtual: Point3
@@ -165,7 +164,6 @@ def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
         raise NonFiniteError(f"non-finite fix: real {real}, virtual {virtual}")
     return PointerFix(
         pixel=center,
-        bbox=bbox,
         depth_mm=depth_mm,
         real=real,
         virtual=virtual,

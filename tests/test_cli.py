@@ -161,6 +161,14 @@ def _set(key, index, value):
     return mutate
 
 
+def _hue(key, token):
+    """Write a hue_bounds field as the JSON token given, verbatim."""
+    def mutate(doc):
+        doc["hue_bounds"][key] = "<token>"
+        return json.dumps(doc).replace('"<token>"', token)
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     _set("t_rv", 0, float("nan")),
     _set("depth_to_rgb", 2, float("inf")),
@@ -169,8 +177,16 @@ def _set(key, index, value):
     lambda doc: doc.update(hue_bounds=5),
     lambda doc: doc.pop("rho_z"),
     None,  # not JSON at all
+    _hue("lo", "Infinity"),
+    _hue("min_saturation", "1e400"),
+    _hue("lo", "5.7"),
+    _hue("lo", "true"),
+    _hue("lo", '"5"'),
+    _hue("wraps", "0"),
 ], ids=["nan-t_rv", "inf-depth_to_rgb", "nan-principal_point",
-        "inf-camera_height", "int-hue_bounds", "missing-rho_z", "invalid-json"])
+        "inf-camera_height", "int-hue_bounds", "missing-rho_z", "invalid-json",
+        "inf-lo", "1e400-min_saturation", "float-lo", "bool-lo", "string-lo",
+        "int-wraps"])
 def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
                                          tmp_path, capsys, mutate):
     doc = json.loads(sequence_profile_path.read_text())
@@ -178,8 +194,8 @@ def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
     if mutate is None:
         bad.write_text("{not json")
     else:
-        mutate(doc)
-        bad.write_text(json.dumps(doc))
+        text = mutate(doc)  # the whole text, for tokens json.dumps cannot write
+        bad.write_text(text if isinstance(text, str) else json.dumps(doc))
     rc = main(["track", "--calib", str(bad), "--frames", str(sequence_dir)])
     captured = capsys.readouterr()
     assert rc == 5

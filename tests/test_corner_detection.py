@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangible_tracker.corner_detection import (
     CMinMaxParams,
+    CornerSet,
     cminmax_corners,
     extreme_candidates,
     harris_corners,
@@ -159,6 +162,127 @@ def test_random_convex_polygons_recover_vertex_count():
             if len(result.corners) == n:
                 found += 1
         assert found == 8, f"n={n}: only {found}/8 runs found n corners"
+
+
+# cminmax_corners as it stood before its unused epsilon parameter and its
+# theta == 0 branch were deleted, frozen with its helpers as the reference
+# that any faster cminmax must reproduce exactly
+
+def oracle_extreme_indices(x, y):
+    out = []
+    for primary, secondary in ((x, y), (y, x)):
+        for val in (primary.min(), primary.max()):
+            run = np.flatnonzero(primary == val)
+            sec = secondary[run]
+            out.append(int(run[np.argmin(sec)]))
+            out.append(int(run[np.argmax(sec)]))
+    return out
+
+
+def oracle_clusters(candidates, eps):
+    m = len(candidates)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    d2 = ((candidates[:, None, :] - candidates[None, :, :]) ** 2).sum(axis=2)
+    eps2 = eps * eps
+    for i in range(m):
+        for j in range(i + 1, m):
+            if d2[i, j] <= eps2:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return [(candidates[groups[r]].mean(axis=0), len(groups[r]))
+            for r in sorted(groups, key=lambda r: min(groups[r]))]
+
+
+def cminmax_oracle(mask, n):
+    ys, xs = np.nonzero(mask.bits)
+    if xs.size < n:
+        raise DegenerateMaskError("too few set pixels")
+    ox = int(xs.min())
+    oy = int(ys.min())
+    xf = (xs - ox).astype(np.float64)
+    yf = (ys - oy).astype(np.float64)
+    dx = xf - xf.mean()
+    dy = yf - yf.mean()
+    cov = np.array([[dx @ dx, dx @ dy], [dx @ dy, dy @ dy]])
+    _, evecs = np.linalg.eigh(cov)
+    if np.abs(dx * evecs[0, 0] + dy * evecs[1, 0]).max() < 1.0:
+        raise DegenerateMaskError("collinear")
+    eps = max(3.0, 0.01 * math.hypot(float(xf.max()), float(yf.max())))
+    n_passes = n // 2
+
+    def run_attempt(offset):
+        picked = []
+        for k in range(n_passes):
+            theta = k * math.pi / n + offset
+            if theta == 0.0:
+                picked.extend(oracle_extreme_indices(xf, yf))
+            else:
+                c, s = math.cos(theta), math.sin(theta)
+                picked.extend(oracle_extreme_indices(c * dx - s * dy, s * dx + c * dy))
+        return oracle_clusters(np.column_stack([xf[picked], yf[picked]]), eps)
+
+    chosen = run_attempt(0.0)
+    passes_used = n_passes
+    fallback = len(chosen) < n
+    if fallback:
+        passes_used = 2 * n_passes
+        retry = run_attempt(-math.pi / (2 * n))
+        if len(retry) > len(chosen):
+            chosen = retry
+    if len(chosen) > n:
+        keep = sorted(sorted(range(len(chosen)),
+                             key=lambda i: (-chosen[i][1], i))[:n])
+        chosen = [chosen[i] for i in keep]
+    corners = tuple((float(cx) + ox, float(cy) + oy) for (cx, cy), _ in chosen)
+    return CornerSet(corners, n, passes_used, fallback)
+
+
+def assert_matches_oracle(mask, n):
+    try:
+        expected = cminmax_oracle(mask, n)
+    except DegenerateMaskError:
+        with pytest.raises(DegenerateMaskError):
+            cminmax_corners(mask, CMinMaxParams(n=n))
+        return
+    assert cminmax_corners(mask, CMinMaxParams(n=n)) == expected
+
+
+def test_oracle_on_acceptance_corpus_and_hexagon():
+    rng = np.random.default_rng(42)  # the acceptance-1 quadrangles
+    for _ in range(100):
+        mask, _ = random_quadrangle_scene(640, 480, rng)
+        assert_matches_oracle(mask, 4)
+    hexagon = fill_convex_polygon(640, 480, regular_polygon(6, phi=math.radians(10)))
+    assert_matches_oracle(hexagon, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=8, unique=True),
+       cx=st.floats(40.0, 120.0), cy=st.floats(30.0, 90.0),
+       rx=st.floats(4.0, 70.0), ry=st.floats(4.0, 70.0), phi=st.floats(0.0, math.pi),
+       requested=st.integers(3, 8))
+def test_oracle_on_convex_polygons(angles, cx, cy, rx, ry, phi, requested):
+    """Vertices on a rotated ellipse, in angle order, form a convex polygon;
+    it may be clipped by the frame. Asked for its own vertex count and for
+    a hypothesis-chosen n in 3..8."""
+    t = np.sort(np.array(angles))
+    ex, ey = rx * np.cos(t), ry * np.sin(t)
+    verts = np.column_stack([cx + ex * math.cos(phi) - ey * math.sin(phi),
+                             cy + ex * math.sin(phi) + ey * math.cos(phi)])
+    mask = fill_convex_polygon(160, 120, verts)
+    for n in {len(angles), requested}:
+        assert_matches_oracle(mask, n)
 
 
 def test_degenerate_masks_rejected():

@@ -19,6 +19,7 @@ from tangible_tracker.registration import (
     VirtualMarker,
     apply_homography,
     calibrate_scene,
+    check_principal_point,
     estimate_homography,
     load_profile,
     mean_reprojection_error,
@@ -240,6 +241,16 @@ def test_principal_point_must_be_inside_image():
             principal_point=(2000.0, 240.0),
             rho_z=spec.rho_z,
         )
+
+
+def test_principal_point_check_bounds_and_message():
+    for inside in [(0.0, 0.0), (639.5, 479.9), (0, 479)]:
+        check_principal_point(inside, 640, 480)
+    for outside in [(640.0, 10.0), (10.0, 480), (-0.5, 10.0), (10.0, -1e-9)]:
+        with pytest.raises(ValueError) as err:
+            check_principal_point(outside, 640, 480)
+        assert f"({outside[0]}, {outside[1]})" in str(err.value)
+        assert "640x480" in str(err.value)
 
 
 # ------------------------------------------------------------------- profiles

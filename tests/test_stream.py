@@ -1,7 +1,11 @@
 import socket
+import subprocess
+import sys
+import threading
 import time
 
-from tangible_tracker.stream import StreamServer
+from tangible_tracker import stream
+from tangible_tracker.stream import DEFAULT_MAX_BUFFERED, StreamServer
 
 
 def connect(server: StreamServer) -> socket.socket:
@@ -92,3 +96,96 @@ def test_close_flushes_queued_records():
     lines = read_all_lines(sock)
     sock.close()
     assert lines == [b"line %04d" % i for i in range(50)]
+
+
+def stalled_client(server: StreamServer) -> socket.socket:
+    """A client with a 4 KiB receive window that never reads."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.connect(server.address)
+    return sock
+
+
+# connects to the port in argv[1], reads to the end and writes what it got
+READER = """
+import socket, sys
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=30)
+chunks = []
+while data := sock.recv(1 << 16):
+    chunks.append(data)
+sys.stdout.buffer.write(b"".join(chunks))
+"""
+
+
+def test_reading_client_gets_a_burst_in_full():
+    records = [b"rec %05d " % i + b"r" * 224 + b"\n" for i in range(20000)]
+    server = StreamServer()
+    reader = subprocess.Popen([sys.executable, "-c", READER, str(server.address[1])],
+                              stdout=subprocess.PIPE)
+    try:
+        wait_clients(server, 1)
+        for record in records:
+            server.publish(record)
+        assert server.client_count() == 1  # kept pace, not dropped
+    finally:
+        server.close()
+        received, _ = reader.communicate(timeout=30)
+    assert reader.returncode == 0
+    assert received == b"".join(records)  # 4.7 MB, every record in order
+
+
+def test_never_reading_client_is_dropped_near_the_limit():
+    server = StreamServer()
+    sock = stalled_client(server)
+    try:
+        wait_clients(server, 1)
+        line = b"s" * 234 + b"\n"
+        published = 0
+        while server.client_count() and published < 8 * DEFAULT_MAX_BUFFERED:
+            server.publish(line)
+            published += len(line)
+            if published % (64 * len(line)) == 0:
+                time.sleep(0.001)  # about the pace of a tracking loop
+        assert server.client_count() == 0
+        # the kernel holds only a small, fixed share on top of the limit
+        assert published < DEFAULT_MAX_BUFFERED + (512 << 10)
+    finally:
+        server.close()
+        sock.close()
+
+
+def test_server_starts_no_thread():
+    before = threading.active_count()
+    server = StreamServer()
+    socks = [socket.create_connection(server.address, timeout=5) for _ in range(3)]
+    wait_clients(server, 3)
+    for i in range(100):
+        server.publish(b"rec %d\n" % i)
+    during = threading.active_count()
+    server.close()
+    for sock in socks:
+        assert len(read_all_lines(sock)) == 100
+        sock.close()
+    assert during == before
+    assert threading.active_count() == before
+
+
+def test_close_waits_one_deadline_for_all_stalled_clients(monkeypatch):
+    monkeypatch.setattr(stream, "FLUSH_SECONDS", 0.5)
+    server = StreamServer()
+    socks = [stalled_client(server) for _ in range(3)]
+    try:
+        wait_clients(server, 3)
+        line = b"p" * 1023 + b"\n"
+        for _ in range(512):  # 512 KiB: more than the kernel holds, under the limit
+            server.publish(line)
+        assert server.client_count() == 3
+        start = time.monotonic()
+        server.close()
+        elapsed = time.monotonic() - start
+    finally:
+        server.close()
+        for sock in socks:
+            sock.close()
+    # one shared deadline: three stalled clients waited for in turn take 1.5 s
+    assert 0.5 <= elapsed < 1.2
