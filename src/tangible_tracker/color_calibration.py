@@ -23,6 +23,10 @@ PEAK_MARGIN = 15  # hue bins kept on each side of the histogram peak
 DEFAULT_MIN_SATURATION = 60
 DEFAULT_MIN_VALUE = 40
 
+# Bytes of the frame keyed per band: the band and its two byte windows stay
+# in cache. Frame-sized temporaries instead cost page faults on every frame.
+_BAND_BYTES = 128 * 1024
+
 
 @dataclass(frozen=True)
 class HueBounds:
@@ -120,23 +124,51 @@ def _floor_thresholds(min_saturation: int, min_value: int) -> np.ndarray:
 
 
 def color_key(rgb: RgbImage, bounds: HueBounds) -> BinaryMask:
-    """``hue_bounds_mask(rgb_to_hsv(rgb), bounds)``, converting only the
-    pixels that pass the saturation and value floors.
+    """``hue_bounds_mask(rgb_to_hsv(rgb), bounds)``, computed from the row
+    bands of the frame's bytes and converting only the pixels that can pass.
 
-    The floors are applied in RGB through ``_floor_thresholds``; the
-    survivors go through the reference conversion and predicate and are
-    scattered back. Frames where most pixels pass the floors cost a little
-    more than the reference; frames of mostly gray or dark pixels far less.
+    Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
+    run ``b``: ``max(b[i], b[i+1], b[i+2])`` and the matching min, taken over
+    every byte, hold at byte ``3k`` pixel k's value ``v = max(r, g, b)`` and,
+    as their difference, its chroma ``delta``. Pixels with ``delta`` below
+    the smallest entry of ``_floor_thresholds`` cannot reach the floors and
+    are dropped without a table lookup; the rest are looked up, and the
+    survivors go through the reference conversion and predicate. A mostly
+    gray frame costs a few passes over its bytes, each band in cache, plus
+    work in proportion to its few candidates. A frame saturated everywhere
+    costs about the reference conversion and predicate of every pixel.
     """
+    bits = np.zeros(rgb.height * rgb.width, dtype=bool)
+    bits[_keyed_indices(rgb, bounds)] = True
+    return BinaryMask(bits.reshape(rgb.height, rgb.width))
+
+
+def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
+    """Sorted row-major flat indices of the pixels ``color_key`` sets."""
     pixels = rgb.pixels
-    r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
-    v = np.maximum(np.maximum(r, g), b)
-    delta = v - np.minimum(np.minimum(r, g), b)
+    height, width, _ = pixels.shape
     table = _floor_thresholds(bounds.min_saturation, bounds.min_value)
-    keep = delta >= np.take(table, v)  # np.take: twice as fast as table[v]
-    flat = keep.reshape(-1)  # row-major, like pixels.reshape(-1, 3)
-    survivors = np.flatnonzero(flat)
-    if survivors.size:
-        hsv = rgb_to_hsv(RgbImage(pixels.reshape(-1, 3)[survivors][:, None, :]))
-        flat[survivors] = hue_bounds_mask(hsv, bounds).bits[:, 0]
-    return BinaryMask(flat.reshape(keep.shape))
+    floor = int(table.min())  # no pixel below it reaches table[v]
+    band_rows = min(height, max(1, _BAND_BYTES // (3 * width)))
+    # per call, not per module: concurrent calls share nothing writable
+    hi_buf = np.empty(band_rows * width * 3 - 2, dtype=np.uint8)
+    lo_buf = np.empty_like(hi_buf)
+    parts = []
+    for row in range(0, height, band_rows):
+        b = pixels[row:row + band_rows].reshape(-1)  # a copy only if strided
+        hi, lo = hi_buf[:b.size - 2], lo_buf[:b.size - 2]
+        np.maximum(b[:-2], b[1:-1], out=hi)
+        np.maximum(hi, b[2:], out=hi)
+        np.minimum(b[:-2], b[1:-1], out=lo)
+        np.minimum(lo, b[2:], out=lo)
+        np.subtract(hi, lo, out=lo)
+        v, delta = hi[::3], lo[::3]  # pixel k's window starts at byte 3k
+        candidates = np.flatnonzero(delta >= floor)
+        passes = delta[candidates] >= np.take(table, v[candidates])
+        parts.append(candidates[passes] + row * width)
+    survivors = np.concatenate(parts)
+    if survivors.size == 0:
+        return survivors
+    kept = np.take(pixels.reshape(-1, 3), survivors, axis=0)
+    hsv = rgb_to_hsv(RgbImage(kept[:, None, :]))
+    return survivors[hue_bounds_mask(hsv, bounds).bits[:, 0]]

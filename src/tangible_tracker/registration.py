@@ -322,6 +322,11 @@ def profile_from_dict(data: dict) -> CalibrationProfile:
             raise ValueError(f"hue_bounds.{key} must be a JSON "
                              f"{'boolean' if kind is bool else 'integer'}, "
                              f"got {bounds[key]!r}")
+    point = data["principal_point"]
+    if not (type(point) is list and len(point) == 2
+            and all(type(c) in (int, float) for c in point)):
+        raise ValueError("principal_point must be a JSON list of two numbers, "
+                         f"got {point!r}")
     return CalibrationProfile(
         depth_to_rgb=AffineTransform(
             np.asarray(data["depth_to_rgb"], dtype=np.float64).reshape(2, 3)
@@ -332,8 +337,7 @@ def profile_from_dict(data: dict) -> CalibrationProfile:
             float(data["rho_z"]),
         ),
         camera_height_mm=float(data["camera_height_mm"]),
-        principal_point=(float(data["principal_point"][0]),
-                         float(data["principal_point"][1])),
+        principal_point=(float(point[0]), float(point[1])),
         raw_to_mm=float(data["raw_to_mm"]),
     )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .color_calibration import HueBounds, color_key
+from .color_calibration import HueBounds, _keyed_indices
 from .errors import (
     AllFilteredError,
     InvalidHeightError,
@@ -75,17 +75,18 @@ def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
     NoPointerError when nothing passes the color key or the largest blob
     is below MIN_POINTER_PIXELS.
     """
-    keep = color_key(rgb, bounds).bits
-    rows = np.flatnonzero(keep.any(axis=1))
-    if rows.size == 0:
+    keyed = _keyed_indices(rgb, bounds)
+    if keyed.size == 0:
         raise NoPointerError("no pixels inside the color bounds")
-    cols = np.flatnonzero(keep.any(axis=0))
+    rows, cols = np.divmod(keyed, rgb.width)
     # Every blob lies inside the keyed pixels' bounding box, and row-major
     # order inside the box is row-major order in the frame, so labelling the
     # box alone picks the same winner, area ties included.
-    top, left = int(rows[0]), int(cols[0])
-    labels, _ = ndimage.label(keep[top:rows[-1] + 1, left:cols[-1] + 1],
-                              structure=EIGHT_CONNECTED)
+    top, left = int(rows[0]), int(cols.min())  # the indices are sorted
+    box_width = int(cols.max()) - left + 1
+    box = np.zeros((int(rows[-1]) - top + 1, box_width), dtype=bool)
+    box.reshape(-1)[(rows - top) * box_width + cols - left] = True
+    labels, _ = ndimage.label(box, structure=EIGHT_CONNECTED)
     winner, area = _largest_label(labels)
     if area < MIN_POINTER_PIXELS:
         raise NoPointerError(

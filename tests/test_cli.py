@@ -183,10 +183,14 @@ def _hue(key, token):
     _hue("lo", "true"),
     _hue("lo", '"5"'),
     _hue("wraps", "0"),
+    lambda doc: doc.update(principal_point="32"),
+    lambda doc: doc.update(principal_point=[320, 240, 7]),
+    lambda doc: doc.update(principal_point=[True, False]),
 ], ids=["nan-t_rv", "inf-depth_to_rgb", "nan-principal_point",
         "inf-camera_height", "int-hue_bounds", "missing-rho_z", "invalid-json",
         "inf-lo", "1e400-min_saturation", "float-lo", "bool-lo", "string-lo",
-        "int-wraps"])
+        "int-wraps", "string-principal_point", "three-principal_point",
+        "bool-principal_point"])
 def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
                                          tmp_path, capsys, mutate):
     doc = json.loads(sequence_profile_path.read_text())

@@ -1,8 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tangible_tracker import color_calibration
 from tangible_tracker.color_calibration import (
     HueBounds,
     _floor_thresholds,
@@ -156,16 +163,113 @@ def test_color_key_at_extreme_floors(floors):
         assert np.array_equal(color_key(img, bounds).bits, expected), bounds
 
 
-@pytest.mark.parametrize("layout", [
-    np.ascontiguousarray, np.asfortranarray,
-    lambda a: a.transpose(1, 0, 2), lambda a: a[::2, ::-3],
-], ids=["c", "fortran", "transposed", "strided"])
+LAYOUTS = {
+    "c": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "transposed": lambda a: a.transpose(1, 0, 2),
+    "strided": lambda a: a[::2, ::-3],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_color_key_any_memory_layout(layout):
     pixels = np.random.default_rng(3).integers(0, 256, (48, 64, 3), dtype=np.uint8)
-    img = RgbImage(layout(pixels))
+    img = RgbImage(LAYOUTS[layout](pixels))
     for bounds in KEY_BOUNDS:
         expected = hue_bounds_mask(rgb_to_hsv(img), bounds).bits
         assert np.array_equal(color_key(img, bounds).bits, expected)
+
+
+def frozen_color_key(rgb, bounds):
+    """The key before it was banded: full-frame channel max and min, the
+    floor table looked up at every pixel, the survivors converted."""
+    pixels = rgb.pixels
+    r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
+    v = np.maximum(np.maximum(r, g), b)
+    delta = v - np.minimum(np.minimum(r, g), b)
+    table = _floor_thresholds(bounds.min_saturation, bounds.min_value)
+    keep = delta >= np.take(table, v)
+    flat = keep.reshape(-1)
+    survivors = np.flatnonzero(flat)
+    if survivors.size:
+        hsv = rgb_to_hsv(RgbImage(pixels.reshape(-1, 3)[survivors][:, None, :]))
+        flat[survivors] = hue_bounds_mask(hsv, bounds).bits[:, 0]
+    return keep
+
+
+any_bounds = st.builds(
+    lambda lo, hi, s, v: HueBounds(lo, hi, lo > hi, s, v),
+    st.integers(0, 179), st.integers(0, 179), st.integers(0, 255), st.integers(0, 255))
+
+# (255, 245, 245) has chroma 10, the smallest entry of the default floor
+# table, but needs 60 at value 255: a candidate that never survives
+CANDIDATE_ONLY = (255, 245, 245)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pixels=arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 11), st.just(3))),
+       layout=st.sampled_from(sorted(LAYOUTS)),
+       band_bytes=st.integers(1, 3 * 11 * 4),
+       bounds=any_bounds)
+@example(pixels=np.array([[CANDIDATE_ONLY, (255, 85, 0), (90, 90, 90)],
+                          [CANDIDATE_ONLY, CANDIDATE_ONLY, (90, 90, 90)],
+                          [(0, 0, 255), CANDIDATE_ONLY, (255, 85, 0)]], dtype=np.uint8),
+         layout="c", band_bytes=9, bounds=HueBounds(5, 35))  # the middle band
+@example(pixels=np.full((4, 5, 3), CANDIDATE_ONLY, dtype=np.uint8),
+         layout="c", band_bytes=15, bounds=HueBounds(5, 35))  # no survivor at all
+@example(pixels=np.full((3, 7, 3), 128, dtype=np.uint8),
+         layout="c", band_bytes=21, bounds=HueBounds(5, 35))  # no candidate at all
+@example(pixels=np.arange(1 * 13 * 3, dtype=np.uint8).reshape(1, 13, 3) * 6,
+         layout="c", band_bytes=1, bounds=HueBounds(165, 15, True, 0, 0))
+@example(pixels=np.arange(13 * 1 * 3, dtype=np.uint8).reshape(13, 1, 3) * 6,
+         layout="strided", band_bytes=1, bounds=HueBounds(0, 179, False, 255, 255))
+def test_color_key_matches_frozen_reference(pixels, layout, band_bytes, bounds):
+    img = RgbImage(LAYOUTS[layout](pixels))
+    # a budget of a few bytes makes every row, or every few rows, a band
+    with mock.patch.object(color_calibration, "_BAND_BYTES", band_bytes):
+        keyed = color_key(img, bounds).bits
+    assert np.array_equal(keyed, frozen_color_key(img, bounds))
+
+
+def test_color_key_on_uniform_random_hd_frame():
+    # nearly every pixel is a candidate: the key's most expensive frame
+    img = RgbImage(np.random.default_rng(7).integers(0, 256, (720, 1280, 3),
+                                                     dtype=np.uint8))
+    hsv = rgb_to_hsv(img)
+    for bounds in KEY_BOUNDS:
+        assert np.array_equal(color_key(img, bounds).bits,
+                              hue_bounds_mask(hsv, bounds).bits)
+
+
+def test_color_key_concurrent_calls_match_serial():
+    # gray frames with chroma noise and a few saturated patches: many
+    # candidates, some survivors, and a different answer per frame
+    rng = np.random.default_rng(5)
+    frames = []
+    for _ in range(4):
+        gray = rng.integers(40, 216, (240, 320, 1))
+        pixels = gray + rng.integers(-40, 41, (240, 320, 3))
+        for y, x in rng.integers(0, 200, (6, 2)):
+            pixels[y:y + 40, x:x + 40] = rng.integers(0, 256, 3)
+        frames.append(RgbImage(np.clip(pixels, 0, 255).astype(np.uint8)))
+    bounds = KEY_BOUNDS[1]
+    serial = [color_key(frame, bounds).bits for frame in frames]
+    start = Barrier(4, timeout=60)
+
+    def key_repeatedly(frame):
+        start.wait()
+        return [color_key(frame, bounds).bits for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over mid-band
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(key_repeatedly, frames, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, results in zip(serial, concurrent):
+        assert expected.any() and not expected.all()
+        assert all(np.array_equal(keyed, expected) for keyed in results)
 
 
 def reference_floor_passes(min_saturation, min_value):
