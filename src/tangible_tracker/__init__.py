@@ -11,7 +11,6 @@ from .corner_detection import (
     CMinMaxParams,
     CornerSet,
     cminmax_corners,
-    extreme_candidates,
     harris_corners,
     mask_centroid,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "estimate_homography",
     "estimate_pointer_depth",
     "extract_mask",
-    "extreme_candidates",
     "harris_corners",
     "hue_histogram",
     "hue_in_bounds",

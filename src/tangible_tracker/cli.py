@@ -71,8 +71,8 @@ def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError("listen address must be host:port")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise ValueError("listen address must be host:port with a port of 0-65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -157,7 +157,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         profile = load_profile(args.calib)
     except OSError as exc:
         return _fail(EXIT_IO, f"IOError: {exc}")
-    except (ValueError, TypeError, LookupError) as exc:
+    except (ValueError, RecursionError) as exc:
         return _fail(EXIT_VALIDATION, f"BadProfile: {exc}")
 
     try:

@@ -59,17 +59,6 @@ def _extreme_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
     return out
 
 
-def extreme_candidates(points) -> list[Point2]:
-    """Corner candidates of a point set: tie-run endpoints of the four
-    coordinate extremes (up to 8 points, duplicates allowed)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        raise ValueError("empty point list")
-    pts = pts.reshape(-1, 2)
-    idx = _extreme_indices(pts[:, 0], pts[:, 1])
-    return [(float(pts[i, 0]), float(pts[i, 1])) for i in idx]
-
-
 def _clusters(candidates: np.ndarray, eps: float) -> list[tuple[np.ndarray, int]]:
     """Single-linkage clusters at distance eps.
 

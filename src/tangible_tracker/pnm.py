@@ -1,15 +1,15 @@
 """Binary netpbm I/O.
 
-RGB images travel as P6 PPM (maxval 255), grayscale planes and masks as P5
-PGM (maxval 255, mask pixels 0 = unset / 255 = set), and raw depth as P5
-PGM with maxval 65535 and big-endian sample order.
+RGB images travel as P6 PPM (maxval 255), grayscale planes as P5 PGM
+(maxval 255), and raw depth as P5 PGM with maxval 65535 and big-endian
+sample order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .imaging import BinaryMask, DepthImage, RgbImage
+from .imaging import DepthImage, RgbImage
 
 
 def _parse_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
@@ -90,15 +90,6 @@ def write_pgm(path, plane: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n%d\n" % (plane.shape[1], plane.shape[0], maxval))
         f.write(payload)
-
-
-def read_mask(path) -> BinaryMask:
-    plane = read_pgm(path)
-    return BinaryMask(plane > 0)
-
-
-def write_mask(path, mask: BinaryMask) -> None:
-    write_pgm(path, np.where(mask.bits, 255, 0).astype(np.uint8))
 
 
 def read_depth(path, raw_to_mm: float = 1.0) -> DepthImage:

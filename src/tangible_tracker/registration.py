@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,35 +311,68 @@ def profile_to_dict(profile: CalibrationProfile) -> dict:
     }
 
 
-_HUE_FIELD_TYPES = {"lo": int, "hi": int, "wraps": bool,
-                    "min_saturation": int, "min_value": int}
+# JSON kind and list length (or "scalar") of every profile field; a nested
+# table is a nested object. Both levels take exactly these keys.
+_INTEGER = ("integer", "scalar")
+PROFILE_FIELDS = {
+    "depth_to_rgb": ("number", 6),
+    "hue_bounds": {"lo": _INTEGER, "hi": _INTEGER, "wraps": ("boolean", "scalar"),
+                   "min_saturation": _INTEGER, "min_value": _INTEGER},
+    "t_rv": ("number", 9),
+    "rho_z": ("number", "scalar"),
+    "camera_height_mm": ("number", "scalar"),
+    "principal_point": ("number", 2),
+    "raw_to_mm": ("number", "scalar"),
+}
+
+# exact types: a bool is never a number and a float never an integer
+_KIND_TYPES = {"number": (int, float), "integer": (int,), "boolean": (bool,)}
+
+
+def _checked(data, table: dict, prefix: str = "") -> dict:
+    """``data`` matched against ``table``, its numbers converted to float.
+
+    Raises ValueError for a missing or unknown key, a value of another
+    kind or length, and an integer too large for a float.
+    """
+    where = prefix.rstrip(".") or "profile"
+    if type(data) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {reprlib.repr(data)}")
+    if data.keys() != table.keys():
+        raise ValueError(f"{where} has missing keys {sorted(table.keys() - data.keys())} "
+                         f"and unknown keys {sorted(data.keys() - table.keys())}")
+    out = {}
+    for key, spec in table.items():
+        name, value = prefix + key, data[key]
+        if isinstance(spec, dict):
+            out[key] = _checked(value, spec, name + ".")
+            continue
+        kind, length = spec
+        scalar = length == "scalar"
+        items = [value] if scalar else value
+        if not ((scalar or (type(value) is list and len(value) == length))
+                and all(type(v) in _KIND_TYPES[kind] for v in items)):
+            shape = f"JSON {kind}" if scalar else f"JSON list of {length} {kind}s"
+            raise ValueError(f"{name} must be a {shape}, got {reprlib.repr(value)}")
+        if kind == "number":
+            try:
+                items = [float(v) for v in items]
+            except OverflowError:
+                raise ValueError(f"{name} holds an integer too large "
+                                 "for a float") from None
+        out[key] = items[0] if scalar else items
+    return out
 
 
 def profile_from_dict(data: dict) -> CalibrationProfile:
-    bounds = data["hue_bounds"]
-    for key, kind in _HUE_FIELD_TYPES.items():
-        # exact types: a JSON float, string or boolean never stands in for an integer
-        if type(bounds[key]) is not kind:
-            raise ValueError(f"hue_bounds.{key} must be a JSON "
-                             f"{'boolean' if kind is bool else 'integer'}, "
-                             f"got {bounds[key]!r}")
-    point = data["principal_point"]
-    if not (type(point) is list and len(point) == 2
-            and all(type(c) in (int, float) for c in point)):
-        raise ValueError("principal_point must be a JSON list of two numbers, "
-                         f"got {point!r}")
+    fields = _checked(data, PROFILE_FIELDS)
     return CalibrationProfile(
-        depth_to_rgb=AffineTransform(
-            np.asarray(data["depth_to_rgb"], dtype=np.float64).reshape(2, 3)
-        ),
-        hue_bounds=HueBounds(**{key: bounds[key] for key in _HUE_FIELD_TYPES}),
-        t_rv=Homography(
-            np.asarray(data["t_rv"], dtype=np.float64).reshape(3, 3),
-            float(data["rho_z"]),
-        ),
-        camera_height_mm=float(data["camera_height_mm"]),
-        principal_point=(float(point[0]), float(point[1])),
-        raw_to_mm=float(data["raw_to_mm"]),
+        depth_to_rgb=AffineTransform(np.reshape(fields["depth_to_rgb"], (2, 3))),
+        hue_bounds=HueBounds(**fields["hue_bounds"]),
+        t_rv=Homography(np.reshape(fields["t_rv"], (3, 3)), fields["rho_z"]),
+        camera_height_mm=fields["camera_height_mm"],
+        principal_point=tuple(fields["principal_point"]),
+        raw_to_mm=fields["raw_to_mm"],
     )
 
 

@@ -439,32 +439,6 @@ def random_quadrangle_scene(width: int, height: int,
     raise RuntimeError("failed to sample a usable quadrangle")
 
 
-def spec_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "width": spec.width,
-        "height": spec.height,
-        "camera_height_mm": spec.camera_height_mm,
-        "principal_point": list(spec.principal_point),
-        "marker_size_mm": list(spec.marker_size_mm),
-        "marker_to_image": [float(v) for v in spec.marker_to_image.ravel()],
-        "marker_color": list(spec.marker_color),
-        "background_color": list(spec.background_color),
-        "ball_plane_mm": list(spec.ball_plane_mm),
-        "ball_height_mm": spec.ball_height_mm,
-        "ball_radius_mm": spec.ball_radius_mm,
-        "ball_hue": spec.ball_hue,
-        "ball_saturation": spec.ball_saturation,
-        "ball_value": spec.ball_value,
-        "rho_z": spec.rho_z,
-        "raw_to_mm": spec.raw_to_mm,
-        "depth_frame_offset": list(spec.depth_frame_offset),
-        "shadow_offset_px": list(spec.shadow_offset_px),
-        "hue_jitter": spec.hue_jitter,
-        "depth_jitter": spec.depth_jitter,
-        "seed": spec.seed,
-    }
-
-
 def spec_from_dict(data: dict) -> SceneSpec:
     kwargs = dict(data)
     for key in ("principal_point", "marker_size_mm", "marker_color",

@@ -161,12 +161,18 @@ def _set(key, index, value):
     return mutate
 
 
-def _hue(key, token):
-    """Write a hue_bounds field as the JSON token given, verbatim."""
+def _token(token, *path):
+    """Write the field at ``path`` as the JSON token given, verbatim."""
     def mutate(doc):
-        doc["hue_bounds"][key] = "<token>"
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = "<token>"
         return json.dumps(doc).replace('"<token>"', token)
     return mutate
+
+
+HUGE = "9" * 401  # a JSON integer far beyond the float range
 
 
 @pytest.mark.parametrize("mutate", [
@@ -177,20 +183,39 @@ def _hue(key, token):
     lambda doc: doc.update(hue_bounds=5),
     lambda doc: doc.pop("rho_z"),
     None,  # not JSON at all
-    _hue("lo", "Infinity"),
-    _hue("min_saturation", "1e400"),
-    _hue("lo", "5.7"),
-    _hue("lo", "true"),
-    _hue("lo", '"5"'),
-    _hue("wraps", "0"),
+    _token("Infinity", "hue_bounds", "lo"),
+    _token("1e400", "hue_bounds", "min_saturation"),
+    _token("5.7", "hue_bounds", "lo"),
+    _token("true", "hue_bounds", "lo"),
+    _token('"5"', "hue_bounds", "lo"),
+    _token("0", "hue_bounds", "wraps"),
     lambda doc: doc.update(principal_point="32"),
     lambda doc: doc.update(principal_point=[320, 240, 7]),
     lambda doc: doc.update(principal_point=[True, False]),
+    lambda doc: doc.update(camera_height_mm="1000"),
+    lambda doc: doc.update(camera_height_mm=True),
+    lambda doc: doc.update(rho_z="0.01"),
+    lambda doc: doc.update(raw_to_mm="1"),
+    lambda doc: doc.update(t_rv=[str(v) for v in doc["t_rv"]]),
+    lambda doc: doc.update(t_rv=[doc["t_rv"][i:i + 3] for i in (0, 3, 6)]),
+    lambda doc: doc.update(depth_to_rgb=[True, False, 0, 0, True, 0]),
+    lambda doc: doc.update(note="unknown"),
+    lambda doc: doc["hue_bounds"].update(note="unknown"),
+    _token(HUGE, "rho_z"),
+    _token(HUGE, "camera_height_mm"),
+    _token(HUGE, "raw_to_mm"),
+    _token(HUGE, "t_rv", 0),
+    _token(HUGE, "depth_to_rgb", 2),
+    _token(HUGE, "principal_point", 0),
 ], ids=["nan-t_rv", "inf-depth_to_rgb", "nan-principal_point",
         "inf-camera_height", "int-hue_bounds", "missing-rho_z", "invalid-json",
         "inf-lo", "1e400-min_saturation", "float-lo", "bool-lo", "string-lo",
         "int-wraps", "string-principal_point", "three-principal_point",
-        "bool-principal_point"])
+        "bool-principal_point", "string-camera_height", "bool-camera_height",
+        "string-rho_z", "string-raw_to_mm", "strings-t_rv", "nested-t_rv",
+        "bool-depth_to_rgb", "unknown-key", "unknown-hue_bounds-key",
+        "huge-rho_z", "huge-camera_height", "huge-raw_to_mm", "huge-t_rv",
+        "huge-depth_to_rgb", "huge-principal_point"])
 def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
                                          tmp_path, capsys, mutate):
     doc = json.loads(sequence_profile_path.read_text())
@@ -205,6 +230,19 @@ def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
     assert rc == 5
     assert captured.out == ""
     assert captured.err.startswith("BadProfile:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("listen", ["127.0.0.1:70000", "127.0.0.1:65536",
+                                    "127.0.0.1"])
+def test_track_bad_listen_address_exits_5(sequence_dir, sequence_profile_path,
+                                          capsys, listen):
+    rc = main(["track", "--calib", str(sequence_profile_path),
+               "--frames", str(sequence_dir), "--listen", listen])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert captured.out == ""
+    assert captured.err.startswith("Validation:")
     assert "Traceback" not in captured.err
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from tangible_tracker.corner_detection import (
     CMinMaxParams,
     CornerSet,
+    _extreme_indices,
     cminmax_corners,
-    extreme_candidates,
     harris_corners,
     mask_centroid,
 )
@@ -50,6 +50,13 @@ def extremes_oracle(points):
     return out
 
 
+def extreme_candidates(points):
+    """The points ``_extreme_indices`` picks, in its order."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    return [(float(pts[i, 0]), float(pts[i, 1]))
+            for i in _extreme_indices(pts[:, 0], pts[:, 1])]
+
+
 def test_extreme_candidates_generic_quadrangle():
     pts = [(10.0, 5.0), (100.0, 17.0), (80.0, 90.0), (3.0, 60.0),
            (50.0, 40.0), (60.0, 44.0)]
@@ -71,7 +78,7 @@ def test_extreme_candidates_single_point():
 
 def test_extreme_candidates_empty():
     with pytest.raises(ValueError):
-        extreme_candidates([])
+        _extreme_indices(np.empty(0), np.empty(0))
 
 
 # ------------------------------------------------------------ cminmax_corners

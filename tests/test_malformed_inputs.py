@@ -1,0 +1,227 @@
+"""Malformed inputs through ``cli.main`` end only in documented outcomes.
+
+Profiles, netpbm headers and frame directories are mutated at random. Each
+``track`` run must exit 0, 4 or 5 with its documented stderr prefix, print
+only strict JSON records with a documented status, and raise nothing.
+"""
+
+import contextlib
+import copy
+import io
+import itertools
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tangible_tracker import errors
+from tangible_tracker.cli import main
+
+STATUSES = {"ok", "IOError", "BadFrame"} | {
+    cls.name for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.PipelineError)
+    and cls is not errors.PipelineError}
+
+PREFIXES = {4: "IOError:", 5: ("BadProfile:", "Validation:")}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def run_track(calib, frames):
+    """(exit code, records) of one in-process ``track`` run, with the
+    checks every outcome must pass."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["track", "--calib", str(calib), "--frames", str(frames)])
+    assert rc in (0, 4, 5)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert err.getvalue().startswith(PREFIXES[rc])
+    records = [json.loads(line, parse_constant=_reject_constant)
+               for line in out.getvalue().splitlines()]
+    assert [r["seq"] for r in records] == list(range(len(records)))
+    assert {r["status"] for r in records} <= STATUSES
+    return rc, records
+
+
+def link(sequence_dir, name, frames):
+    """Symlink a session frame file into ``frames``: removing a fresh copy
+    of a frame-sized file can cost tens of ms."""
+    os.symlink(sequence_dir / name, frames / name)
+
+
+def link_pair(sequence_dir, index, frames):
+    for name in (f"rgb_{index:04d}.ppm", f"depth_{index:04d}.pgm"):
+        link(sequence_dir, name, frames)
+
+
+# ------------------------------------------------------------------- profiles
+
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.just(10 ** 400),
+    st.floats(), st.text(max_size=3),
+    st.lists(st.floats(-10, 10), max_size=10),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+# (operation, inside hue_bounds, which key or list item, new value)
+MUTATIONS = st.tuples(st.sampled_from(["drop", "add", "set", "nest", "item"]),
+                      st.booleans(), st.integers(0, 9), VALUES)
+
+
+def mutate(doc, op, nested, pick, value):
+    target = doc["hue_bounds"] if nested and type(doc.get("hue_bounds")) is dict else doc
+    if not target:
+        target["extra"] = value
+        return
+    key = sorted(target)[pick % len(target)]
+    if op == "drop":
+        del target[key]
+    elif op == "add":
+        target[f"extra_{pick}"] = value
+    elif op == "set":
+        target[key] = value
+    elif op == "nest":
+        target[key] = [target[key]]
+    elif type(target[key]) is list and target[key]:
+        target[key][pick % len(target[key])] = value
+    else:
+        target[key] = value
+
+
+def test_mutated_profiles_exit_5_or_track(sequence_dir, sequence_profile_path):
+    valid = json.loads(sequence_profile_path.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        frames = Path(tmp) / "frames"
+        frames.mkdir()
+        link_pair(sequence_dir, 0, frames)
+        names = itertools.count()
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.lists(MUTATIONS, min_size=1, max_size=3))
+        def check(mutations):
+            doc = copy.deepcopy(valid)
+            for mutation in mutations:
+                mutate(doc, *mutation)
+            # a new file each time: truncating a written file can cost
+            # tens of ms
+            calib = Path(tmp) / f"profile_{next(names)}.json"
+            calib.write_text(json.dumps(doc))  # NaN and Infinity tokens included
+            rc, records = run_track(calib, frames)
+            assert rc in (0, 5)
+            if rc == 0:
+                assert len(records) == 1
+
+        check()
+
+
+# -------------------------------------------------------------- netpbm headers
+
+DIGITS_5000 = "9" * 5000
+
+
+@st.composite
+def netpbm_files(draw):
+    magic = draw(st.sampled_from(["P6", "P5", "P3", "P7", "", "6P"]))
+    width = draw(st.one_of(st.integers(0, 12).map(str),
+                           st.sampled_from(["0", "-1", "4a", DIGITS_5000])))
+    height = draw(st.integers(0, 12).map(str))
+    maxval = draw(st.sampled_from([0, 1, 255, 256, 65535, 65536]))
+    comment = draw(st.sampled_from(["", "# note\n"]))
+    cut = draw(st.integers(0, 3))
+    return magic, width, height, maxval, comment, cut
+
+
+def small_size(width, height):
+    """(width, height) when both are small numbers, else None."""
+    return (int(width), int(height)) if width.isdigit() and len(width) < 3 else None
+
+
+def netpbm_bytes(magic, width, height, maxval, comment, cut):
+    """The header as given, then a zero raster ``cut`` bytes short of the
+    size the header declares (empty when the size is not small)."""
+    header = f"{magic}\n{comment}{width} {height}\n{maxval}\n".encode()
+    size = small_size(width, height)
+    n = 0
+    if size:
+        n = size[0] * size[1] * (3 if magic == "P6" else 1) * (2 if maxval > 255 else 1)
+    return header + bytes(max(n - cut, 0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(netpbm_files(), st.sampled_from(["rgb", "depth"]))
+@example(("P6", "0", "4", 255, "", 0), "rgb")
+@example(("P5", "4", "0", 65535, "", 0), "depth")
+@example(("P6", DIGITS_5000, "4", 255, "", 0), "rgb")
+@example(("P5", DIGITS_5000, "4", 65535, "# note\n", 0), "depth")
+@example(("P6", "4", "4", 0, "", 0), "rgb")
+@example(("P5", "4", "4", 0, "", 0), "depth")
+def test_netpbm_headers_are_bad_frames_or_track(sequence_dir, sequence_profile_path,
+                                                spec, target):
+    with tempfile.TemporaryDirectory() as tmp:
+        frames = Path(tmp)
+        link_pair(sequence_dir, 1, frames)
+        names = ["rgb_0000.ppm", "depth_0000.pgm"]
+        fuzzed, partner = names if target == "rgb" else names[::-1]
+        (frames / fuzzed).write_bytes(netpbm_bytes(*spec))
+        size = small_size(*spec[1:3])
+        if size:  # the other file of the pair is valid at the declared size
+            w, h = size
+            valid = {"rgb_0000.ppm": b"P6\n%d %d\n255\n" % size + bytes(3 * w * h),
+                     "depth_0000.pgm": b"P5\n%d %d\n65535\n" % size + bytes(2 * w * h)}
+            (frames / partner).write_bytes(valid[partner])
+        else:
+            link(sequence_dir, partner, frames)
+        rc, records = run_track(sequence_profile_path, frames)
+    if rc == 0:
+        assert [r["status"] for r in records] == ["BadFrame", "ok"]
+    else:
+        # frame 0 read as a small image: its size puts the principal point
+        # outside the frame
+        assert rc == 5 and records == []
+
+
+# ---------------------------------------------------------- frame directories
+
+# the record each frame-slot state yields
+FRAME_STATES = {"pair": "ok", "no_depth": "IOError", "rgb_dir": "IOError",
+                "depth_dir": "IOError", "absent": None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(sorted(FRAME_STATES)), min_size=1, max_size=3),
+       st.sampled_from(["dir", "missing", "file"]))
+@example(["absent"], "dir")
+@example(["no_depth", "pair"], "dir")
+@example(["rgb_dir", "depth_dir"], "dir")
+def test_frame_directories_map_to_statuses(sequence_dir, sequence_profile_path,
+                                           states, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        frames = Path(tmp) / "frames"
+        if kind == "file":
+            frames.write_bytes(b"")
+        elif kind == "dir":
+            frames.mkdir()
+            for i, state in enumerate(states):
+                rgb, depth = frames / f"rgb_{i:04d}.ppm", frames / f"depth_{i:04d}.pgm"
+                if state in ("pair", "no_depth", "depth_dir"):
+                    link(sequence_dir, rgb.name, frames)
+                if state in ("pair", "rgb_dir"):
+                    link(sequence_dir, depth.name, frames)
+                if state == "rgb_dir":
+                    os.mkdir(rgb)
+                if state == "depth_dir":
+                    os.mkdir(depth)
+        rc, records = run_track(sequence_profile_path, frames)
+    expected = [FRAME_STATES[s] for s in states if FRAME_STATES[s]]
+    if kind != "dir":
+        assert (rc, records) == (4, [])
+    elif not expected:
+        assert (rc, records) == (5, [])
+    else:
+        assert rc == 0
+        assert [r["status"] for r in records] == expected

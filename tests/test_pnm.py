@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tangible_tracker import pnm
-from tangible_tracker.imaging import BinaryMask, DepthImage, RgbImage
+from tangible_tracker.imaging import DepthImage, RgbImage
 
 
 def test_ppm_round_trip(tmp_path):
@@ -33,16 +33,6 @@ def test_depth_round_trip_and_big_endian_layout(tmp_path):
     back = pnm.read_depth(path, 2.5)
     assert (back.pixels == depth.pixels).all()
     assert back.raw_to_mm == 2.5
-
-
-def test_mask_round_trip_uses_0_and_255(tmp_path):
-    bits = np.zeros((6, 7), dtype=bool)
-    bits[1:4, 2:5] = True
-    path = tmp_path / "mask.pgm"
-    pnm.write_mask(path, BinaryMask(bits))
-    plane = pnm.read_pgm(path)
-    assert set(np.unique(plane)) <= {0, 255}
-    assert (pnm.read_mask(path).bits == bits).all()
 
 
 def test_header_comments_are_skipped(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tangible_tracker.color_calibration import HueBounds
 from tangible_tracker.errors import (
     DegenerateError,
     EmptyMaskError,
@@ -290,3 +291,33 @@ def test_profile_json_schema(default_summary):
     assert isinstance(clone, CalibrationProfile)
     assert isinstance(clone.depth_to_rgb, AffineTransform)
     assert profile_to_dict(clone) == doc
+
+
+_FINITE = st.floats(-1e6, 1e6)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine=st.lists(_FINITE, min_size=6, max_size=6),
+       lo=st.integers(0, 179), hi=st.integers(0, 179),
+       floors=st.tuples(st.integers(0, 255), st.integers(0, 255)),
+       # normalized as the profile stores it: h33 is 1, or 0 when it cannot be
+       matrix=st.tuples(*[_FINITE] * 8, st.sampled_from([0.0, 1.0])),
+       rho_z=_POSITIVE, height=_POSITIVE, raw_to_mm=_POSITIVE,
+       principal=st.tuples(_FINITE, _FINITE))
+def test_profile_dict_round_trip_property(affine, lo, hi, floors, matrix, rho_z,
+                                          height, raw_to_mm, principal):
+    try:
+        profile = CalibrationProfile(
+            depth_to_rgb=AffineTransform(np.reshape(affine, (2, 3))),
+            hue_bounds=HueBounds(lo, hi, lo > hi, *floors),
+            t_rv=Homography(np.reshape(matrix, (3, 3)), rho_z),
+            camera_height_mm=height,
+            principal_point=principal,
+            raw_to_mm=raw_to_mm,
+        )
+    except ValueError:  # a singular matrix
+        assume(False)
+    doc = profile_to_dict(profile)
+    assert profile_to_dict(profile_from_dict(doc)) == doc
+    assert profile_to_dict(profile_from_dict(json.loads(json.dumps(doc)))) == doc
