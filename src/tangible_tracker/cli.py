@@ -239,11 +239,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as f:
-                overrides.update(json.load(f))
+                overrides = json.load(f)
         except OSError as exc:
             return _fail(EXIT_IO, f"IOError: {exc}")
         except json.JSONDecodeError as exc:
             return _fail(EXIT_VALIDATION, f"Validation: bad scene json: {exc}")
+        if not isinstance(overrides, dict):
+            return _fail(EXIT_VALIDATION, "Validation: scene json must be an object")
     if args.size:
         try:
             (w, h), = _parse_sizes(args.size)
@@ -279,12 +281,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        sizes = _parse_sizes(args.sizes)
-        if args.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        rows = run_benchmark(_parse_sizes(args.sizes), args.iterations, args.seed)
     except ValueError as exc:
         return _fail(EXIT_VALIDATION, f"Validation: {exc}")
-    rows = run_benchmark(sizes, args.iterations, args.seed)
     if args.json:
         print(json.dumps(rows, indent=2))
     else:

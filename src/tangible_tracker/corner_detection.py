@@ -37,8 +37,6 @@ class CMinMaxParams:
 @dataclass(frozen=True)
 class CornerSet:
     corners: tuple[Point2, ...]
-    n_requested: int
-    passes_used: int
     fallback_used: bool
 
 
@@ -142,10 +140,8 @@ def cminmax_corners(mask: BinaryMask, params: CMinMaxParams | None = None) -> Co
         return _clusters(candidates, eps)
 
     chosen = run_attempt(0.0)
-    passes_used = n_passes
     fallback = len(chosen) < n
     if fallback:
-        passes_used = 2 * n_passes
         retry = run_attempt(-math.pi / (2 * n))
         if len(retry) > len(chosen):
             chosen = retry
@@ -158,7 +154,7 @@ def cminmax_corners(mask: BinaryMask, params: CMinMaxParams | None = None) -> Co
         chosen = [chosen[i] for i in keep]
 
     corners = tuple((float(cx) + ox, float(cy) + oy) for (cx, cy), _ in chosen)
-    return CornerSet(corners, n, passes_used, fallback)
+    return CornerSet(corners, fallback)
 
 
 def mask_centroid(mask: BinaryMask) -> Point2:

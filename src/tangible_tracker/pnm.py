@@ -1,15 +1,21 @@
-"""Binary netpbm I/O.
+"""Binary netpbm I/O for the two formats the tracker reads.
 
-RGB images travel as P6 PPM (maxval 255), grayscale planes as P5 PGM
-(maxval 255), and raw depth as P5 PGM with maxval 65535 and big-endian
-sample order.
+Color frames are P6 PPM with maxval 255. Depth frames are P5 PGM with
+maxval 65535 and big-endian samples. Any other magic or maxval, a
+malformed header or a short raster raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .imaging import DepthImage, RgbImage
+
+# magic, maxval, sample type and per-pixel channel shape of each format
+_PPM = (b"P6", 255, np.dtype(np.uint8), (3,))
+_DEPTH = (b"P5", 65535, np.dtype(">u2"), ())
 
 
 def _parse_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
@@ -41,60 +47,39 @@ def _parse_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
     return width, height, maxval, pos + 1
 
 
-def read_ppm(path) -> RgbImage:
+def _read_raster(path, fmt: tuple) -> np.ndarray:
+    """The raster of one file in format fmt, shaped (height, width, *channels)."""
+    magic, maxval, sample, channels = fmt
     with open(path, "rb") as f:
         data = f.read()
-    width, height, maxval, start = _parse_header(data, b"P6", path)
-    if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 PPM is supported")
-    n = width * height * 3
-    raster = np.frombuffer(data, dtype=np.uint8, count=n, offset=start)
-    if raster.size < n:
+    width, height, found, start = _parse_header(data, magic, path)
+    if found != maxval:
+        raise ValueError(f"{path}: {magic.decode()} maxval must be {maxval}, got {found}")
+    shape = (height, width) + channels
+    count = math.prod(shape)
+    if len(data) - start < count * sample.itemsize:
         raise ValueError(f"{path}: truncated raster")
-    return RgbImage(raster.reshape(height, width, 3))
+    return np.frombuffer(data, dtype=sample, count=count, offset=start).reshape(shape)
+
+
+def _write_raster(path, fmt: tuple, pixels: np.ndarray) -> None:
+    magic, maxval, sample, _ = fmt
+    with open(path, "wb") as f:
+        f.write(b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], maxval))
+        f.write(pixels.astype(sample, copy=False).tobytes())
+
+
+def read_ppm(path) -> RgbImage:
+    return RgbImage(_read_raster(path, _PPM))
 
 
 def write_ppm(path, img: RgbImage) -> None:
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (img.width, img.height))
-        f.write(img.pixels.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a P5 PGM as uint8 (maxval <= 255) or uint16 (big-endian)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    width, height, maxval, start = _parse_header(data, b"P5", path)
-    if maxval <= 0 or maxval > 65535:
-        raise ValueError(f"{path}: maxval out of range")
-    dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
-    n = width * height
-    raster = np.frombuffer(data, dtype=dtype, count=n, offset=start)
-    if raster.size < n:
-        raise ValueError(f"{path}: truncated raster")
-    plane = raster.reshape(height, width)
-    return plane.astype(np.uint16) if maxval > 255 else plane.copy()
-
-
-def write_pgm(path, plane: np.ndarray) -> None:
-    """Write a grayscale plane; dtype picks 8-bit or big-endian 16-bit."""
-    plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise ValueError("expected a 2-D plane")
-    if plane.dtype == np.uint8:
-        maxval, payload = 255, plane.tobytes()
-    elif plane.dtype == np.uint16:
-        maxval, payload = 65535, plane.astype(">u2").tobytes()
-    else:
-        raise ValueError("plane must be uint8 or uint16")
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n%d\n" % (plane.shape[1], plane.shape[0], maxval))
-        f.write(payload)
+    _write_raster(path, _PPM, img.pixels)
 
 
 def read_depth(path, raw_to_mm: float = 1.0) -> DepthImage:
-    return DepthImage(read_pgm(path), raw_to_mm)
+    return DepthImage(_read_raster(path, _DEPTH), raw_to_mm)
 
 
 def write_depth(path, depth: DepthImage) -> None:
-    write_pgm(path, depth.pixels)
+    _write_raster(path, _DEPTH, depth.pixels)

@@ -23,13 +23,7 @@ from .imaging import AffineTransform, BinaryMask, DepthImage, Point2, Point3, Rg
 RGB_NAME = "rgb_%04d.ppm"
 DEPTH_NAME = "depth_%04d.pgm"
 TRUTH_NAME = "truth.json"
-CALIBRATION_IMAGES = (
-    "background.ppm",
-    "with_marker.ppm",
-    "with_pointer.ppm",
-    "background_depth.pgm",
-    "with_pointer_depth.pgm",
-)
+CALIBRATION_IMAGES = ("background.ppm", "with_marker.ppm", "with_pointer.ppm")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +98,6 @@ class GroundTruth:
     ball_plane_px: Point2   # plane footprint A
     ball_real_mm: Point3
     expected_virtual: Point3
-    t_rv_true: np.ndarray
-    rho_z_true: float
 
 
 def marker_plane_corners(spec: SceneSpec) -> np.ndarray:
@@ -242,19 +234,17 @@ def render_rgb(spec: SceneSpec, rng: np.random.Generator, *,
     return RgbImage(canvas)
 
 
-def render_depth_rgb_frame(spec: SceneSpec, rng: np.random.Generator, *,
-                           with_ball: bool) -> np.ndarray:
+def render_depth_rgb_frame(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     """Raw depth as seen from the RGB frame, before the depth-camera shift."""
     plane_raw = int(round(spec.camera_height_mm / spec.raw_to_mm))
     canvas = np.full((spec.height, spec.width), plane_raw, dtype=np.int64)
-    if with_ball:
-        _, b, radius = ball_geometry(spec)
-        ball_raw = max(1, int(round(
-            (spec.camera_height_mm - spec.ball_height_mm) / spec.raw_to_mm)))
-        shadow_center = (b[0] + spec.shadow_offset_px[0],
-                         b[1] + spec.shadow_offset_px[1])
-        canvas[_fill_disc(spec.width, spec.height, shadow_center, radius)] = 0
-        canvas[_fill_disc(spec.width, spec.height, b, radius)] = ball_raw
+    _, b, radius = ball_geometry(spec)
+    ball_raw = max(1, int(round(
+        (spec.camera_height_mm - spec.ball_height_mm) / spec.raw_to_mm)))
+    shadow_center = (b[0] + spec.shadow_offset_px[0],
+                     b[1] + spec.shadow_offset_px[1])
+    canvas[_fill_disc(spec.width, spec.height, shadow_center, radius)] = 0
+    canvas[_fill_disc(spec.width, spec.height, b, radius)] = ball_raw
     if spec.depth_jitter > 0:
         jitter = rng.integers(-spec.depth_jitter, spec.depth_jitter + 1,
                               size=canvas.shape)
@@ -296,8 +286,6 @@ def scene_truth(spec: SceneSpec) -> GroundTruth:
         ball_real_mm=(spec.ball_plane_mm[0], spec.ball_plane_mm[1],
                       spec.ball_height_mm),
         expected_virtual=(vx, vy, spec.rho_z * spec.ball_height_mm),
-        t_rv_true=true_t_rv(spec),
-        rho_z_true=spec.rho_z,
     )
 
 
@@ -308,7 +296,7 @@ def render_scene(spec: SceneSpec) -> tuple[RgbImage, DepthImage, GroundTruth]:
     """
     rng = np.random.default_rng(spec.seed)
     rgb = render_rgb(spec, rng, with_marker=True, with_ball=True)
-    raw = render_depth_rgb_frame(spec, rng, with_ball=True)
+    raw = render_depth_rgb_frame(spec, rng)
     shifted = _shift_to_depth_frame(raw, spec.depth_frame_offset)
     return rgb, DepthImage(shifted, spec.raw_to_mm), scene_truth(spec)
 
@@ -329,9 +317,9 @@ def circular_trajectory(frames: int, radius_mm: float = 60.0,
 def render_sequence(spec: SceneSpec, trajectory, out_dir) -> str:
     """Write calibration images, per-frame captures, and truth.json.
 
-    Calibration files: background, marker-only, and pointer-only RGB plus
-    the empty-scene and pointer-scene depth captures. Frame files follow
-    rgb_%04d.ppm / depth_%04d.pgm. Returns the truth.json path.
+    Calibration files are the background, marker-only and pointer-only RGB
+    captures. Frame files follow rgb_%04d.ppm / depth_%04d.pgm. Returns the
+    truth.json path.
     """
     trajectory = [(float(x), float(y), float(h)) for x, y, h in trajectory]
     for x, y, h in trajectory:
@@ -352,16 +340,6 @@ def render_sequence(spec: SceneSpec, trajectory, out_dir) -> str:
     pnm.write_ppm(os.path.join(out_dir, "with_pointer.ppm"),
                   render_rgb(spec, np.random.default_rng(spec.seed),
                              with_marker=False, with_ball=True))
-    pnm.write_pgm(os.path.join(out_dir, "background_depth.pgm"),
-                  _shift_to_depth_frame(
-                      render_depth_rgb_frame(spec, np.random.default_rng(spec.seed),
-                                             with_ball=False),
-                      spec.depth_frame_offset))
-    pnm.write_pgm(os.path.join(out_dir, "with_pointer_depth.pgm"),
-                  _shift_to_depth_frame(
-                      render_depth_rgb_frame(spec, np.random.default_rng(spec.seed),
-                                             with_ball=True),
-                      spec.depth_frame_offset))
 
     frames = []
     for idx, (x, y, h) in enumerate(trajectory):
@@ -400,8 +378,11 @@ def random_quadrangle_scene(width: int, height: int,
     """Random mildly perspective-warped rectangle with exact vertex truth.
 
     Rejection-samples until the quadrangle is comfortably convex, fully in
-    frame, and free of razor-thin angles that rasterize ambiguously.
+    frame, and free of razor-thin angles that rasterize ambiguously; raises
+    ValueError when the frame is too small to hold one.
     """
+    if width < 1 or height < 1:
+        raise ValueError(f"quadrangle scene size {width}x{height} has a zero side")
     for _ in range(500):
         rw = width * rng.uniform(0.18, 0.30)
         rh = height * rng.uniform(0.18, 0.30)
@@ -436,7 +417,10 @@ def random_quadrangle_scene(width: int, height: int,
         if not ok:
             continue
         return fill_convex_polygon(width, height, corners), corners
-    raise RuntimeError("failed to sample a usable quadrangle")
+    raise ValueError(f"no usable quadrangle fits in {width}x{height}")
+
+
+_INT_FIELDS = frozenset(f.name for f in dataclasses.fields(SceneSpec) if f.type == "int")
 
 
 def spec_from_dict(data: dict) -> SceneSpec:
@@ -449,4 +433,9 @@ def spec_from_dict(data: dict) -> SceneSpec:
     unknown = set(kwargs) - {f.name for f in dataclasses.fields(SceneSpec)}
     if unknown:
         raise ValueError(f"unknown scene fields: {sorted(unknown)}")
+    for key in sorted(_INT_FIELDS & kwargs.keys()):
+        # an exact type test, since isinstance(True, int) holds
+        if type(kwargs[key]) is not int:
+            raise ValueError(f"scene field {key} must be an integer, "
+                             f"got {kwargs[key]!r}")
     return SceneSpec(**kwargs)

@@ -143,6 +143,27 @@ def test_track_isolates_bad_frames(sequence_dir, sequence_profile_path, tmp_path
     assert records[1]["px"] is None
 
 
+def test_track_depth_at_maxval_255_is_a_bad_frame(sequence_dir, sequence_profile_path,
+                                                  tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(2):
+        (frames / f"rgb_{i:04d}.ppm").write_bytes(
+            (sequence_dir / f"rgb_{i:04d}.ppm").read_bytes())
+    (frames / "depth_0001.pgm").write_bytes((sequence_dir / "depth_0001.pgm").read_bytes())
+    # frame 0's depth at a quarter scale in 8 bits: the ball still stands
+    # out of the plane, at a quarter of its range
+    depth = pnm.read_depth(sequence_dir / "depth_0000.pgm").pixels
+    eight_bit = np.minimum(depth // 4, 255).astype(np.uint8)
+    (frames / "depth_0000.pgm").write_bytes(
+        b"P5\n%d %d\n255\n" % (depth.shape[1], depth.shape[0]) + eight_bit.tobytes())
+    rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    assert [r["status"] for r in records] == ["BadFrame", "ok"]
+    assert records[0]["depth_mm"] is None
+
+
 def test_track_missing_profile_exits_4(tmp_path):
     rc = main(["track", "--calib", str(tmp_path / "no.json"),
                "--frames", str(tmp_path)])
@@ -291,8 +312,7 @@ def _frames_with_miss_and_bad(sequence_dir, frames):
         for kind in ("rgb_%04d.ppm", "depth_%04d.pgm"):
             (frames / (kind % i)).write_bytes((sequence_dir / (kind % i)).read_bytes())
     (frames / "rgb_0003.ppm").write_bytes((sequence_dir / "background.ppm").read_bytes())
-    (frames / "depth_0003.pgm").write_bytes(
-        (sequence_dir / "background_depth.pgm").read_bytes())
+    (frames / "depth_0003.pgm").write_bytes((sequence_dir / "depth_0000.pgm").read_bytes())
     (frames / "rgb_0004.ppm").write_bytes(b"P6\n9 9\n255\n")
     (frames / "depth_0004.pgm").write_bytes((sequence_dir / "depth_0000.pgm").read_bytes())
     return frames
@@ -480,6 +500,20 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
     assert not out.exists()
 
 
+# float and boolean values of integer fields, and documents that are not
+# objects
+@pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
+                                 {"ball_saturation": True}, [1], [["width", 64]], 7])
+def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", str(spec)])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("Validation:")
+    assert not out.exists()
+
+
 def test_simulate_seeds_differ_only_in_noise(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -516,6 +550,17 @@ def test_bench_table_format(capsys):
     out = capsys.readouterr().out
     assert "ratio" in out.splitlines()[0]
     assert "160x120" in out
+
+
+@pytest.mark.parametrize("argv", [["--sizes", "20x20"], ["--sizes", "0x0"],
+                                  ["--iterations", "0"]])
+def test_bench_unusable_input_exits_5(capsys, argv):
+    rc = main(["bench", "--iterations", "2", *argv])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert captured.out == ""
+    assert captured.err.startswith("Validation:")
+    assert "Traceback" not in captured.err
 
 
 def test_usage_errors_exit_2():

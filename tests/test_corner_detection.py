@@ -88,7 +88,6 @@ def test_hexagon_all_corners_within_1_5_px():
     mask = fill_convex_polygon(640, 480, verts)
     result = cminmax_corners(mask, CMinMaxParams(n=6))
     assert len(result.corners) == 6
-    assert result.passes_used == 3
     assert not result.fallback_used
     assert match_errors(result.corners, verts) <= 1.5
 
@@ -240,10 +239,8 @@ def cminmax_oracle(mask, n):
         return oracle_clusters(np.column_stack([xf[picked], yf[picked]]), eps)
 
     chosen = run_attempt(0.0)
-    passes_used = n_passes
     fallback = len(chosen) < n
     if fallback:
-        passes_used = 2 * n_passes
         retry = run_attempt(-math.pi / (2 * n))
         if len(retry) > len(chosen):
             chosen = retry
@@ -252,7 +249,7 @@ def cminmax_oracle(mask, n):
                              key=lambda i: (-chosen[i][1], i))[:n])
         chosen = [chosen[i] for i in keep]
     corners = tuple((float(cx) + ox, float(cy) + oy) for (cx, cy), _ in chosen)
-    return CornerSet(corners, n, passes_used, fallback)
+    return CornerSet(corners, fallback)
 
 
 def assert_matches_oracle(mask, n):

@@ -14,14 +14,6 @@ def test_ppm_round_trip(tmp_path):
     assert (back.pixels == img.pixels).all()
 
 
-def test_pgm8_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    plane = rng.integers(0, 256, size=(9, 11), dtype=np.uint8)
-    path = tmp_path / "plane.pgm"
-    pnm.write_pgm(path, plane)
-    assert (pnm.read_pgm(path) == plane).all()
-
-
 def test_depth_round_trip_and_big_endian_layout(tmp_path):
     depth = DepthImage(np.array([[0x0102, 0xF00D]], dtype=np.uint16), 1.0)
     path = tmp_path / "depth.pgm"
@@ -33,6 +25,15 @@ def test_depth_round_trip_and_big_endian_layout(tmp_path):
     back = pnm.read_depth(path, 2.5)
     assert (back.pixels == depth.pixels).all()
     assert back.raw_to_mm == 2.5
+
+
+@pytest.mark.parametrize("maxval", [1, 255, 256, 65534])
+def test_depth_maxval_other_than_65535_rejected(tmp_path, maxval):
+    path = tmp_path / "depth.pgm"
+    sample = 2 if maxval > 255 else 1
+    path.write_bytes(b"P5\n2 2\n%d\n" % maxval + bytes(4 * sample))
+    with pytest.raises(ValueError, match="maxval"):
+        pnm.read_depth(path)
 
 
 def test_header_comments_are_skipped(tmp_path):

@@ -217,8 +217,7 @@ def test_residual_gate_fires_on_distorted_corners(monkeypatch):
         result = real(mask, params)
         (x0, y0), *rest = result.corners
         bent = ((x0 + 60.0, y0 + 50.0),) + tuple(rest)
-        return type(result)(bent, result.n_requested,
-                            result.passes_used, result.fallback_used)
+        return type(result)(bent, result.fallback_used)
 
     monkeypatch.setattr(registration, "cminmax_corners", skewed)
     with pytest.raises(ResidualTooHighError):

@@ -90,7 +90,10 @@ def test_sequence_files_and_truth(tmp_path):
     render_sequence(spec, trajectory, tmp_path)
     for name in CALIBRATION_IMAGES:
         assert (tmp_path / name).exists(), name
-    assert len(CALIBRATION_IMAGES) == 5
+    assert CALIBRATION_IMAGES == ("background.ppm", "with_marker.ppm",
+                                  "with_pointer.ppm")
+    assert sorted(p.name for p in tmp_path.glob("*.pgm")) == [
+        f"depth_{i:04d}.pgm" for i in range(3)]
     for i in range(3):
         assert (tmp_path / f"rgb_{i:04d}.ppm").exists()
         assert (tmp_path / f"depth_{i:04d}.pgm").exists()
