@@ -21,6 +21,8 @@ def run_benchmark(sizes, iterations: int, seed: int) -> list[dict]:
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    # harris_corners imports scipy on its first call; do that before timing
+    import scipy.ndimage  # noqa: F401
     rows = []
     for width, height in sizes:
         rng = np.random.default_rng(seed)

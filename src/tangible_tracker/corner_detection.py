@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateMaskError, EmptyMaskError
 from .imaging import BinaryMask, Point2
@@ -172,6 +171,9 @@ def harris_corners(gray: np.ndarray, max_corners: int) -> list[Point2]:
     suppression, positive responses above 1% of the peak. May return fewer
     than max_corners points.
     """
+    # the only scipy user: tracking and calibration start without it
+    from scipy import ndimage
+
     img = np.asarray(gray, dtype=np.float64)
     if img.ndim != 2 or min(img.shape) < 5:
         raise ValueError("expected a grayscale image at least 5x5")

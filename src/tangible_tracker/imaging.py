@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyMaskError
 
@@ -19,8 +18,7 @@ Point3 = tuple[float, float, float]
 
 HUE_BINS = 180  # half-degree hue scale, 0..179
 
-EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)  # for scipy.ndimage callers, e.g. perfbench
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,36 +223,108 @@ def smooth_binary(mask: BinaryMask) -> BinaryMask:
     return BinaryMask(votes >= 5)
 
 
-def _largest_label(labels: np.ndarray) -> tuple[int, int]:
-    """Label with the most pixels; area ties go to the component whose first
-    set pixel comes earliest in row-major order. Returns (label, area)."""
-    areas = np.bincount(labels.ravel())
-    areas[0] = 0
-    top = int(areas.max())
-    tied = np.flatnonzero(areas == top)
-    if tied.size == 1:
-        return int(tied[0]), top
-    flat = labels.ravel()
-    first = np.flatnonzero(np.isin(flat, tied))[0]
-    return int(flat[first]), top
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integer ranges [start, start + count), one after another."""
+    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
+def _runs(flat: np.ndarray, width: int):
+    """Maximal horizontal runs of the set pixels at sorted row-major flat
+    indices, in row-major order of their first pixel: (row, first column,
+    last column), each an array with one entry per run."""
+    ends = np.flatnonzero((np.diff(flat) != 1) | (flat[1:] % width == 0))
+    first = flat[np.concatenate(([0], ends + 1))]
+    last = flat[np.append(ends, flat.size - 1)]
+    row = first // width
+    return row, first - row * width, last - row * width
+
+
+def _run_roots(row, c0, c1, width: int, diagonal: bool) -> np.ndarray:
+    """Connected components of runs in row-major order: each run's root is
+    the index of the first run of its component.
+
+    Runs in adjacent rows touch when their column ranges overlap, widened by
+    one column when ``diagonal`` (8-connectivity). Each round hooks every
+    root onto the smallest root it touches, then jumps pointers until every
+    run points at a root; a root only ever hooks onto a smaller index, so
+    the component's first run stays its root.
+    """
+    reach = int(diagonal)
+    stride = width + 2  # keys of one row never reach the next row's
+    base = row * stride + 1
+    first, last = base + c0, base + c1
+    # the runs b below run a with c0[b] <= c1[a] + reach and
+    # c1[b] >= c0[a] - reach are one contiguous index range [lo, hi)
+    lo = np.searchsorted(last, first + (stride - reach))
+    hi = np.searchsorted(first, last + (stride + reach), side="right")
+    count = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(row.size), count)
+    b = _ranges(lo, count)
+    root = np.arange(row.size)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            return root
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+def _largest_run_component(row, c0, c1, width: int):
+    """Runs of the largest 8-connected component, as a boolean selector
+    over the runs, and its area. Area ties go to the component whose first
+    pixel comes earliest in row-major order."""
+    root = _run_roots(row, c0, c1, width, diagonal=True)
+    areas = np.bincount(root, weights=c1 - c0 + 1)
+    winner = int(np.argmax(areas))  # the first maximum: the smallest root
+    return root == winner, int(areas[winner])
+
+
+def _gap_runs(row, c0, c1, height: int, width: int):
+    """Runs of the pixels that the given runs leave unset, row-major."""
+    lines = np.arange(height)
+    rows = np.concatenate((lines, row, lines))
+    # a run ending at column -1 opens every row, one starting at width ends it
+    starts = np.concatenate((np.full(height, -1), c0, np.full(height, width)))
+    ends = np.concatenate((np.full(height, -1), c1, np.full(height, width)))
+    order = np.argsort(rows * (width + 2) + starts + 1, kind="stable")
+    rows, starts, ends = rows[order], starts[order], ends[order]
+    g0, g1 = ends[:-1] + 1, starts[1:] - 1
+    keep = (rows[:-1] == rows[1:]) & (g0 <= g1)
+    return rows[:-1][keep], g0[keep], g1[keep]
 
 
 def largest_component(mask: BinaryMask) -> BinaryMask:
     """Largest 8-connected set component with its interior holes filled.
 
     A hole is a 4-connected unset region with no pixel on the image border.
+    Both are found over horizontal runs of pixels: after one pass over the
+    mask, the cost follows the number of runs and the area kept.
     """
-    labels, count = ndimage.label(mask.bits, structure=EIGHT_CONNECTED)
-    if count == 0:
+    height, width = mask.bits.shape
+    flat = np.flatnonzero(mask.bits)
+    if flat.size == 0:
         raise EmptyMaskError("mask has no set pixels")
-    winner, _ = _largest_label(labels)
-    comp = labels == winner
+    row, c0, c1 = _runs(flat, width)
+    winner, _ = _largest_run_component(row, c0, c1, width)
+    row, c0, c1 = row[winner], c0[winner], c1[winner]
 
-    outside, _ = ndimage.label(~comp, structure=FOUR_CONNECTED)
-    edge = np.concatenate([outside[0], outside[-1], outside[:, 0], outside[:, -1]])
-    touching = np.unique(edge[edge > 0])
-    holes = (outside > 0) & ~np.isin(outside, touching)
-    return BinaryMask(comp | holes)
+    g_row, g0, g1 = _gap_runs(row, c0, c1, height, width)
+    g_root = _run_roots(g_row, g0, g1, width, diagonal=False)
+    border = (g_row == 0) | (g_row == height - 1) | (g0 == 0) | (g1 == width - 1)
+    hole = ~np.isin(g_root, g_root[border])
+    row = np.concatenate((row, g_row[hole]))
+    c0 = np.concatenate((c0, g0[hole]))
+    c1 = np.concatenate((c1, g1[hole]))
+
+    bits = np.zeros(height * width, dtype=bool)
+    bits[_ranges(row * width + c0, c1 - c0 + 1)] = True
+    return BinaryMask(bits.reshape(height, width))
 
 
 def warp_affine(img: DepthImage, t: AffineTransform,

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"scene field {name} must be finite, got {value!r}")
         if self.width < 16 or self.height < 16:
             raise ValueError("scene must be at least 16x16")
         if not self.camera_height_mm > 0:
@@ -420,17 +425,31 @@ def random_quadrangle_scene(width: int, height: int,
     raise ValueError(f"no usable quadrangle fits in {width}x{height}")
 
 
-_INT_FIELDS = frozenset(f.name for f in dataclasses.fields(SceneSpec) if f.type == "int")
+def _tuple_args(hint) -> tuple:
+    """Element types of a tuple annotation, also of ``tuple[...] | None``."""
+    for h in (hint, *typing.get_args(hint)):
+        if typing.get_origin(h) is tuple:
+            return typing.get_args(h)
+    return ()
+
+
+_HINTS = typing.get_type_hints(SceneSpec)
+_INT_FIELDS = frozenset(name for name, hint in _HINTS.items() if hint is int)
+_FLOAT_FIELDS = tuple(name for name, hint in _HINTS.items()
+                      if hint is float or float in _tuple_args(hint))
+_TUPLE_LENGTHS = {name: len(_tuple_args(hint)) for name, hint in _HINTS.items()
+                  if _tuple_args(hint)}
 
 
 def spec_from_dict(data: dict) -> SceneSpec:
     kwargs = dict(data)
-    for key in ("principal_point", "marker_size_mm", "marker_color",
-                "background_color", "ball_plane_mm", "depth_frame_offset",
-                "shadow_offset_px"):
-        if key in kwargs and kwargs[key] is not None:
+    for key, length in _TUPLE_LENGTHS.items():
+        if kwargs.get(key) is not None:
             kwargs[key] = tuple(kwargs[key])
-    unknown = set(kwargs) - {f.name for f in dataclasses.fields(SceneSpec)}
+            if len(kwargs[key]) != length:
+                raise ValueError(f"scene field {key} must have {length} entries, "
+                                 f"got {len(kwargs[key])}")
+    unknown = kwargs.keys() - _HINTS.keys()
     if unknown:
         raise ValueError(f"unknown scene fields: {sorted(unknown)}")
     for key in sorted(_INT_FIELDS & kwargs.keys()):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .color_calibration import HueBounds, _keyed_indices
 from .errors import (
@@ -24,12 +23,12 @@ from .errors import (
     NoPointerError,
 )
 from .imaging import (
-    EIGHT_CONNECTED,
     DepthImage,
     Point2,
     Point3,
     RgbImage,
-    _largest_label,
+    _largest_run_component,
+    _runs,
     warp_affine,
 )
 from .registration import CalibrationProfile, apply_homography
@@ -78,25 +77,16 @@ def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
     keyed = _keyed_indices(rgb, bounds)
     if keyed.size == 0:
         raise NoPointerError("no pixels inside the color bounds")
-    rows, cols = np.divmod(keyed, rgb.width)
-    # Every blob lies inside the keyed pixels' bounding box, and row-major
-    # order inside the box is row-major order in the frame, so labelling the
-    # box alone picks the same winner, area ties included.
-    top, left = int(rows[0]), int(cols.min())  # the indices are sorted
-    box_width = int(cols.max()) - left + 1
-    box = np.zeros((int(rows[-1]) - top + 1, box_width), dtype=bool)
-    box.reshape(-1)[(rows - top) * box_width + cols - left] = True
-    labels, _ = ndimage.label(box, structure=EIGHT_CONNECTED)
-    winner, area = _largest_label(labels)
+    row, c0, c1 = _runs(keyed, rgb.width)
+    winner, area = _largest_run_component(row, c0, c1, rgb.width)
     if area < MIN_POINTER_PIXELS:
         raise NoPointerError(
             f"largest in-bounds blob is {area} px, need >= {MIN_POINTER_PIXELS}"
         )
-    ys, xs = np.nonzero(labels == winner)
-    x0 = left + int(xs.min())
-    y0 = top + int(ys.min())
-    w = int(xs.max() - xs.min()) + 1
-    h = int(ys.max() - ys.min()) + 1
+    row, c0, c1 = row[winner], c0[winner], c1[winner]
+    x0, y0 = int(c0.min()), int(row[0])  # the runs are in row-major order
+    w = int(c1.max()) - x0 + 1
+    h = int(row[-1]) - y0 + 1
     center = (x0 + (w - 1) / 2.0, y0 + (h - 1) / 2.0)
     return center, (x0, y0, w, h)
 

@@ -500,10 +500,12 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
     assert not out.exists()
 
 
-# float and boolean values of integer fields, and documents that are not
-# objects
+# float and boolean values of integer fields, documents that are not
+# objects, tuple fields of the wrong length and non-finite numbers
 @pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
-                                 {"ball_saturation": True}, [1], [["width", 64]], 7])
+                                 {"ball_saturation": True}, [1], [["width", 64]], 7,
+                                 {"principal_point": [1]}, {"marker_size_mm": [1]},
+                                 {"shadow_offset_px": [1]}, {"ball_plane_mm": [1e400, 0]}])
 def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
@@ -561,6 +563,37 @@ def test_bench_unusable_input_exits_5(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("Validation:")
     assert "Traceback" not in captured.err
+
+
+# simulate, calibrate and track through cli.main in a fresh interpreter,
+# then bench, which is the one command that needs scipy
+_RUN_WITHOUT_SCIPY = """
+import contextlib, io, json, os, sys
+from tangible_tracker.cli import main
+seq, profile = os.path.join(sys.argv[1], "seq"), os.path.join(sys.argv[1], "p.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["simulate", "--out", seq, "--frames", "2"]),
+        main(["calibrate", "--background", os.path.join(seq, "background.ppm"),
+              "--with-marker", os.path.join(seq, "with_marker.ppm"),
+              "--with-pointer", os.path.join(seq, "with_pointer.ppm"),
+              "--depth-to-rgb", "1,0,4,0,1,2", "--camera-height", "600",
+              "--principal-point", "319.5,239.5", "--rho-z", "0.002",
+              "--out", profile]),
+        main(["track", "--calib", profile, "--frames", seq]),
+    ]
+    scipy = sorted(name for name in sys.modules if name.startswith("scipy"))
+    bench = main(["bench", "--sizes", "80x80", "--iterations", "2"])
+print(json.dumps({"codes": codes, "scipy": scipy, "bench": bench}))
+"""
+
+
+def test_pipeline_commands_import_no_scipy(tmp_path):
+    done = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result == {"codes": [0, 0, 0], "scipy": [], "bench": 0}
 
 
 def test_usage_errors_exit_2():

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from tangible_tracker.errors import EmptyMaskError
 from tangible_tracker.imaging import (
@@ -286,6 +287,98 @@ def test_largest_component_idempotent_and_hole_free():
         assert (once.bits == twice.bits).all()
         assert len(component_areas_oracle(once.bits)) == 1
         assert not has_holes_oracle(once.bits)
+
+
+def largest_label_oracle(labels: np.ndarray) -> tuple[int, int]:
+    """Label with the most pixels; area ties go to the component whose first
+    set pixel comes earliest in row-major order. Returns (label, area)."""
+    areas = np.bincount(labels.ravel())
+    areas[0] = 0
+    top = int(areas.max())
+    tied = np.flatnonzero(areas == top)
+    if tied.size == 1:
+        return int(tied[0]), top
+    flat = labels.ravel()
+    first = np.flatnonzero(np.isin(flat, tied))[0]
+    return int(flat[first]), top
+
+
+def frozen_largest_component(bits):
+    """``largest_component`` as it was with scipy's labelling."""
+    labels, count = ndimage.label(bits, structure=np.ones((3, 3), dtype=bool))
+    if count == 0:
+        raise EmptyMaskError("mask has no set pixels")
+    winner, _ = largest_label_oracle(labels)
+    comp = labels == winner
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    outside, _ = ndimage.label(~comp, structure=four)
+    edge = np.concatenate([outside[0], outside[-1], outside[:, 0], outside[:, -1]])
+    touching = np.unique(edge[edge > 0])
+    holes = (outside > 0) & ~np.isin(outside, touching)
+    return comp | holes
+
+
+def spiral_bits(n):
+    """A one-pixel-wide square spiral: one long chain of short runs."""
+    bits = np.zeros((n, n), dtype=bool)
+    for k in range(0, n // 2, 2):
+        far = n - 1 - k
+        bits[k, k:far + 1] = True
+        bits[k:far + 1, far] = True
+        bits[far, k:far + 1] = True
+        bits[k + 2:far + 1, k] = True  # open at (k + 1, k)
+        bits[k + 2, k:k + 3] = True    # bridge to the next ring
+    return bits
+
+
+@st.composite
+def component_masks(draw):
+    """Noise, plus filled and outlined rectangles that may cross the border
+    (holes, and unset regions that reach the border) and equal-size copies
+    (area ties); 1xN and Nx1 masks come up often."""
+    height = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    width = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    bits = np.zeros((height, width), dtype=bool)
+    if draw(st.booleans()):
+        density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        bits |= rng.random((height, width)) < density
+    for _ in range(draw(st.integers(0, 4))):
+        h = draw(st.integers(1, 9))
+        w = draw(st.integers(1, 9))
+        outline = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 3))):
+            y = draw(st.integers(1 - h, height - 1))
+            x = draw(st.integers(1 - w, width - 1))
+            rect = np.zeros((height + 2 * 9, width + 2 * 9), dtype=bool)
+            rect[9 + y:9 + y + h, 9 + x:9 + x + w] = True
+            if outline:
+                rect[10 + y:8 + y + h, 10 + x:8 + x + w] = False
+            bits ^= rect[9:9 + height, 9:9 + width]
+    return bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(component_masks())
+@example(spiral_bits(61))
+@example(np.zeros((1, 7), dtype=bool))
+@example(np.ones((7, 1), dtype=bool))
+def test_largest_component_matches_frozen_ndimage(bits):
+    try:
+        want = frozen_largest_component(bits)
+    except EmptyMaskError:
+        with pytest.raises(EmptyMaskError):
+            largest_component(BinaryMask(bits))
+        return
+    got = largest_component(BinaryMask(bits)).bits
+    assert got.dtype == bool and got.shape == bits.shape
+    assert (got == want).all()
+
+
+def test_largest_component_on_uniform_random_hd_mask():
+    bits = np.random.default_rng(9).random((720, 1280)) < 0.5
+    assert (largest_component(BinaryMask(bits)).bits
+            == frozen_largest_component(bits)).all()
 
 
 # --------------------------------------------------------------- warp_affine

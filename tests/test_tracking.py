@@ -18,7 +18,6 @@ from tangible_tracker.imaging import (
     EIGHT_CONNECTED,
     DepthImage,
     RgbImage,
-    _largest_label,
     rgb_to_hsv,
 )
 from tangible_tracker.registration import Homography, apply_homography
@@ -38,7 +37,7 @@ from tangible_tracker.tracking import (
     track_frame,
 )
 from tests.conftest import calibrate_spec
-from tests.test_imaging import disc_bits, solid_rgb
+from tests.test_imaging import disc_bits, largest_label_oracle, solid_rgb
 
 BOUNDS = HueBounds(5, 35)
 
@@ -90,7 +89,7 @@ def full_frame_detect_oracle(rgb: RgbImage, bounds: HueBounds):
     if not keep.bits.any():
         raise NoPointerError("no pixels inside the color bounds")
     labels, _ = ndimage.label(keep.bits, structure=EIGHT_CONNECTED)
-    winner, area = _largest_label(labels)
+    winner, area = largest_label_oracle(labels)
     if area < MIN_POINTER_PIXELS:
         raise NoPointerError("largest in-bounds blob too small")
     ys, xs = np.nonzero(labels == winner)
