@@ -19,10 +19,8 @@ from .imaging import (
     AffineTransform,
     BinaryMask,
     DepthImage,
-    HsvImage,
     RgbImage,
     abs_diff,
-    hue_histogram,
     largest_component,
     otsu_threshold,
     rgb_to_hsv,
@@ -62,7 +60,6 @@ __all__ = [
     "FramePair",
     "GroundTruth",
     "Homography",
-    "HsvImage",
     "HueBounds",
     "MaskRequest",
     "PipelineError",
@@ -81,7 +78,6 @@ __all__ = [
     "estimate_pointer_depth",
     "extract_mask",
     "harris_corners",
-    "hue_histogram",
     "hue_in_bounds",
     "largest_component",
     "load_profile",

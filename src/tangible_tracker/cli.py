@@ -23,13 +23,14 @@ from . import pnm
 from .bench import format_table, run_benchmark
 from .errors import PipelineError
 from .imaging import AffineTransform
-from .registration import calibrate_scene, check_principal_point, load_profile, save_profile
-from .simulator import (
-    SceneSpec,
-    circular_trajectory,
-    render_sequence,
-    spec_from_dict,
+from .registration import (
+    calibrate_scene,
+    check_principal_point,
+    checked_value,
+    load_profile,
+    save_profile,
 )
+from .simulator import circular_trajectory, render_sequence, spec_from_dict
 from .stream import StreamServer
 from .tracking import FramePair, error_record, frame_record, track_frame
 
@@ -242,7 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 overrides = json.load(f)
         except OSError as exc:
             return _fail(EXIT_IO, f"IOError: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             return _fail(EXIT_VALIDATION, f"Validation: bad scene json: {exc}")
         if not isinstance(overrides, dict):
             return _fail(EXIT_VALIDATION, "Validation: scene json must be an object")
@@ -262,14 +263,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         overrides["ball_hue"] = args.ball_hue
 
     try:
-        spec = spec_from_dict(overrides) if overrides else SceneSpec()
+        spec = spec_from_dict(overrides)
         if args.trajectory:
             with open(args.trajectory, "r", encoding="utf-8") as f:
-                trajectory = [tuple(p) for p in json.load(f)]
+                points = json.load(f)
+            if type(points) is not list:
+                raise ValueError("trajectory must be a JSON list of points")
+            trajectory = [checked_value(f"trajectory point {i}", p, "number", 3)
+                          for i, p in enumerate(points)]
         else:
             trajectory = circular_trajectory(args.frames)
         truth_path = render_sequence(spec, trajectory, args.out)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, RecursionError) as exc:
         return _fail(EXIT_VALIDATION, f"Validation: {exc}")
     except OSError as exc:
         return _fail(EXIT_IO, f"IOError: {exc}")

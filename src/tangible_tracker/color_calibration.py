@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LowSaturationError
-from .imaging import HUE_BINS, BinaryMask, HsvImage, RgbImage, hue_histogram, rgb_to_hsv
+from .imaging import HUE_BINS, BinaryMask, RgbImage, rgb_to_hsv
 from .mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
 
 PEAK_MARGIN = 15  # hue bins kept on each side of the histogram peak
@@ -60,19 +60,20 @@ def calibrate_hue_bounds(
 ) -> HueBounds:
     """Histogram the masked pointer's hue and take the peak +- 15 bins.
 
-    Only masked pixels at or above the saturation floor vote; if fewer than
-    half of them qualify the object is too gray to color-key and
-    LowSaturationError is raised. Peak ties break toward the smallest bin.
+    Only the masked pixels are converted to HSV, and only those at or above
+    the saturation floor vote; if fewer than half of them qualify the
+    object is too gray to color-key and LowSaturationError is raised. Peak
+    ties break toward the smallest bin.
     """
     mask = extract_mask(MaskRequest(background, with_pointer, min_area))
-    hsv = rgb_to_hsv(with_pointer)
-    saturated = BinaryMask(mask.bits & (hsv.pixels[..., 1] >= DEFAULT_MIN_SATURATION))
-    if 2 * saturated.area < mask.area:
+    hsv = rgb_to_hsv(RgbImage(with_pointer.pixels[mask.bits][:, None, :]))[:, 0]
+    kept = hsv[hsv[:, 1] >= DEFAULT_MIN_SATURATION, 0]
+    if 2 * kept.size < mask.area:
         raise LowSaturationError(
-            f"only {saturated.area} of {mask.area} masked pixels reach "
+            f"only {kept.size} of {mask.area} masked pixels reach "
             f"saturation {DEFAULT_MIN_SATURATION}"
         )
-    peak = int(np.argmax(hue_histogram(hsv, saturated)))
+    peak = int(np.argmax(np.bincount(kept, minlength=HUE_BINS)))
     lo = (peak - PEAK_MARGIN) % HUE_BINS
     hi = (peak + PEAK_MARGIN) % HUE_BINS
     return HueBounds(lo, hi, wraps=lo > hi)
@@ -82,16 +83,17 @@ def hue_in_bounds(h: int, s: int, v: int, bounds: HueBounds) -> bool:
     """Membership test for one HSV pixel: ``hue_bounds_mask`` of a 1x1 image."""
     if not 0 <= h < HUE_BINS:
         raise ValueError("hue must be < 180")
-    pixel = HsvImage(np.array([[[h, s, v]]], dtype=np.uint8))
+    pixel = np.array([[[h, s, v]]], dtype=np.uint8)
     return bool(hue_bounds_mask(pixel, bounds).bits[0, 0])
 
 
-def hue_bounds_mask(img: HsvImage, bounds: HueBounds) -> BinaryMask:
-    """Pixels whose hue lies in the interval, wrapping through 0 when
-    ``bounds.wraps``, and whose saturation and value reach the floors."""
-    h = img.pixels[..., 0]
-    s = img.pixels[..., 1]
-    v = img.pixels[..., 2]
+def hue_bounds_mask(hsv: np.ndarray, bounds: HueBounds) -> BinaryMask:
+    """Pixels of an ``rgb_to_hsv`` array whose hue lies in the interval,
+    wrapping through 0 when ``bounds.wraps``, and whose saturation and
+    value reach the floors."""
+    h = hsv[..., 0]
+    s = hsv[..., 1]
+    v = hsv[..., 2]
     if bounds.wraps:
         in_hue = (h >= bounds.lo) | (h <= bounds.hi)
     else:

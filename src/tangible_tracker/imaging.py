@@ -44,30 +44,6 @@ class RgbImage:
 
 
 @dataclass(frozen=True, eq=False)
-class HsvImage:
-    """HSV raster with hue on the 0..179 scale and 8-bit saturation/value."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint8))
-        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
-            raise ValueError("HsvImage expects pixels shaped (height, width, 3)")
-        if self.pixels.shape[0] < 1 or self.pixels.shape[1] < 1:
-            raise ValueError("image must be at least 1x1")
-        if int(self.pixels[..., 0].max()) >= HUE_BINS:
-            raise ValueError("hue values must be < 180")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class DepthImage:
     """16-bit raw depth raster; 0 means no return (IR shadow)."""
 
@@ -139,8 +115,9 @@ class AffineTransform:
         return AffineTransform(_IDENTITY.copy())
 
 
-def rgb_to_hsv(img: RgbImage) -> HsvImage:
-    """Hexcone RGB to HSV with hue reported on the 0..179 integer scale.
+def rgb_to_hsv(img: RgbImage) -> np.ndarray:
+    """Hexcone RGB to HSV: a uint8 array shaped like ``img.pixels`` holding
+    hue on the 0..179 integer scale, 8-bit saturation and value.
 
     Gray pixels (r = g = b) get saturation 0 and hue 0 by convention.
     """
@@ -160,7 +137,7 @@ def rgb_to_hsv(img: RgbImage) -> HsvImage:
     hue = np.rint(base + 30.0 * numer / np.maximum(delta, 1))
     hue[delta == 0] = 0.0
     hue = np.mod(hue, HUE_BINS).astype(np.uint8)
-    return HsvImage(np.stack([hue, sat, v.astype(np.uint8)], axis=2))
+    return np.stack([hue, sat, v.astype(np.uint8)], axis=2)
 
 
 def abs_diff(a: RgbImage, b: RgbImage) -> np.ndarray:
@@ -362,12 +339,3 @@ def warp_affine(img: DepthImage, t: AffineTransform,
     out[ok] = img.pixels[sy[ok], sx[ok]]
     return DepthImage(out, img.raw_to_mm)
 
-
-def hue_histogram(img: HsvImage, mask: BinaryMask) -> np.ndarray:
-    """180-bin histogram of the hue values of masked-in pixels."""
-    if img.pixels.shape[:2] != mask.bits.shape:
-        raise ValueError("image and mask dimensions must match")
-    hues = img.pixels[..., 0][mask.bits]
-    if hues.size == 0:
-        raise EmptyMaskError("mask has no set pixels")
-    return np.bincount(hues, minlength=HUE_BINS).astype(np.int64)

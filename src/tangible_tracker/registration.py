@@ -329,11 +329,34 @@ PROFILE_FIELDS = {
 _KIND_TYPES = {"number": (int, float), "integer": (int,), "boolean": (bool,)}
 
 
-def _checked(data, table: dict, prefix: str = "") -> dict:
-    """``data`` matched against ``table``, its numbers converted to float.
+def checked_value(name: str, value, kind: str, length):
+    """``value`` if it is a JSON ``kind``, or a JSON list of ``length`` of
+    them unless ``length`` is "scalar"; numbers come back as floats and a
+    list as a tuple.
 
-    Raises ValueError for a missing or unknown key, a value of another
-    kind or length, and an integer too large for a float.
+    Raises ValueError, naming ``name``, for a value of another kind or
+    length and for an integer too large for a float.
+    """
+    scalar = length == "scalar"
+    items = [value] if scalar else value
+    if not ((scalar or (type(value) is list and len(value) == length))
+            and all(type(v) in _KIND_TYPES[kind] for v in items)):
+        shape = f"JSON {kind}" if scalar else f"JSON list of {length} {kind}s"
+        raise ValueError(f"{name} must be a {shape}, got {reprlib.repr(value)}")
+    if kind == "number":
+        try:
+            items = [float(v) for v in items]
+        except OverflowError:
+            raise ValueError(f"{name} holds an integer too large "
+                             "for a float") from None
+    return items[0] if scalar else tuple(items)
+
+
+def _checked(data, table: dict, prefix: str = "") -> dict:
+    """``data`` matched against ``table`` by ``checked_value``.
+
+    Raises ValueError for a missing or unknown key and for a value that
+    ``checked_value`` rejects.
     """
     where = prefix.rstrip(".") or "profile"
     if type(data) is not dict:
@@ -343,24 +366,10 @@ def _checked(data, table: dict, prefix: str = "") -> dict:
                          f"and unknown keys {sorted(data.keys() - table.keys())}")
     out = {}
     for key, spec in table.items():
-        name, value = prefix + key, data[key]
         if isinstance(spec, dict):
-            out[key] = _checked(value, spec, name + ".")
-            continue
-        kind, length = spec
-        scalar = length == "scalar"
-        items = [value] if scalar else value
-        if not ((scalar or (type(value) is list and len(value) == length))
-                and all(type(v) in _KIND_TYPES[kind] for v in items)):
-            shape = f"JSON {kind}" if scalar else f"JSON list of {length} {kind}s"
-            raise ValueError(f"{name} must be a {shape}, got {reprlib.repr(value)}")
-        if kind == "number":
-            try:
-                items = [float(v) for v in items]
-            except OverflowError:
-                raise ValueError(f"{name} holds an integer too large "
-                                 "for a float") from None
-        out[key] = items[0] if scalar else items
+            out[key] = _checked(data[key], spec, prefix + key + ".")
+        else:
+            out[key] = checked_value(prefix + key, data[key], *spec)
     return out
 
 
@@ -371,7 +380,7 @@ def profile_from_dict(data: dict) -> CalibrationProfile:
         hue_bounds=HueBounds(**fields["hue_bounds"]),
         t_rv=Homography(np.reshape(fields["t_rv"], (3, 3)), fields["rho_z"]),
         camera_height_mm=fields["camera_height_mm"],
-        principal_point=tuple(fields["principal_point"]),
+        principal_point=fields["principal_point"],
         raw_to_mm=fields["raw_to_mm"],
     )
 

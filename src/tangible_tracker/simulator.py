@@ -20,6 +20,7 @@ import numpy as np
 
 from . import pnm
 from .imaging import AffineTransform, BinaryMask, DepthImage, Point2, Point3, RgbImage
+from .registration import checked_value
 
 RGB_NAME = "rgb_%04d.ppm"
 DEPTH_NAME = "depth_%04d.pgm"
@@ -68,10 +69,17 @@ class SceneSpec:
             raise ValueError("ball radius must be positive")
         if not (0 <= self.ball_hue < 180):
             raise ValueError("ball hue must be < 180")
+        for name in ("marker_color", "background_color", "ball_saturation", "ball_value"):
+            if not all(0 <= c <= 255 for c in np.ravel(getattr(self, name))):
+                raise ValueError(f"scene field {name} must lie in 0..255, "
+                                 f"got {getattr(self, name)!r}")
         if not self.rho_z > 0:
             raise ValueError("rho_z must be positive")
         if not self.raw_to_mm > 0:
             raise ValueError("raw_to_mm must be positive")
+        if not self.camera_height_mm / self.raw_to_mm < 65535.5:
+            raise ValueError("the plane's raw depth, camera_height_mm / raw_to_mm, "
+                             "must fit 16 bits")
         if self.hue_jitter < 0 or self.depth_jitter < 0:
             raise ValueError("jitter amplitudes must be non-negative")
         if self.principal_point is None:
@@ -336,15 +344,12 @@ def render_sequence(spec: SceneSpec, trajectory, out_dir) -> str:
             )
 
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(spec.seed)
-    pnm.write_ppm(os.path.join(out_dir, "background.ppm"),
-                  render_rgb(spec, rng, with_marker=False, with_ball=False))
-    pnm.write_ppm(os.path.join(out_dir, "with_marker.ppm"),
-                  render_rgb(spec, np.random.default_rng(spec.seed),
-                             with_marker=True, with_ball=False))
-    pnm.write_ppm(os.path.join(out_dir, "with_pointer.ppm"),
-                  render_rgb(spec, np.random.default_rng(spec.seed),
-                             with_marker=False, with_ball=True))
+    # background, marker only, pointer only
+    for name, marker, ball in zip(CALIBRATION_IMAGES, (False, True, False),
+                                  (False, False, True)):
+        pnm.write_ppm(os.path.join(out_dir, name),
+                      render_rgb(spec, np.random.default_rng(spec.seed),
+                                 with_marker=marker, with_ball=ball))
 
     frames = []
     for idx, (x, y, h) in enumerate(trajectory):
@@ -433,28 +438,32 @@ def _tuple_args(hint) -> tuple:
     return ()
 
 
-_HINTS = typing.get_type_hints(SceneSpec)
-_INT_FIELDS = frozenset(name for name, hint in _HINTS.items() if hint is int)
-_FLOAT_FIELDS = tuple(name for name, hint in _HINTS.items()
-                      if hint is float or float in _tuple_args(hint))
-_TUPLE_LENGTHS = {name: len(_tuple_args(hint)) for name, hint in _HINTS.items()
-                  if _tuple_args(hint)}
+_KINDS = {int: "integer", float: "number"}
+
+
+def _json_shape(hint) -> tuple:
+    """JSON kind and list length (or "scalar") of a scene field from its
+    annotation; the one array field, marker_to_image, is a row-major 3x3
+    matrix."""
+    if hint in _KINDS:
+        return _KINDS[hint], "scalar"
+    args = _tuple_args(hint)
+    return (_KINDS[args[0]], len(args)) if args else ("number", 9)
+
+
+_SHAPES = {name: _json_shape(hint)
+           for name, hint in typing.get_type_hints(SceneSpec).items()}
+_FLOAT_FIELDS = tuple(name for name, (kind, _) in _SHAPES.items() if kind == "number")
 
 
 def spec_from_dict(data: dict) -> SceneSpec:
-    kwargs = dict(data)
-    for key, length in _TUPLE_LENGTHS.items():
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-            if len(kwargs[key]) != length:
-                raise ValueError(f"scene field {key} must have {length} entries, "
-                                 f"got {len(kwargs[key])}")
-    unknown = kwargs.keys() - _HINTS.keys()
+    """The SceneSpec of a JSON object; a field left out takes its default.
+
+    Every value must have its field's JSON kind and length, as in the
+    calibration profile: ``null`` is not a value.
+    """
+    unknown = data.keys() - _SHAPES.keys()
     if unknown:
         raise ValueError(f"unknown scene fields: {sorted(unknown)}")
-    for key in sorted(_INT_FIELDS & kwargs.keys()):
-        # an exact type test, since isinstance(True, int) holds
-        if type(kwargs[key]) is not int:
-            raise ValueError(f"scene field {key} must be an integer, "
-                             f"got {kwargs[key]!r}")
-    return SceneSpec(**kwargs)
+    return SceneSpec(**{key: checked_value(f"scene field {key}", value, *_SHAPES[key])
+                        for key, value in data.items()})

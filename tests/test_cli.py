@@ -13,6 +13,7 @@ from tangible_tracker.cli import main
 from tangible_tracker.errors import PipelineError
 from tangible_tracker.imaging import AffineTransform
 from tangible_tracker.registration import apply_homography, load_profile
+from tangible_tracker.simulator import SceneSpec
 from tangible_tracker.tracking import (
     FramePair,
     detect_pointer_2d,
@@ -501,18 +502,77 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
 
 
 # float and boolean values of integer fields, documents that are not
-# objects, tuple fields of the wrong length and non-finite numbers
+# objects, tuple fields of the wrong length and non-finite numbers; values
+# of another JSON kind, null, 8-bit fields out of range, a plane depth
+# beyond 16 bits; a file that is not UTF-8 and one nested too deep for the
+# parser
 @pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
                                  {"ball_saturation": True}, [1], [["width", 64]], 7,
                                  {"principal_point": [1]}, {"marker_size_mm": [1]},
-                                 {"shadow_offset_px": [1]}, {"ball_plane_mm": [1e400, 0]}])
+                                 {"shadow_offset_px": [1]}, {"ball_plane_mm": [1e400, 0]},
+                                 {"ball_plane_mm": [True, False]},
+                                 {"marker_color": [1.5, 2, 3]},
+                                 {"depth_frame_offset": [1.5, 0]},
+                                 {"marker_to_image": [[2, 0, 320], [0, 2, 240], [0, 0, 1]]},
+                                 {"rho_z": "0.002"}, {"principal_point": None},
+                                 {"marker_color": [300, 0, 0]},
+                                 {"background_color": [-1, 0, 0]},
+                                 {"ball_saturation": 999}, {"ball_value": -5},
+                                 {"raw_to_mm": 0.001},
+                                 pytest.param(b"\xff\xfe{}", id="not-utf8"),
+                                 pytest.param(b"[" * 100_000, id="too-deep")])
 def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(doc))
+    spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     out = tmp_path / "seq"
     rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", str(spec)])
     assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("Validation:")
+    if isinstance(doc, dict):
+        assert all(key in err for key in doc), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [[["1", "2", "3"]], [[True, 0, 100]],
+                                    pytest.param(b"[" * 100_000, id="too-deep")])
+def test_simulate_malformed_trajectory_exits_5(tmp_path, capsys, points):
+    trajectory = tmp_path / "trajectory.json"
+    trajectory.write_bytes(points if isinstance(points, bytes)
+                           else json.dumps(points).encode())
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--trajectory", str(trajectory)])
+    assert rc == 5
     assert capsys.readouterr().err.startswith("Validation:")
+    assert not out.exists()
+
+
+def wrong_kinds(name):
+    """JSON values of another kind or length than scene field ``name``
+    takes, read off its default."""
+    default = np.ravel(getattr(SceneSpec(), name))
+    wrong = ["1", True, None, {}, [default.tolist()]]
+    if default.size == 1:
+        wrong.append(default.tolist())  # a list for a scalar
+    else:
+        wrong += [1, [1] * (default.size + 1), ["1"] * default.size,
+                  [True] * default.size]
+    if default.dtype.kind == "i":
+        wrong.append(1.5 if default.size == 1 else [1.5] * default.size)
+    return wrong
+
+
+# every wrong kind in every field, on a 32x32 scene: a kind let through
+# renders at most that frame
+@pytest.mark.parametrize("name, value", [
+    (f.name, value) for f in dataclasses.fields(SceneSpec) for value in wrong_kinds(f.name)])
+def test_simulate_rejects_every_wrong_kind(tmp_path, capsys, name, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 32, "height": 32, name: value}))
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", str(spec)])
+    err = capsys.readouterr().err
+    assert rc == 5 and err.startswith(f"Validation: scene field {name} "), err
     assert not out.exists()
 
 

@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from tangible_tracker import color_calibration
 from tangible_tracker.color_calibration import (
+    DEFAULT_MIN_SATURATION,
+    PEAK_MARGIN,
     HueBounds,
     _floor_thresholds,
     calibrate_hue_bounds,
@@ -18,9 +20,10 @@ from tangible_tracker.color_calibration import (
     hue_bounds_mask,
     hue_in_bounds,
 )
-from tangible_tracker.errors import LowSaturationError
-from tangible_tracker.imaging import HsvImage, RgbImage, rgb_to_hsv
-from tangible_tracker.simulator import SceneSpec, render_rgb
+from tangible_tracker.errors import LowSaturationError, PipelineError
+from tangible_tracker.imaging import HUE_BINS, RgbImage, rgb_to_hsv
+from tangible_tracker.mask_extraction import MaskRequest, extract_mask
+from tangible_tracker.simulator import SceneSpec, hsv_to_rgb_bins, render_rgb
 from tests.test_imaging import solid_rgb
 
 
@@ -53,7 +56,7 @@ def test_ball_hue_20_gives_bounds_5_35():
 
 def test_pure_yellow_ball():
     bg, wp = pointer_pair(ball_hue=30, sat=255, val=255)
-    assert rgb_to_hsv(wp).pixels[..., 1].max() == 255
+    assert rgb_to_hsv(wp)[..., 1].max() == 255
     bounds = calibrate_hue_bounds(bg, wp)
     assert (bounds.lo, bounds.hi) == (15, 45)
 
@@ -82,6 +85,69 @@ def test_peak_tie_breaks_to_smaller_bin():
     pixels[20:40, 30:40] = (255, 170, 0)  # hue 20
     bounds = calibrate_hue_bounds(bg, RgbImage(pixels))
     assert bounds.lo == (10 - 15) % 180 and bounds.hi == 25
+
+
+def test_calibrate_hue_bounds_noisy_ball_peak():
+    bg, wp = pointer_pair(ball_hue=20, seed=9, jitter=3)
+    bounds = calibrate_hue_bounds(bg, wp)
+    assert abs((bounds.lo + PEAK_MARGIN) % 180 - 20) <= 1
+
+
+def frozen_calibrate_hue_bounds(background, with_pointer, *, min_area):
+    """Calibration before it converted only the masked pixels: the whole
+    frame to HSV, then a 180-bin histogram of the saturated masked hues."""
+    mask = extract_mask(MaskRequest(background, with_pointer, min_area))
+    hsv = rgb_to_hsv(with_pointer)
+    saturated = mask.bits & (hsv[..., 1] >= DEFAULT_MIN_SATURATION)
+    if 2 * int(saturated.sum()) < mask.area:
+        raise LowSaturationError("too gray")
+    hist = np.bincount(hsv[..., 0][saturated], minlength=HUE_BINS).astype(np.int64)
+    peak = int(np.argmax(hist))
+    lo = (peak - PEAK_MARGIN) % HUE_BINS
+    hi = (peak + PEAK_MARGIN) % HUE_BINS
+    return HueBounds(lo, hi, wraps=lo > hi)
+
+
+@st.composite
+def pointer_patches(draw):
+    """(hue, saturation) planes of a rectangular pointer whose hues jitter
+    about a centre, wrapping through 0, and whose saturations straddle the
+    calibration floor."""
+    shape = draw(st.tuples(st.integers(5, 20), st.integers(5, 20)))
+    centre = draw(st.integers(0, 179))
+    jitter = draw(st.integers(0, 8))
+    offsets = draw(arrays(np.int64, shape, elements=st.integers(-jitter, jitter)))
+    saturations = draw(arrays(np.int64, shape, elements=st.sampled_from((20, 59, 60, 200))))
+    return (centre + offsets) % 180, saturations
+
+
+# a 20x10 pointer loses its four corners to the mask's smoothing
+TIE_HUES = np.repeat([[10] * 5 + [20] * 5], 20, axis=0)  # 98 pixels each
+HALF_SATURATED = np.repeat([[200], [20]] * 10, 10, axis=1)  # 98 of 196
+ONE_SHORT = HALF_SATURATED.copy()
+ONE_SHORT[2, 5] = 20  # 97 of 196
+
+
+@settings(max_examples=200, deadline=None)
+@given(patch=pointer_patches(), corner=st.tuples(st.integers(0, 12), st.integers(0, 12)))
+@example(patch=(TIE_HUES, np.full((20, 10), 200)), corner=(6, 6))
+@example(patch=(np.full((20, 10), 8), HALF_SATURATED), corner=(6, 6))
+@example(patch=(np.full((20, 10), 8), ONE_SHORT), corner=(6, 6))
+@example(patch=(np.tile([178, 179, 0, 1, 2], (10, 2)), np.full((10, 10), 200)),
+         corner=(0, 0))
+def test_calibrate_hue_bounds_matches_frozen_reference(patch, corner):
+    hues, saturations = patch
+    pixels = np.full((32, 32, 3), 50, dtype=np.uint8)
+    y, x = corner
+    pixels[y:y + hues.shape[0], x:x + hues.shape[1]] = hsv_to_rgb_bins(hues, saturations, 230)
+    background, with_pointer = RgbImage(np.full_like(pixels, 50)), RgbImage(pixels)
+    try:
+        expected = frozen_calibrate_hue_bounds(background, with_pointer, min_area=16)
+    except PipelineError as exc:
+        with pytest.raises(type(exc)):
+            calibrate_hue_bounds(background, with_pointer, min_area=16)
+        return
+    assert calibrate_hue_bounds(background, with_pointer, min_area=16) == expected
 
 
 def test_hue_in_bounds_trivials():
@@ -114,7 +180,7 @@ def test_mask_exhaustive_over_hues_and_floors():
                   for v in (bounds.min_value - 1, bounds.min_value)]
         hsv = np.array([[(h, s, v) for h in range(180)] for s, v in floors],
                        dtype=np.uint8)
-        mask = hue_bounds_mask(HsvImage(hsv), bounds).bits
+        mask = hue_bounds_mask(hsv, bounds).bits
         for row, (s, v) in enumerate(floors):
             expected = [h in inside and s >= bounds.min_saturation
                         and v >= bounds.min_value for h in range(180)]
@@ -278,8 +344,7 @@ def reference_floor_passes(min_saturation, min_value):
     v, delta = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
     low = np.clip(v - delta, 0, 255)
     hsv = rgb_to_hsv(RgbImage(np.stack([v, low, low], axis=2)))
-    passes = ((hsv.pixels[..., 1] >= min_saturation)
-              & (hsv.pixels[..., 2] >= min_value))
+    passes = (hsv[..., 1] >= min_saturation) & (hsv[..., 2] >= min_value)
     return passes & (delta <= v)
 
 

@@ -11,10 +11,8 @@ from tangible_tracker.imaging import (
     AffineTransform,
     BinaryMask,
     DepthImage,
-    HsvImage,
     RgbImage,
     abs_diff,
-    hue_histogram,
     largest_component,
     otsu_threshold,
     rgb_to_hsv,
@@ -39,14 +37,15 @@ def disc_bits(h, w, cx, cy, r):
 
 def test_rgb_to_hsv_primaries():
     img = RgbImage(np.array([[[255, 0, 0], [255, 255, 0], [128, 128, 128]]]))
-    hsv = rgb_to_hsv(img).pixels
+    hsv = rgb_to_hsv(img)
+    assert hsv.dtype == np.uint8 and hsv.shape == (1, 3, 3)
     assert tuple(hsv[0, 0]) == (0, 255, 255)
     assert tuple(hsv[0, 1]) == (30, 255, 255)
     assert tuple(hsv[0, 2]) == (0, 0, 128)
 
 
 def test_rgb_to_hsv_gray_convention():
-    hsv = rgb_to_hsv(solid_rgb(2, 2, (7, 7, 7))).pixels
+    hsv = rgb_to_hsv(solid_rgb(2, 2, (7, 7, 7)))
     assert (hsv[..., 0] == 0).all()
     assert (hsv[..., 1] == 0).all()
     assert (hsv[..., 2] == 7).all()
@@ -55,7 +54,7 @@ def test_rgb_to_hsv_gray_convention():
 def test_rgb_to_hsv_hue_below_180():
     rng = np.random.default_rng(0)
     img = RgbImage(rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8))
-    assert rgb_to_hsv(img).pixels[..., 0].max() < 180
+    assert rgb_to_hsv(img)[..., 0].max() < 180
 
 
 def _hue_circular_diff(a, b):
@@ -69,10 +68,10 @@ def test_hue_invariant_under_intensity_scaling():
     pixels = rng.integers(0, 256, size=(500, 3))
     pixels = pixels[pixels.max(axis=1) - pixels.min(axis=1) >= 128]
     img = RgbImage(pixels.reshape(1, -1, 3).astype(np.uint8))
-    base = rgb_to_hsv(img).pixels[0, :, 0]
+    base = rgb_to_hsv(img)[0, :, 0]
     for c in (0.5, 0.7, 0.9, 1.0):
         scaled = RgbImage(np.rint(pixels * c).reshape(1, -1, 3).astype(np.uint8))
-        hue = rgb_to_hsv(scaled).pixels[0, :, 0]
+        hue = rgb_to_hsv(scaled)[0, :, 0]
         assert max(_hue_circular_diff(a, b) for a, b in zip(base, hue)) <= 1
 
 
@@ -508,41 +507,3 @@ def test_warp_box_outside_the_frame_is_rejected(box):
         with pytest.raises(ValueError):
             warp_affine(img, transform, box)
 
-
-# ------------------------------------------------------------- hue_histogram
-
-def test_hue_histogram_single_hue_object():
-    hsv = np.zeros((10, 10, 3), dtype=np.uint8)
-    hsv[..., 0] = 20
-    hsv[..., 1] = 200
-    hsv[..., 2] = 200
-    mask = np.zeros((10, 10), dtype=bool)
-    mask[2:6, 3:8] = True
-    hist = hue_histogram(HsvImage(hsv), BinaryMask(mask))
-    assert hist[20] == mask.sum()
-    assert hist.sum() == mask.sum()
-
-
-def test_hue_histogram_empty_mask():
-    hsv = HsvImage(np.zeros((4, 4, 3), dtype=np.uint8))
-    with pytest.raises(EmptyMaskError):
-        hue_histogram(hsv, BinaryMask(np.zeros((4, 4), dtype=bool)))
-
-
-def test_hue_histogram_dimension_mismatch():
-    hsv = HsvImage(np.zeros((4, 4, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        hue_histogram(hsv, BinaryMask(np.zeros((4, 5), dtype=bool)))
-
-
-def test_hue_histogram_noisy_ball_peak(default_spec):
-    import dataclasses
-
-    from tangible_tracker.simulator import render_rgb
-    spec = dataclasses.replace(default_spec, hue_jitter=3, seed=9)
-    img = render_rgb(spec, np.random.default_rng(spec.seed),
-                     with_marker=False, with_ball=True)
-    hsv = rgb_to_hsv(img)
-    ball = hsv.pixels[..., 1] > 100  # only the ball is saturated
-    hist = hue_histogram(hsv, BinaryMask(ball))
-    assert abs(int(np.argmax(hist)) - spec.ball_hue) <= 1

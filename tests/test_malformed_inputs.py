@@ -3,6 +3,8 @@
 Profiles, netpbm headers and frame directories are mutated at random. Each
 ``track`` run must exit 0, 4 or 5 with its documented stderr prefix, print
 only strict JSON records with a documented status, and raise nothing.
+Scene specs of the right JSON kinds at any magnitude make ``simulate``
+exit 0 or 5, and raise nothing.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangible_tracker import errors
+from tangible_tracker import errors, simulator
 from tangible_tracker.cli import main
 
 STATUSES = {"ok", "IOError", "BadFrame"} | {
@@ -225,3 +227,34 @@ def test_frame_directories_map_to_statuses(sequence_dir, sequence_profile_path,
     else:
         assert rc == 0
         assert [r["status"] for r in records] == expected
+
+
+# ----------------------------------------------------------------- scene specs
+
+def kind_values(kind, length):
+    """JSON values of a scene field's kind and length, at any magnitude."""
+    numbers = st.integers(-2 ** 70, 2 ** 70)
+    if kind == "number":
+        numbers |= st.floats(allow_nan=False)
+    if length == "scalar":
+        return numbers
+    return st.lists(numbers, min_size=length, max_size=length)
+
+
+SCENE_VALUES = {name: kind_values(*shape) for name, shape in simulator._SHAPES.items()
+                if name not in ("width", "height")}
+
+
+# every spec is 32x32, so that a value let through renders at most that frame
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({}, optional=SCENE_VALUES))
+@example({"raw_to_mm": 1e-38})  # a plane depth beyond any integer numpy holds
+def test_well_kinded_specs_simulate_or_exit_5(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps({"width": 32, "height": 32, **doc}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--out", str(Path(tmp) / "seq"), "--frames", "1",
+                       "--spec", str(spec)])
+    assert rc == 0 or (rc == 5 and err.getvalue().startswith("Validation:")), err.getvalue()
