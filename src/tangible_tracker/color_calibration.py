@@ -80,9 +80,15 @@ def calibrate_hue_bounds(
 
 
 def hue_in_bounds(h: int, s: int, v: int, bounds: HueBounds) -> bool:
-    """Membership test for one HSV pixel: ``hue_bounds_mask`` of a 1x1 image."""
+    """Membership test for one HSV pixel: ``hue_bounds_mask`` of a 1x1 image.
+
+    Raises ValueError for a hue outside 0..179 or a saturation or value
+    outside 0..255.
+    """
     if not 0 <= h < HUE_BINS:
         raise ValueError("hue must be < 180")
+    if not (0 <= s <= 255 and 0 <= v <= 255):
+        raise ValueError("saturation and value must lie in 0..255")
     pixel = np.array([[[h, s, v]]], dtype=np.uint8)
     return bool(hue_bounds_mask(pixel, bounds).bits[0, 0])
 

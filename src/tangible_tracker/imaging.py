@@ -17,6 +17,7 @@ Point2 = tuple[float, float]
 Point3 = tuple[float, float, float]
 
 HUE_BINS = 180  # half-degree hue scale, 0..179
+DEPTH_SAMPLE = np.dtype(">u2")  # big-endian uint16, the P5 depth file's sample order
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)  # for scipy.ndimage callers, e.g. perfbench
 
@@ -45,13 +46,19 @@ class RgbImage:
 
 @dataclass(frozen=True, eq=False)
 class DepthImage:
-    """16-bit raw depth raster; 0 means no return (IR shadow)."""
+    """16-bit raw depth raster; 0 means no return (IR shadow).
+
+    ``pixels`` is always big-endian uint16 (``DEPTH_SAMPLE``), the sample
+    order of the P5 files depth is read from, so a raster read from a file
+    is a view of its bytes and is never converted as a whole. Integer
+    pixels of any other dtype are converted to it by value.
+    """
 
     pixels: np.ndarray
     raw_to_mm: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint16))
+        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=DEPTH_SAMPLE))
         if self.pixels.ndim != 2:
             raise ValueError("DepthImage expects pixels shaped (height, width)")
         if self.pixels.shape[0] < 1 or self.pixels.shape[1] < 1:
@@ -144,8 +151,10 @@ def abs_diff(a: RgbImage, b: RgbImage) -> np.ndarray:
     """Per-pixel channel-maximum absolute difference as one 8-bit plane."""
     if a.pixels.shape != b.pixels.shape:
         raise ValueError("images must have equal dimensions")
-    d = np.abs(a.pixels.astype(np.int16) - b.pixels.astype(np.int16))
-    return d.max(axis=2).astype(np.uint8)
+    # max - min is |a - b| without leaving uint8
+    d = np.maximum(a.pixels, b.pixels)
+    d -= np.minimum(a.pixels, b.pixels)
+    return np.maximum(np.maximum(d[..., 0], d[..., 1]), d[..., 2])
 
 
 def otsu_threshold(hist) -> int:
@@ -327,10 +336,9 @@ def warp_affine(img: DepthImage, t: AffineTransform,
     inv = np.linalg.inv(t.matrix[:, :2])
     offset = t.matrix[:, 2]
 
-    gx, gy = np.meshgrid(np.arange(x, x + bw, dtype=np.float64),
-                         np.arange(y, y + bh, dtype=np.float64))
-    dx = gx - offset[0]
-    dy = gy - offset[1]
+    # x offsets as a row and y offsets as a column broadcast to the box
+    dx = np.arange(x, x + bw, dtype=np.float64) - offset[0]
+    dy = (np.arange(y, y + bh, dtype=np.float64) - offset[1])[:, None]
     sx = np.rint(inv[0, 0] * dx + inv[0, 1] * dy).astype(np.int64)
     sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy).astype(np.int64)
     ok = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)

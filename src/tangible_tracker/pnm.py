@@ -3,6 +3,10 @@
 Color frames are P6 PPM with maxval 255. Depth frames are P5 PGM with
 maxval 65535 and big-endian samples. Any other magic or maxval, a
 malformed header or a short raster raises ValueError.
+
+Readers return read-only views of the bytes they read: no raster is
+copied or converted. Depth keeps the file's big-endian sample order, the
+one ``DepthImage.pixels`` always holds.
 """
 
 from __future__ import annotations
@@ -11,11 +15,11 @@ import math
 
 import numpy as np
 
-from .imaging import DepthImage, RgbImage
+from .imaging import DEPTH_SAMPLE, DepthImage, RgbImage
 
 # magic, maxval, sample type and per-pixel channel shape of each format
 _PPM = (b"P6", 255, np.dtype(np.uint8), (3,))
-_DEPTH = (b"P5", 65535, np.dtype(">u2"), ())
+_DEPTH = (b"P5", 65535, DEPTH_SAMPLE, ())
 
 
 def _parse_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
@@ -63,10 +67,12 @@ def _read_raster(path, fmt: tuple) -> np.ndarray:
 
 
 def _write_raster(path, fmt: tuple, pixels: np.ndarray) -> None:
-    magic, maxval, sample, _ = fmt
+    """Write pixels already in the format's sample type, as the image
+    types hold them."""
+    magic, maxval, _, _ = fmt
     with open(path, "wb") as f:
         f.write(b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], maxval))
-        f.write(pixels.astype(sample, copy=False).tobytes())
+        f.write(pixels.tobytes())
 
 
 def read_ppm(path) -> RgbImage:

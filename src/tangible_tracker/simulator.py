@@ -19,13 +19,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pnm
-from .imaging import AffineTransform, BinaryMask, DepthImage, Point2, Point3, RgbImage
+from .imaging import (
+    DEPTH_SAMPLE,
+    AffineTransform,
+    BinaryMask,
+    DepthImage,
+    Point2,
+    Point3,
+    RgbImage,
+)
 from .registration import checked_value
 
 RGB_NAME = "rgb_%04d.ppm"
 DEPTH_NAME = "depth_%04d.pgm"
 TRUTH_NAME = "truth.json"
 CALIBRATION_IMAGES = ("background.ppm", "with_marker.ppm", "with_pointer.ppm")
+
+# Largest scene rendered: 3840x2160 pixels, four times the 1920x1080 colour
+# stream of a commodity RGB-D camera. Rendering holds a few 8-byte planes of
+# this size, so a larger spec is refused before anything is allocated.
+MAX_SCENE_PIXELS = 3840 * 2160
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +74,9 @@ class SceneSpec:
                 raise ValueError(f"scene field {name} must be finite, got {value!r}")
         if self.width < 16 or self.height < 16:
             raise ValueError("scene must be at least 16x16")
+        if self.width * self.height > MAX_SCENE_PIXELS:
+            raise ValueError(f"scene of {self.width}x{self.height} pixels is above "
+                             f"the budget of {MAX_SCENE_PIXELS} pixels")
         if not self.camera_height_mm > 0:
             raise ValueError("camera_height_mm must be positive")
         if not 0 <= self.ball_height_mm < self.camera_height_mm:
@@ -248,7 +264,8 @@ def render_rgb(spec: SceneSpec, rng: np.random.Generator, *,
 
 
 def render_depth_rgb_frame(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
-    """Raw depth as seen from the RGB frame, before the depth-camera shift."""
+    """Raw depth as seen from the RGB frame, before the depth-camera shift,
+    in ``DepthImage``'s big-endian sample order."""
     plane_raw = int(round(spec.camera_height_mm / spec.raw_to_mm))
     canvas = np.full((spec.height, spec.width), plane_raw, dtype=np.int64)
     _, b, radius = ball_geometry(spec)
@@ -263,7 +280,7 @@ def render_depth_rgb_frame(spec: SceneSpec, rng: np.random.Generator) -> np.ndar
                               size=canvas.shape)
         lit = canvas > 0
         canvas[lit] = np.clip(canvas[lit] + jitter[lit], 1, 65535)
-    return np.clip(canvas, 0, 65535).astype(np.uint16)
+    return np.clip(canvas, 0, 65535).astype(DEPTH_SAMPLE)
 
 
 def _shift_to_depth_frame(plane: np.ndarray, offset: tuple[int, int]) -> np.ndarray:

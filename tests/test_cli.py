@@ -534,6 +534,20 @@ def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--spec", "--size"])
+def test_simulate_refuses_a_scene_above_the_pixel_budget(tmp_path, capsys, flag):
+    # 10^10 pixels: SceneSpec refuses it before any raster is allocated
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 100000, "height": 100000}))
+    value = str(spec) if flag == "--spec" else "100000x100000"
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "1", flag, value])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("Validation: scene of 100000x100000 pixels"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", [[["1", "2", "3"]], [[True, 0, 100]],
                                     pytest.param(b"[" * 100_000, id="too-deep")])
 def test_simulate_malformed_trajectory_exits_5(tmp_path, capsys, points):

@@ -160,6 +160,12 @@ def test_hue_in_bounds_trivials():
         hue_in_bounds(180, 255, 255, bounds)
 
 
+@pytest.mark.parametrize("s, v", [(300, 255), (-1, 255), (255, 256), (255, -1)])
+def test_hue_in_bounds_rejects_saturation_or_value_outside_a_byte(s, v):
+    with pytest.raises(ValueError, match="0..255"):
+        hue_in_bounds(20, s, v, HueBounds(5, 35))
+
+
 @settings(max_examples=150, deadline=None)
 @given(peak=st.integers(min_value=0, max_value=179))
 def test_membership_matches_exhaustive_enumeration(peak):

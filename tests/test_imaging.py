@@ -8,6 +8,7 @@ from scipy import ndimage
 
 from tangible_tracker.errors import EmptyMaskError
 from tangible_tracker.imaging import (
+    DEPTH_SAMPLE,
     AffineTransform,
     BinaryMask,
     DepthImage,
@@ -108,6 +109,30 @@ def test_abs_diff_uses_channel_maximum():
     a = solid_rgb(1, 1, (10, 10, 10))
     b = solid_rgb(1, 1, (10, 90, 10))
     assert abs_diff(a, b)[0, 0] == 80
+
+
+def frozen_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The int16 body of abs_diff before it stayed in uint8, frozen."""
+    d = np.abs(a.astype(np.int16) - b.astype(np.int16))
+    return d.max(axis=2).astype(np.uint8)
+
+
+def test_abs_diff_matches_the_int16_body_on_every_byte_pair():
+    first, second = np.meshgrid(np.arange(256, dtype=np.uint8),
+                                np.arange(256, dtype=np.uint8), indexing="ij")
+    zero = np.zeros_like(first)
+    for c in range(3):
+        # channel c alone carries all 65536 (a, b) byte pairs, then all
+        # three channels carry them, shifted so that each channel wins
+        alone_a, alone_b = [zero] * 3, [zero] * 3
+        alone_a[c], alone_b[c] = first, second
+        rolled_a = [np.roll(first, 85 * ((k - c) % 3), axis=0) for k in range(3)]
+        rolled_b = [np.roll(second, 37 * ((k - c) % 3), axis=1) for k in range(3)]
+        for a, b in ((alone_a, alone_b), (rolled_a, rolled_b)):
+            a, b = np.stack(a, axis=2), np.stack(b, axis=2)
+            got = abs_diff(RgbImage(a), RgbImage(b))
+            assert got.dtype == np.uint8 and got.shape == (256, 256)
+            assert (got == frozen_abs_diff(a, b)).all()
 
 
 # ------------------------------------------------------------ otsu_threshold
@@ -381,6 +406,19 @@ def test_largest_component_on_uniform_random_hd_mask():
 
 
 # --------------------------------------------------------------- warp_affine
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.int64, ">u2", "<u2"])
+def test_depth_image_keeps_the_values_of_any_integer_dtype(dtype):
+    values = np.array([[0, 1, 255], [256, 0x0102, 65535]])
+    img = DepthImage(values.astype(dtype))
+    assert img.pixels.dtype == DEPTH_SAMPLE
+    assert img.pixels.tolist() == values.tolist()
+
+
+def test_depth_image_takes_file_order_pixels_without_a_copy():
+    pixels = np.frombuffer(bytes(range(24)), dtype=DEPTH_SAMPLE).reshape(3, 4)
+    assert DepthImage(pixels).pixels is pixels
+
 
 def test_warp_identity_is_bit_identical():
     rng = np.random.default_rng(6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tangible_tracker import pnm
-from tangible_tracker.imaging import DepthImage, RgbImage
+from tangible_tracker.imaging import DEPTH_SAMPLE, DepthImage, RgbImage
 
 
 def test_ppm_round_trip(tmp_path):
@@ -55,3 +55,18 @@ def test_wrong_magic_rejected(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
     with pytest.raises(ValueError):
         pnm.read_ppm(path)
+
+
+def test_read_depth_views_the_bytes_it_read(tmp_path):
+    values = np.arange(12 * 7, dtype=np.uint16).reshape(7, 12) * 771
+    path = tmp_path / "depth.pgm"
+    pnm.write_depth(path, DepthImage(values))
+    pixels = pnm.read_depth(path).pixels
+    assert pixels.dtype == DEPTH_SAMPLE == np.dtype(">u2")
+    assert not pixels.flags.writeable
+    assert (pixels == values).all()
+    # the raster is a view of the file's bytes: no frame-sized copy was made
+    base = pixels
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, bytes) and base == path.read_bytes()

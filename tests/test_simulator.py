@@ -8,6 +8,7 @@ import pytest
 from tangible_tracker.imaging import warp_affine
 from tangible_tracker.simulator import (
     CALIBRATION_IMAGES,
+    MAX_SCENE_PIXELS,
     SceneSpec,
     apply_projective,
     ball_geometry,
@@ -150,6 +151,15 @@ def test_spec_validation():
         SceneSpec(ball_radius_mm=0.0)
     with pytest.raises(ValueError):
         SceneSpec(marker_to_image=np.zeros((3, 3)))
+
+
+def test_spec_pixel_budget():
+    # building a spec allocates no raster, so the budget's edge is cheap
+    assert SceneSpec(width=3840, height=2160).width == 3840
+    assert SceneSpec(width=MAX_SCENE_PIXELS // 16, height=16).height == 16
+    for width, height in ((3841, 2160), (3840, 2161), (MAX_SCENE_PIXELS // 16 + 1, 16)):
+        with pytest.raises(ValueError, match="budget"):
+            SceneSpec(width=width, height=height)
 
 
 def test_polygon_fill_is_boundary_inclusive():

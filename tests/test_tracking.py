@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from tangible_tracker.errors import (
+    AllFilteredError,
     DegenerateError,
     InvalidHeightError,
     NoDepthError,
@@ -15,10 +16,13 @@ from tangible_tracker.errors import (
 )
 from tangible_tracker.color_calibration import HueBounds, hue_bounds_mask
 from tangible_tracker.imaging import (
+    DEPTH_SAMPLE,
     EIGHT_CONNECTED,
+    AffineTransform,
     DepthImage,
     RgbImage,
     rgb_to_hsv,
+    warp_affine,
 )
 from tangible_tracker.registration import Homography, apply_homography
 from tangible_tracker.simulator import (
@@ -37,7 +41,7 @@ from tangible_tracker.tracking import (
     track_frame,
 )
 from tests.conftest import calibrate_spec
-from tests.test_imaging import disc_bits, largest_label_oracle, solid_rgb
+from tests.test_imaging import disc_bits, largest_label_oracle, solid_rgb, warp_cases
 
 BOUNDS = HueBounds(5, 35)
 
@@ -221,6 +225,61 @@ def test_depth_second_mean_never_exceeds_first():
         depth = DepthImage(crop, raw_to_mm=1.0)
         m2 = estimate_pointer_depth(depth, (0, 0, 7, 7))
         assert m2 <= crop[crop > 0].mean() + 1e-9
+
+
+def native_box_depth(pixels: np.ndarray, t: AffineTransform, box, raw_to_mm: float):
+    """The aligned box crop and its filtered depth (or the error class) as
+    warp_affine and estimate_pointer_depth computed them on native uint16
+    pixels, before depth kept the file's byte order; frozen."""
+    h, w = pixels.shape
+    x, y, bw, bh = box
+    if np.array_equal(t.matrix, AffineTransform.identity().matrix):
+        crop = pixels[y:y + bh, x:x + bw]
+    else:
+        inv = np.linalg.inv(t.matrix[:, :2])
+        offset = t.matrix[:, 2]
+        gx, gy = np.meshgrid(np.arange(x, x + bw, dtype=np.float64),
+                             np.arange(y, y + bh, dtype=np.float64))
+        dx = gx - offset[0]
+        dy = gy - offset[1]
+        sx = np.rint(inv[0, 0] * dx + inv[0, 1] * dy).astype(np.int64)
+        sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy).astype(np.int64)
+        ok = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
+        crop = np.zeros((bh, bw), dtype=np.uint16)
+        crop[ok] = pixels[sy[ok], sx[ok]]
+    nonzero = crop[crop > 0].astype(np.float64)
+    if nonzero.size == 0:
+        return crop, NoDepthError
+    first_mean = nonzero.mean()
+    kept = nonzero[nonzero <= 1.10 * first_mean]
+    if kept.size == 0:
+        return crop, AllFilteredError
+    return crop, float(kept.mean() * raw_to_mm)
+
+
+@given(warp_cases(), st.booleans(), st.floats(0.0, 1.0),
+       st.floats(0.01, 10.0), st.integers(1, 65535))
+@settings(max_examples=300, deadline=None)
+def test_box_depth_on_file_order_pixels_equals_the_native_path(
+        case, identity, shadow, raw_to_mm, top):
+    h, w, box, seed, t = case
+    if identity:
+        t = AffineTransform.identity()
+    rng = np.random.default_rng(seed)
+    native = rng.integers(0, top + 1, size=(h, w), dtype=np.uint16)
+    native[rng.random((h, w)) < shadow] = 0
+    # the samples as read_depth views them: big-endian bytes of a file
+    as_read = np.frombuffer(native.astype(">u2").tobytes(), dtype=">u2").reshape(h, w)
+    want_crop, want = native_box_depth(native, t, box, raw_to_mm)
+
+    crop = warp_affine(DepthImage(as_read, raw_to_mm), t, box)
+    assert crop.pixels.dtype == DEPTH_SAMPLE
+    assert (crop.pixels == want_crop).all()
+    try:
+        got = estimate_pointer_depth(crop, (0, 0, crop.width, crop.height))
+    except (NoDepthError, AllFilteredError) as exc:
+        got = type(exc)
+    assert got == want
 
 
 def test_depth_bbox_bounds_checked():
