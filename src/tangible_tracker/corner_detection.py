@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMaskError, EmptyMaskError
-from .imaging import BinaryMask, Point2
+from .imaging import BinaryMask, Point2, _components
 
 HARRIS_K = 0.04
 HARRIS_SIGMA = 1.0
@@ -62,32 +62,12 @@ def _clusters(candidates: np.ndarray, eps: float) -> list[tuple[np.ndarray, int]
     Returns (centroid, member_count) pairs ordered by first appearance in
     the candidate list, which keeps results stable across runs.
     """
-    m = len(candidates)
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     d2 = ((candidates[:, None, :] - candidates[None, :, :]) ** 2).sum(axis=2)
-    eps2 = eps * eps
-    for i in range(m):
-        for j in range(i + 1, m):
-            if d2[i, j] <= eps2:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        members = groups[root]
-        out.append((candidates[members].mean(axis=0), len(members)))
-    return out
+    root = _components(*np.nonzero(d2 <= eps * eps), len(candidates))
+    # a component's root is its first member, so ascending roots are in
+    # order of first appearance
+    roots, counts = np.unique(root, return_counts=True)
+    return [(candidates[root == r].mean(axis=0), int(c)) for r, c in zip(roots, counts)]
 
 
 def cminmax_corners(mask: BinaryMask, params: CMinMaxParams | None = None) -> CornerSet:

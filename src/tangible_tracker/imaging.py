@@ -22,14 +22,31 @@ DEPTH_SAMPLE = np.dtype(">u2")  # big-endian uint16, the P5 depth file's sample 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)  # for scipy.ndimage callers, e.g. perfbench
 
 
+def _samples(pixels, dtype: np.dtype) -> np.ndarray:
+    """pixels in the sample dtype, converted by value: an array of that
+    dtype is kept as it is, integer or bool values are converted when they
+    all fit it, and anything else raises ValueError."""
+    pixels = np.asarray(pixels)
+    if not np.can_cast(pixels.dtype, dtype):
+        info = np.iinfo(dtype)
+        if pixels.dtype.kind not in "iu" or pixels.size and not (
+                info.min <= pixels.min() and pixels.max() <= info.max):
+            raise ValueError(f"pixels must be integers in {info.min}..{info.max}")
+    return pixels.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class RgbImage:
-    """8-bit RGB raster, pixels shaped (height, width, 3)."""
+    """8-bit RGB raster, pixels shaped (height, width, 3).
+
+    Integer or boolean pixels of another dtype are converted by value when
+    every value lies in 0..255; other pixels raise ValueError.
+    """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint8))
+        object.__setattr__(self, "pixels", _samples(self.pixels, np.dtype(np.uint8)))
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
             raise ValueError("RgbImage expects pixels shaped (height, width, 3)")
         if self.pixels.shape[0] < 1 or self.pixels.shape[1] < 1:
@@ -50,15 +67,16 @@ class DepthImage:
 
     ``pixels`` is always big-endian uint16 (``DEPTH_SAMPLE``), the sample
     order of the P5 files depth is read from, so a raster read from a file
-    is a view of its bytes and is never converted as a whole. Integer
-    pixels of any other dtype are converted to it by value.
+    is a view of its bytes and is never converted as a whole. Integer or
+    boolean pixels of any other dtype are converted to it by value when
+    every value lies in 0..65535; other pixels raise ValueError.
     """
 
     pixels: np.ndarray
     raw_to_mm: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=DEPTH_SAMPLE))
+        object.__setattr__(self, "pixels", _samples(self.pixels, DEPTH_SAMPLE))
         if self.pixels.ndim != 2:
             raise ValueError("DepthImage expects pixels shaped (height, width)")
         if self.pixels.shape[0] < 1 or self.pixels.shape[1] < 1:
@@ -225,28 +243,17 @@ def _runs(flat: np.ndarray, width: int):
     return row, first - row * width, last - row * width
 
 
-def _run_roots(row, c0, c1, width: int, diagonal: bool) -> np.ndarray:
-    """Connected components of runs in row-major order: each run's root is
-    the index of the first run of its component.
+def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """Connected components of the graph on nodes 0 .. count - 1 with the
+    edges a[i] - b[i]: each node's root is the smallest node of its
+    component.
 
-    Runs in adjacent rows touch when their column ranges overlap, widened by
-    one column when ``diagonal`` (8-connectivity). Each round hooks every
-    root onto the smallest root it touches, then jumps pointers until every
-    run points at a root; a root only ever hooks onto a smaller index, so
-    the component's first run stays its root.
+    Each round hooks every root onto the smallest root it touches, then
+    jumps pointers until every node points at a root; a root only ever
+    hooks onto a smaller index, so the component's smallest node stays its
+    root.
     """
-    reach = int(diagonal)
-    stride = width + 2  # keys of one row never reach the next row's
-    base = row * stride + 1
-    first, last = base + c0, base + c1
-    # the runs b below run a with c0[b] <= c1[a] + reach and
-    # c1[b] >= c0[a] - reach are one contiguous index range [lo, hi)
-    lo = np.searchsorted(last, first + (stride - reach))
-    hi = np.searchsorted(first, last + (stride + reach), side="right")
-    count = np.maximum(hi - lo, 0)
-    a = np.repeat(np.arange(row.size), count)
-    b = _ranges(lo, count)
-    root = np.arange(row.size)
+    root = np.arange(count)
     while True:
         ra, rb = root[a], root[b]
         split = ra != rb
@@ -261,14 +268,36 @@ def _run_roots(row, c0, c1, width: int, diagonal: bool) -> np.ndarray:
             root = jumped
 
 
-def _largest_run_component(row, c0, c1, width: int):
-    """Runs of the largest 8-connected component, as a boolean selector
-    over the runs, and its area. Area ties go to the component whose first
-    pixel comes earliest in row-major order."""
+def _run_roots(row, c0, c1, width: int, diagonal: bool) -> np.ndarray:
+    """Connected components of runs in row-major order: each run's root is
+    the index of the first run of its component.
+
+    Runs in adjacent rows touch when their column ranges overlap, widened by
+    one column when ``diagonal`` (8-connectivity).
+    """
+    reach = int(diagonal)
+    stride = width + 2  # keys of one row never reach the next row's
+    base = row * stride + 1
+    first, last = base + c0, base + c1
+    # the runs b below run a with c0[b] <= c1[a] + reach and
+    # c1[b] >= c0[a] - reach are one contiguous index range [lo, hi)
+    lo = np.searchsorted(last, first + (stride - reach))
+    hi = np.searchsorted(first, last + (stride + reach), side="right")
+    count = np.maximum(hi - lo, 0)
+    return _components(np.repeat(np.arange(row.size), count), _ranges(lo, count), row.size)
+
+
+def _largest_run_component(flat: np.ndarray, width: int):
+    """Runs of the largest 8-connected component of the set pixels at
+    sorted row-major flat indices, in row-major order, and its area:
+    (row, first column, last column, area). Area ties go to the component
+    whose first pixel comes earliest in row-major order."""
+    row, c0, c1 = _runs(flat, width)
     root = _run_roots(row, c0, c1, width, diagonal=True)
     areas = np.bincount(root, weights=c1 - c0 + 1)
     winner = int(np.argmax(areas))  # the first maximum: the smallest root
-    return root == winner, int(areas[winner])
+    keep = root == winner
+    return row[keep], c0[keep], c1[keep], int(areas[winner])
 
 
 def _gap_runs(row, c0, c1, height: int, width: int):
@@ -296,9 +325,7 @@ def largest_component(mask: BinaryMask) -> BinaryMask:
     flat = np.flatnonzero(mask.bits)
     if flat.size == 0:
         raise EmptyMaskError("mask has no set pixels")
-    row, c0, c1 = _runs(flat, width)
-    winner, _ = _largest_run_component(row, c0, c1, width)
-    row, c0, c1 = row[winner], c0[winner], c1[winner]
+    row, c0, c1, _ = _largest_run_component(flat, width)
 
     g_row, g0, g1 = _gap_runs(row, c0, c1, height, width)
     g_root = _run_roots(g_row, g0, g1, width, diagonal=False)

@@ -12,6 +12,7 @@ one ``DepthImage.pixels`` always holds.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -21,34 +22,20 @@ from .imaging import DEPTH_SAMPLE, DepthImage, RgbImage
 _PPM = (b"P6", 255, np.dtype(np.uint8), (3,))
 _DEPTH = (b"P5", 65535, DEPTH_SAMPLE, ())
 
+# three decimal fields, each after any whitespace and '#' comment lines,
+# then exactly one whitespace byte before the raster; (?!\d) stops the
+# backtracking that would split one number into several fields
+_HEADER = re.compile(rb"(?:\s|#[^\n]*\n)*(\d+)(?!\d)" * 3 + rb"\s")
+
 
 def _parse_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
     if not data.startswith(magic):
         raise ValueError(f"{path}: expected {magic.decode()} netpbm data")
-    pos = len(magic)
-    fields: list[int] = []
-    while len(fields) < 3:
-        if pos >= len(data):
-            raise ValueError(f"{path}: truncated netpbm header")
-        c = data[pos:pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        elif c.isdigit():
-            end = pos
-            while end < len(data) and data[end:end + 1].isdigit():
-                end += 1
-            fields.append(int(data[pos:end]))
-            pos = end
-        else:
-            raise ValueError(f"{path}: malformed netpbm header")
-    # exactly one whitespace byte separates the header from the raster
-    if pos >= len(data) or not data[pos:pos + 1].isspace():
-        raise ValueError(f"{path}: malformed netpbm header")
-    width, height, maxval = fields
-    return width, height, maxval, pos + 1
+    m = _HEADER.match(data, len(magic))
+    if m is None:
+        raise ValueError(f"{path}: malformed or truncated netpbm header")
+    width, height, maxval = map(int, m.groups())
+    return width, height, maxval, m.end()
 
 
 def _read_raster(path, fmt: tuple) -> np.ndarray:

@@ -37,7 +37,7 @@ CALIBRATION_IMAGES = ("background.ppm", "with_marker.ppm", "with_pointer.ppm")
 
 # Largest scene rendered: 3840x2160 pixels, four times the 1920x1080 colour
 # stream of a commodity RGB-D camera. Rendering holds a few 8-byte planes of
-# this size, so a larger spec is refused before anything is allocated.
+# this size, so a larger scene is refused before anything is allocated.
 MAX_SCENE_PIXELS = 3840 * 2160
 
 
@@ -335,6 +335,8 @@ def circular_trajectory(frames: int, radius_mm: float = 60.0,
                         height_mm: float = 120.0,
                         height_amp_mm: float = 40.0) -> list[Point3]:
     """Ball path on a plane circle with a gently varying height."""
+    if frames < 0:
+        raise ValueError(f"frame count must be non-negative, got {frames}")
     out = []
     for i in range(frames):
         phase = 2.0 * math.pi * i / max(frames, 1)
@@ -410,6 +412,9 @@ def random_quadrangle_scene(width: int, height: int,
     """
     if width < 1 or height < 1:
         raise ValueError(f"quadrangle scene size {width}x{height} has a zero side")
+    if width * height > MAX_SCENE_PIXELS:
+        raise ValueError(f"quadrangle scene of {width}x{height} pixels is above "
+                         f"the budget of {MAX_SCENE_PIXELS} pixels")
     for _ in range(500):
         rw = width * rng.uniform(0.18, 0.30)
         rh = height * rng.uniform(0.18, 0.30)

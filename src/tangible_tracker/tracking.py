@@ -28,7 +28,6 @@ from .imaging import (
     Point3,
     RgbImage,
     _largest_run_component,
-    _runs,
     warp_affine,
 )
 from .registration import CalibrationProfile, apply_homography
@@ -77,13 +76,11 @@ def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
     keyed = _keyed_indices(rgb, bounds)
     if keyed.size == 0:
         raise NoPointerError("no pixels inside the color bounds")
-    row, c0, c1 = _runs(keyed, rgb.width)
-    winner, area = _largest_run_component(row, c0, c1, rgb.width)
+    row, c0, c1, area = _largest_run_component(keyed, rgb.width)
     if area < MIN_POINTER_PIXELS:
         raise NoPointerError(
             f"largest in-bounds blob is {area} px, need >= {MIN_POINTER_PIXELS}"
         )
-    row, c0, c1 = row[winner], c0[winner], c1[winner]
     x0, y0 = int(c0.min()), int(row[0])  # the runs are in row-major order
     w = int(c1.max()) - x0 + 1
     h = int(row[-1]) - y0 + 1

@@ -548,6 +548,18 @@ def test_simulate_refuses_a_scene_above_the_pixel_budget(tmp_path, capsys, flag)
     assert not out.exists()
 
 
+def test_simulate_negative_frame_count_exits_5(tmp_path, capsys):
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "-3"])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("Validation: frame count")
+    assert not out.exists()
+    # no frames is a count: only the calibration captures and the truth
+    assert main(["simulate", "--out", str(out), "--frames", "0"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "background.ppm", "truth.json", "with_marker.ppm", "with_pointer.ppm"]
+
+
 @pytest.mark.parametrize("points", [[["1", "2", "3"]], [[True, 0, 100]],
                                     pytest.param(b"[" * 100_000, id="too-deep")])
 def test_simulate_malformed_trajectory_exits_5(tmp_path, capsys, points):
@@ -628,8 +640,10 @@ def test_bench_table_format(capsys):
     assert "160x120" in out
 
 
+# 3841x2160 is one column above the simulator's pixel budget: refused
+# before its mask is allocated
 @pytest.mark.parametrize("argv", [["--sizes", "20x20"], ["--sizes", "0x0"],
-                                  ["--iterations", "0"]])
+                                  ["--iterations", "0"], ["--sizes", "3841x2160"]])
 def test_bench_unusable_input_exits_5(capsys, argv):
     rc = main(["bench", "--iterations", "2", *argv])
     captured = capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tangible_tracker.corner_detection import (
     CMinMaxParams,
     CornerSet,
+    _clusters,
     _extreme_indices,
     cminmax_corners,
     harris_corners,
@@ -208,6 +209,31 @@ def oracle_clusters(candidates, eps):
         groups.setdefault(find(i), []).append(i)
     return [(candidates[groups[r]].mean(axis=0), len(groups[r]))
             for r in sorted(groups, key=lambda r: min(groups[r]))]
+
+
+@st.composite
+def candidate_sets(draw):
+    """Up to 16 candidates, with pair distances at, just inside and just
+    outside eps as well as clearly apart."""
+    eps = draw(st.sampled_from([3.0, 3.7, 5.25]))
+    steps = st.sampled_from([0.0, eps, eps * (1 - 1e-9), eps * (1 + 1e-9),
+                             eps / 2, 2 * eps, 10 * eps])
+    points = [draw(st.tuples(st.floats(0, 300), st.floats(0, 300)))]
+    for _ in range(draw(st.integers(0, 15))):
+        x, y = points[draw(st.integers(0, len(points) - 1))]
+        angle = draw(st.sampled_from([0.0, 0.5 * math.pi, 0.3, 2.1]))
+        step = draw(steps)
+        points.append((x + step * math.cos(angle), y + step * math.sin(angle)))
+    return np.array(points), eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets())
+def test_clusters_match_the_frozen_union_find(case):
+    candidates, eps = case
+    got = _clusters(candidates, eps)
+    want = oracle_clusters(candidates, eps)
+    assert [(c.tolist(), n) for c, n in got] == [(c.tolist(), n) for c, n in want]
 
 
 def cminmax_oracle(mask, n):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from tangible_tracker.errors import EmptyMaskError
 from tangible_tracker.imaging import (
@@ -13,6 +15,7 @@ from tangible_tracker.imaging import (
     BinaryMask,
     DepthImage,
     RgbImage,
+    _components,
     abs_diff,
     largest_component,
     otsu_threshold,
@@ -342,6 +345,40 @@ def frozen_largest_component(bits):
     return comp | holes
 
 
+def components_oracle(a, b, count):
+    """Each node's smallest fellow member, from scipy's component labels."""
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(count, count))
+    _, labels = connected_components(graph, directed=False)
+    smallest = np.full(labels.max() + 1 if count else 0, count)
+    np.minimum.at(smallest, labels, np.arange(count))
+    return smallest[labels]
+
+
+@st.composite
+def graphs(draw):
+    """A node count and edges between those nodes; self-loops, duplicate
+    and reversed edges, and nodes on no edge at all all occur."""
+    count = draw(st.integers(0, 40))
+    node = st.integers(0, max(count - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=60 if count else 0))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    edges += [(b, a) for a, b in edges[::3]]
+    a = np.array([a for a, _ in edges], dtype=np.int64)
+    b = np.array([b for _, b in edges], dtype=np.int64)
+    return a, b, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example((np.zeros(0, np.int64), np.zeros(0, np.int64), 0))
+@example((np.zeros(0, np.int64), np.zeros(0, np.int64), 5))
+@example((np.array([4, 3, 2, 1]), np.array([3, 2, 1, 0]), 5))  # a chain, hooked from the top
+def test_components_are_scipys_with_the_smallest_node_as_root(graph):
+    a, b, count = graph
+    root = _components(a, b, count)
+    assert root.tolist() == components_oracle(a, b, count).tolist()
+
+
 def spiral_bits(n):
     """A one-pixel-wide square spiral: one long chain of short runs."""
     bits = np.zeros((n, n), dtype=bool)
@@ -413,6 +450,21 @@ def test_depth_image_keeps_the_values_of_any_integer_dtype(dtype):
     img = DepthImage(values.astype(dtype))
     assert img.pixels.dtype == DEPTH_SAMPLE
     assert img.pixels.tolist() == values.tolist()
+    assert DepthImage(values.astype(dtype) > 255).pixels.tolist() == (values > 255).tolist()
+    # values that do not fit 16 bits, and floats, are refused, not wrapped
+    # or truncated
+    for bad in ([[70000, 0]], [[-1, 0]], [[1.0, 2.0]], [[1.5, 2.0]]):
+        with pytest.raises(ValueError):
+            DepthImage(np.array(bad))
+
+
+def test_rgb_image_converts_by_value_or_refuses():
+    values = np.array([[[0, 128, 255]]])
+    assert RgbImage(values).pixels.tolist() == values.tolist()
+    assert RgbImage(values.astype(np.uint16)).pixels.dtype == np.uint8
+    for bad in ([[[300, 0, 0]]], [[[-1, 0, 0]]], [[[1.0, 2.0, 3.0]]]):
+        with pytest.raises(ValueError):
+            RgbImage(np.array(bad))
 
 
 def test_depth_image_takes_file_order_pixels_without_a_copy():

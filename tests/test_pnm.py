@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tangible_tracker import pnm
 from tangible_tracker.imaging import DEPTH_SAMPLE, DepthImage, RgbImage
@@ -70,3 +72,59 @@ def test_read_depth_views_the_bytes_it_read(tmp_path):
     while isinstance(base, np.ndarray):
         base = base.base
     assert isinstance(base, bytes) and base == path.read_bytes()
+
+
+def loop_parse_header(data, magic):
+    """``pnm._parse_header`` as it stood before its one regex: the byte
+    loop, frozen as the reference. Returns (width, height, maxval, raster
+    offset) or raises ValueError."""
+    if not data.startswith(magic):
+        raise ValueError("magic")
+    pos = len(magic)
+    fields = []
+    while len(fields) < 3:
+        if pos >= len(data):
+            raise ValueError("truncated")
+        c = data[pos:pos + 1]
+        if c.isspace():
+            pos += 1
+        elif c == b"#":
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1
+        elif c.isdigit():
+            end = pos
+            while end < len(data) and data[end:end + 1].isdigit():
+                end += 1
+            fields.append(int(data[pos:end]))
+            pos = end
+        else:
+            raise ValueError("malformed")
+    if pos >= len(data) or not data[pos:pos + 1].isspace():
+        raise ValueError("malformed")
+    return (*fields, pos + 1)
+
+
+# pieces of headers: every whitespace byte, comments with and without their
+# newline, numbers of any length, stray bytes
+HEADER_PIECES = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"# c\n",
+                     b"#\n", b"x", b"-", b"+", b"\x00", b"\xff", b"\x85", b"\xa0"]),
+    st.integers(0, 99999).map(lambda v: b"%d" % v),
+    st.binary(max_size=3))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from([b"P6", b"P5"]), st.lists(HEADER_PIECES, max_size=12))
+@example(b"P6", [b" 640\n"])  # one number is never split into three fields
+@example(b"P6", [b"640 480 255\n"])  # no whitespace after the magic
+@example(b"P5", [b"\n2#c\n1\n65535\n\x00"])
+@example(b"P6", [b" 2 1 255#c\n"])  # a comment cannot end the header
+def test_header_pattern_parses_as_the_byte_loop(magic, pieces):
+    data = magic + b"".join(pieces)
+    try:
+        want = loop_parse_header(data, magic)
+    except ValueError:
+        with pytest.raises(ValueError):
+            pnm._parse_header(data, magic, "f")
+    else:
+        assert pnm._parse_header(data, magic, "f") == want
