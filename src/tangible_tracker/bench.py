@@ -21,6 +21,8 @@ def run_benchmark(sizes, iterations: int, seed: int) -> list[dict]:
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     # harris_corners imports scipy on its first call; do that before timing
     import scipy.ndimage  # noqa: F401
     rows = []

@@ -23,6 +23,7 @@ from . import pnm
 from .bench import format_table, run_benchmark
 from .errors import PipelineError
 from .imaging import AffineTransform
+from .mask_extraction import DEFAULT_MIN_AREA
 from .registration import (
     calibrate_scene,
     check_principal_point,
@@ -52,12 +53,6 @@ _LOG_LEVELS = {
 _FRAME_RE = re.compile(r"^rgb_(\d+)\.ppm$")
 
 
-def _configure_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("TT_LOG", "warn"), logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
@@ -85,8 +80,6 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
         if not m:
             raise ValueError(f"bad size {token!r}, expected WIDTHxHEIGHT")
         sizes.append((int(m.group(1)), int(m.group(2))))
-    if not sizes:
-        raise ValueError("at least one size is required")
     return sizes
 
 
@@ -95,37 +88,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         background = pnm.read_ppm(args.background)
         with_marker = pnm.read_ppm(args.with_marker)
         with_pointer = pnm.read_ppm(args.with_pointer)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"IOError: {exc}")
     except ValueError as exc:
         return _fail(EXIT_IO, f"BadImage: {exc}")
 
-    try:
-        depth_to_rgb = AffineTransform(
-            _parse_floats(args.depth_to_rgb, 6, "--depth-to-rgb").reshape(2, 3))
-        principal = tuple(_parse_floats(args.principal_point, 2, "--principal-point"))
-    except ValueError as exc:
-        return _fail(EXIT_VALIDATION, f"Validation: {exc}")
-
-    try:
-        summary = calibrate_scene(
-            background, with_marker, with_pointer,
-            depth_to_rgb=depth_to_rgb,
-            camera_height_mm=args.camera_height,
-            principal_point=principal,
-            rho_z=args.rho_z,
-            raw_to_mm=args.raw_to_mm,
-            min_area=args.min_area,
-        )
-    except PipelineError as exc:
-        return _fail(EXIT_CALIBRATION, f"{exc.name}: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_VALIDATION, f"Validation: {exc}")
-
-    try:
-        save_profile(summary.profile, args.out)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"IOError: {exc}")
+    summary = calibrate_scene(
+        background, with_marker, with_pointer,
+        depth_to_rgb=AffineTransform(
+            _parse_floats(args.depth_to_rgb, 6, "--depth-to-rgb").reshape(2, 3)),
+        camera_height_mm=args.camera_height,
+        principal_point=tuple(_parse_floats(args.principal_point, 2, "--principal-point")),
+        rho_z=args.rho_z,
+        raw_to_mm=args.raw_to_mm,
+        min_area=args.min_area,
+    )
+    save_profile(summary.profile, args.out)
 
     for i, (cx, cy) in enumerate(summary.ordered_corners):
         print(f"corner[{i}] = ({cx:.3f}, {cy:.3f})")
@@ -143,9 +119,8 @@ def _scan_frames(frames_dir: str) -> list[tuple[int, str, str]]:
     for name in os.listdir(frames_dir):
         m = _FRAME_RE.match(name)
         if m:
-            idx = int(m.group(1))
             entries.append((
-                idx,
+                int(m.group(1)),
                 os.path.join(frames_dir, name),
                 os.path.join(frames_dir, f"depth_{m.group(1)}.pgm"),
             ))
@@ -156,78 +131,59 @@ def _scan_frames(frames_dir: str) -> list[tuple[int, str, str]]:
 def cmd_track(args: argparse.Namespace) -> int:
     try:
         profile = load_profile(args.calib)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"IOError: {exc}")
     except (ValueError, RecursionError) as exc:
         return _fail(EXIT_VALIDATION, f"BadProfile: {exc}")
-
-    try:
-        frames = _scan_frames(args.frames)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"IOError: {exc}")
+    frames = _scan_frames(args.frames)
     if not frames:
-        return _fail(EXIT_VALIDATION, f"Validation: no rgb_*.ppm frames in {args.frames}")
+        raise ValueError(f"no rgb_*.ppm frames in {args.frames}")
 
     server = None
     if args.listen:
-        try:
-            host, port = _parse_hostport(args.listen)
-            server = StreamServer(host, port)
-        except ValueError as exc:
-            return _fail(EXIT_VALIDATION, f"Validation: {exc}")
-        except OSError as exc:
-            return _fail(EXIT_IO, f"IOError: {exc}")
+        server = StreamServer(*_parse_hostport(args.listen))
         log.info("streaming on %s:%d", *server.address)
 
     checked_principal = False
     status_counts: Counter[str] = Counter()
     kernel_seconds = 0.0
     wall_start = time.perf_counter()
-    seq = 0
     try:
-        for idx, rgb_path, depth_path in frames:
-            record = None
+        for seq, (idx, rgb_path, depth_path) in enumerate(frames):
             try:
                 rgb = pnm.read_ppm(rgb_path)
-                depth = pnm.read_depth(depth_path, profile.raw_to_mm)
-                frame = FramePair(rgb, depth)
+                frame = FramePair(rgb, pnm.read_depth(depth_path, profile.raw_to_mm))
             except OSError as exc:
                 log.warning("frame %d unreadable: %s", idx, exc)
                 record = error_record(idx, "IOError")
             except ValueError as exc:
                 log.warning("frame %d invalid: %s", idx, exc)
                 record = error_record(idx, "BadFrame")
-            if record is None and not checked_principal:
-                try:
-                    check_principal_point(profile.principal_point, rgb.width, rgb.height)
-                except ValueError as exc:
-                    return _fail(EXIT_VALIDATION, f"BadProfile: {exc}")
-                checked_principal = True
-            if record is None:
+            else:
+                if not checked_principal:
+                    try:
+                        check_principal_point(profile.principal_point, rgb.width, rgb.height)
+                    except ValueError as exc:
+                        return _fail(EXIT_VALIDATION, f"BadProfile: {exc}")
+                    checked_principal = True
                 t0 = time.perf_counter()
                 try:
-                    fix = track_frame(frame, profile)
+                    record = frame_record(idx, track_frame(frame, profile))
                 except PipelineError as exc:
                     record = error_record(idx, exc.name)
-                else:
-                    record = frame_record(idx, fix)
                 kernel_seconds += time.perf_counter() - t0
             status_counts[record["status"]] += 1
             line = json.dumps({"seq": seq, **record}, allow_nan=False)
             print(line, flush=True)
             if server is not None:
                 server.publish((line + "\n").encode("utf-8"))
-            seq += 1
     finally:
         if server is not None:
             server.close()
 
     if args.fps_report:
         wall = time.perf_counter() - wall_start
-        fps = seq / kernel_seconds if kernel_seconds > 0 else 0.0
         print(json.dumps({
-            "fps": fps,
-            "frames": seq,
+            "fps": len(frames) / kernel_seconds if kernel_seconds > 0 else 0.0,
+            "frames": len(frames),
             "kernel_seconds": kernel_seconds,
             "wall_seconds": wall,
             "status_counts": status_counts,
@@ -241,43 +197,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         try:
             with open(args.spec, "r", encoding="utf-8") as f:
                 overrides = json.load(f)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"IOError: {exc}")
         except (ValueError, RecursionError) as exc:
             return _fail(EXIT_VALIDATION, f"Validation: bad scene json: {exc}")
         if not isinstance(overrides, dict):
-            return _fail(EXIT_VALIDATION, "Validation: scene json must be an object")
+            raise ValueError("scene json must be an object")
     if args.size:
-        try:
-            (w, h), = _parse_sizes(args.size)
-        except ValueError as exc:
-            return _fail(EXIT_VALIDATION, f"Validation: {exc}")
-        overrides["width"], overrides["height"] = w, h
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.hue_jitter is not None:
-        overrides["hue_jitter"] = args.hue_jitter
-    if args.depth_jitter is not None:
-        overrides["depth_jitter"] = args.depth_jitter
-    if args.ball_hue is not None:
-        overrides["ball_hue"] = args.ball_hue
+        sizes = _parse_sizes(args.size)
+        if len(sizes) != 1:
+            raise ValueError(f"--size takes one WIDTHxHEIGHT, got {args.size!r}")
+        (overrides["width"], overrides["height"]), = sizes
+    for name in ("seed", "hue_jitter", "depth_jitter", "ball_hue"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
 
-    try:
-        spec = spec_from_dict(overrides)
-        if args.trajectory:
-            with open(args.trajectory, "r", encoding="utf-8") as f:
-                points = json.load(f)
-            if type(points) is not list:
-                raise ValueError("trajectory must be a JSON list of points")
-            trajectory = [checked_value(f"trajectory point {i}", p, "number", 3)
-                          for i, p in enumerate(points)]
-        else:
-            trajectory = circular_trajectory(args.frames)
-        truth_path = render_sequence(spec, trajectory, args.out)
-    except (ValueError, RecursionError) as exc:
-        return _fail(EXIT_VALIDATION, f"Validation: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"IOError: {exc}")
+    spec = spec_from_dict(overrides)
+    if args.trajectory:
+        with open(args.trajectory, "r", encoding="utf-8") as f:
+            points = json.load(f)
+        if type(points) is not list:
+            raise ValueError("trajectory must be a JSON list of points")
+        trajectory = [checked_value(f"trajectory point {i}", p, "number", 3)
+                      for i, p in enumerate(points)]
+    else:
+        trajectory = circular_trajectory(args.frames)
+    truth_path = render_sequence(spec, trajectory, args.out)
 
     print(f"wrote {len(trajectory)} frame pair(s), calibration images, "
           f"and {os.path.basename(truth_path)} to {args.out}")
@@ -285,10 +228,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        rows = run_benchmark(_parse_sizes(args.sizes), args.iterations, args.seed)
-    except ValueError as exc:
-        return _fail(EXIT_VALIDATION, f"Validation: {exc}")
+    rows = run_benchmark(_parse_sizes(args.sizes), args.iterations, args.seed)
     if args.json:
         print(json.dumps(rows, indent=2))
     else:
@@ -318,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="virtual units per millimeter of pointer height")
     cal.add_argument("--raw-to-mm", type=float, default=1.0,
                      help="depth raw unit size in millimeters")
-    cal.add_argument("--min-area", type=int, default=200,
+    cal.add_argument("--min-area", type=int, default=DEFAULT_MIN_AREA,
                      help="minimum believable object mask area, px")
     cal.add_argument("--out", required=True, help="profile JSON output path")
     cal.set_defaults(func=cmd_calibrate)
@@ -355,10 +295,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
+    """Run one command and map its failures to exits 3, 4 and 5."""
+    level = _LOG_LEVELS.get(os.environ.get("TT_LOG", "warn"), logging.WARNING)
+    logging.basicConfig(stream=sys.stderr, level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout fails here, not at exit
+        return code
+    except PipelineError as exc:
+        return _fail(EXIT_CALIBRATION, f"{exc.name}: {exc}")
+    except OSError as exc:
+        return _fail(EXIT_IO, f"IOError: {exc}")
+    except (ValueError, RecursionError) as exc:
+        return _fail(EXIT_VALIDATION, f"Validation: {exc}")
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main reported the closed stdout; Python's own flush at exit would
+        # report it again and exit 120 (see SIGPIPE in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

@@ -98,6 +98,8 @@ class SceneSpec:
                              "must fit 16 bits")
         if self.hue_jitter < 0 or self.depth_jitter < 0:
             raise ValueError("jitter amplitudes must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"scene field seed must be non-negative, got {self.seed}")
         if self.principal_point is None:
             object.__setattr__(
                 self, "principal_point",

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .color_calibration import HueBounds, _keyed_indices
-from .errors import (
-    AllFilteredError,
-    InvalidHeightError,
-    NoDepthError,
-    NonFiniteError,
-    NoPointerError,
-)
+from .errors import InvalidHeightError, NoDepthError, NonFiniteError, NoPointerError
 from .imaging import (
     DepthImage,
     Point2,
@@ -103,9 +97,8 @@ def estimate_pointer_depth(depth: DepthImage, bbox: BBox) -> float:
     if nonzero.size == 0:
         raise NoDepthError("pointer region is entirely in IR shadow")
     first_mean = nonzero.mean()
+    # the smallest sample is at most the mean, so kept is never empty
     kept = nonzero[nonzero <= BACKGROUND_FACTOR * first_mean]
-    if kept.size == 0:
-        raise AllFilteredError("background filter removed every depth sample")
     return float(kept.mean() * depth.raw_to_mm)
 
 

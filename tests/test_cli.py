@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import errno
+import io
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -10,7 +14,7 @@ import pytest
 
 from tangible_tracker import cli, imaging, pnm, tracking
 from tangible_tracker.cli import main
-from tangible_tracker.errors import PipelineError
+from tangible_tracker.errors import DegenerateError, PipelineError
 from tangible_tracker.imaging import AffineTransform
 from tangible_tracker.registration import apply_homography, load_profile
 from tangible_tracker.simulator import SceneSpec
@@ -518,7 +522,7 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
                                  {"marker_color": [300, 0, 0]},
                                  {"background_color": [-1, 0, 0]},
                                  {"ball_saturation": 999}, {"ball_value": -5},
-                                 {"raw_to_mm": 0.001},
+                                 {"raw_to_mm": 0.001}, {"seed": -1},
                                  pytest.param(b"\xff\xfe{}", id="not-utf8"),
                                  pytest.param(b"[" * 100_000, id="too-deep")])
 def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
@@ -558,6 +562,18 @@ def test_simulate_negative_frame_count_exits_5(tmp_path, capsys):
     assert main(["simulate", "--out", str(out), "--frames", "0"]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "background.ppm", "truth.json", "with_marker.ppm", "with_pointer.ppm"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "scene field seed must be non-negative, got -1"),
+    (["--size", "64x64,32x32"], "--size takes one WIDTHxHEIGHT, got '64x64,32x32'"),
+])
+def test_simulate_bad_flag_exits_5_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "1", *argv])
+    assert rc == 5
+    assert capsys.readouterr().err == f"Validation: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", [[["1", "2", "3"]], [[True, 0, 100]],
@@ -643,7 +659,8 @@ def test_bench_table_format(capsys):
 # 3841x2160 is one column above the simulator's pixel budget: refused
 # before its mask is allocated
 @pytest.mark.parametrize("argv", [["--sizes", "20x20"], ["--sizes", "0x0"],
-                                  ["--iterations", "0"], ["--sizes", "3841x2160"]])
+                                  ["--iterations", "0"], ["--sizes", "3841x2160"],
+                                  ["--seed", "-1"]])
 def test_bench_unusable_input_exits_5(capsys, argv):
     rc = main(["bench", "--iterations", "2", *argv])
     captured = capsys.readouterr()
@@ -691,3 +708,87 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------- failure table
+
+def command_argv(name, sequence_dir, sequence_profile_path, tmp_path):
+    """A run of each command that succeeds when nothing is patched."""
+    return {
+        "track": ["track", "--calib", str(sequence_profile_path),
+                  "--frames", str(sequence_dir)],
+        "calibrate": ["calibrate",
+                      "--background", str(sequence_dir / "background.ppm"),
+                      "--with-marker", str(sequence_dir / "with_marker.ppm"),
+                      "--with-pointer", str(sequence_dir / "with_pointer.ppm"),
+                      "--depth-to-rgb", "1,0,4,0,1,2", "--camera-height", "600",
+                      "--principal-point", "319.5,239.5", "--rho-z", "0.002",
+                      "--out", str(tmp_path / "profile.json")],
+        "simulate": ["simulate", "--out", str(tmp_path / "seq"), "--frames", "1",
+                     "--size", "32x32"],
+        "bench": ["bench", "--sizes", "80x80", "--iterations", "1"],
+    }[name]
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["track", "calibrate", "simulate", "bench"])
+def test_closed_stdout_exits_4(sequence_dir, sequence_profile_path, tmp_path, capsys,
+                               command):
+    argv = command_argv(command, sequence_dir, sequence_profile_path, tmp_path)
+    with contextlib.redirect_stdout(ClosedStdout()):
+        rc = main(argv)
+    assert rc == 4
+    assert capsys.readouterr().err == "IOError: [Errno 32] Broken pipe\n"
+
+
+# one callee of each command raises each kind of failure; main maps it
+@pytest.mark.parametrize("command, callee", [
+    ("track", "_scan_frames"), ("calibrate", "calibrate_scene"),
+    ("simulate", "render_sequence"), ("bench", "run_benchmark")])
+@pytest.mark.parametrize("failure, code, line", [
+    (OSError("disk gone"), 4, "IOError: disk gone"),
+    (ValueError("out of range"), 5, "Validation: out of range"),
+    (RecursionError("too deep"), 5, "Validation: too deep"),
+    (DegenerateError("rank 1"), 3, "Degenerate: rank 1"),
+], ids=["OSError", "ValueError", "RecursionError", "PipelineError"])
+def test_main_maps_every_command_failure(sequence_dir, sequence_profile_path, tmp_path,
+                                         capsys, monkeypatch, command, callee,
+                                         failure, code, line):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, callee, fail)
+    rc = main(command_argv(command, sequence_dir, sequence_profile_path, tmp_path))
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+
+
+# the reader closes before the first line, as `| head -0` would; a buffered
+# stdout still holds the line when main returns, and Python would flush it
+# again at exit
+@pytest.mark.parametrize("command", ["track", "simulate"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_4_with_one_line(sequence_dir, sequence_profile_path, tmp_path,
+                                           command, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tangible_tracker",
+             *command_argv(command, sequence_dir, sequence_profile_path, tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == "IOError: [Errno 32] Broken pipe\n"

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from tangible_tracker.errors import (
-    AllFilteredError,
     DegenerateError,
     InvalidHeightError,
     NoDepthError,
@@ -227,6 +227,21 @@ def test_depth_second_mean_never_exceeds_first():
         assert m2 <= crop[crop > 0].mean() + 1e-9
 
 
+# the smallest nonzero sample is at most the mean, so the filter keeps it:
+# every crop with a return has a depth, and it lies within its samples
+@given(arrays(np.uint16, st.tuples(st.integers(1, 12), st.integers(1, 12))),
+       st.floats(0.01, 10.0))
+@settings(max_examples=300, deadline=None)
+@example(np.array([[1, 65535]], dtype=np.uint16), 1.0)
+def test_depth_lies_within_the_nonzero_samples(pixels, raw_to_mm):
+    nonzero = pixels[pixels > 0].astype(np.float64)
+    if nonzero.size == 0:
+        return
+    depth = DepthImage(pixels, raw_to_mm)
+    got = estimate_pointer_depth(depth, (0, 0, depth.width, depth.height))
+    assert nonzero.min() * raw_to_mm <= got <= nonzero.max() * raw_to_mm
+
+
 def native_box_depth(pixels: np.ndarray, t: AffineTransform, box, raw_to_mm: float):
     """The aligned box crop and its filtered depth (or the error class) as
     warp_affine and estimate_pointer_depth computed them on native uint16
@@ -252,8 +267,6 @@ def native_box_depth(pixels: np.ndarray, t: AffineTransform, box, raw_to_mm: flo
         return crop, NoDepthError
     first_mean = nonzero.mean()
     kept = nonzero[nonzero <= 1.10 * first_mean]
-    if kept.size == 0:
-        return crop, AllFilteredError
     return crop, float(kept.mean() * raw_to_mm)
 
 
@@ -277,7 +290,7 @@ def test_box_depth_on_file_order_pixels_equals_the_native_path(
     assert (crop.pixels == want_crop).all()
     try:
         got = estimate_pointer_depth(crop, (0, 0, crop.width, crop.height))
-    except (NoDepthError, AllFilteredError) as exc:
+    except NoDepthError as exc:
         got = type(exc)
     assert got == want
 
