@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import re
+import resource
 import sys
 import time
 from collections import Counter
@@ -187,6 +188,8 @@ def cmd_track(args: argparse.Namespace) -> int:
             "kernel_seconds": kernel_seconds,
             "wall_seconds": wall,
             "status_counts": status_counts,
+            # this process's own high-water mark, in kilobytes on Linux
+            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }), flush=True)
     return EXIT_OK
 

@@ -23,8 +23,9 @@ PEAK_MARGIN = 15  # hue bins kept on each side of the histogram peak
 DEFAULT_MIN_SATURATION = 60
 DEFAULT_MIN_VALUE = 40
 
-# Bytes of the frame keyed per band: the band and its two byte windows stay
-# in cache. Frame-sized temporaries instead cost page faults on every frame.
+# Bytes of the frame keyed per band: the band, its two byte windows and its
+# pixel-aligned chroma stay in cache. Frame-sized temporaries instead cost
+# page faults on every frame.
 _BAND_BYTES = 128 * 1024
 
 
@@ -138,13 +139,15 @@ def color_key(rgb: RgbImage, bounds: HueBounds) -> BinaryMask:
     Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
     run ``b``: ``max(b[i], b[i+1], b[i+2])`` and the matching min, taken over
     every byte, hold at byte ``3k`` pixel k's value ``v = max(r, g, b)`` and,
-    as their difference, its chroma ``delta``. Pixels with ``delta`` below
-    the smallest entry of ``_floor_thresholds`` cannot reach the floors and
-    are dropped without a table lookup; the rest are looked up, and the
-    survivors go through the reference conversion and predicate. A mostly
-    gray frame costs a few passes over its bytes, each band in cache, plus
-    work in proportion to its few candidates. A frame saturated everywhere
-    costs about the reference conversion and predicate of every pixel.
+    as their difference, its chroma ``delta``. Each band's chroma is
+    gathered once into a contiguous pixel-aligned buffer, where the compare
+    runs. Pixels with ``delta`` below the smallest entry of
+    ``_floor_thresholds`` cannot reach the floors and are dropped without a
+    table lookup; the rest are looked up, and the survivors go through the
+    reference conversion and predicate. A mostly gray frame costs a few
+    passes over its bytes, each band in cache, plus work in proportion to
+    its few candidates. A frame saturated everywhere costs about the
+    reference conversion and predicate of every pixel.
     """
     bits = np.zeros(rgb.height * rgb.width, dtype=bool)
     bits[_keyed_indices(rgb, bounds)] = True
@@ -152,7 +155,12 @@ def color_key(rgb: RgbImage, bounds: HueBounds) -> BinaryMask:
 
 
 def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
-    """Sorted row-major flat indices of the pixels ``color_key`` sets."""
+    """Sorted row-major flat indices of the pixels ``color_key`` sets.
+
+    A strided compare gets no SIMD loop in numpy, so the floor compare runs
+    on a contiguous copy of each band's chroma ``lo[::3]``; the candidates'
+    values are read back from the window maxima as ``hi[3 * candidates]``.
+    """
     pixels = rgb.pixels
     height, width, _ = pixels.shape
     table = _floor_thresholds(bounds.min_saturation, bounds.min_value)
@@ -161,6 +169,7 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     # per call, not per module: concurrent calls share nothing writable
     hi_buf = np.empty(band_rows * width * 3 - 2, dtype=np.uint8)
     lo_buf = np.empty_like(hi_buf)
+    delta_buf = np.empty(band_rows * width, dtype=np.uint8)
     parts = []
     for row in range(0, height, band_rows):
         b = pixels[row:row + band_rows].reshape(-1)  # a copy only if strided
@@ -170,9 +179,10 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
         np.minimum(b[:-2], b[1:-1], out=lo)
         np.minimum(lo, b[2:], out=lo)
         np.subtract(hi, lo, out=lo)
-        v, delta = hi[::3], lo[::3]  # pixel k's window starts at byte 3k
+        delta = delta_buf[:b.size // 3]
+        np.copyto(delta, lo[::3])  # pixel k's window starts at byte 3k
         candidates = np.flatnonzero(delta >= floor)
-        passes = delta[candidates] >= np.take(table, v[candidates])
+        passes = delta[candidates] >= np.take(table, hi[3 * candidates])
         parts.append(candidates[passes] + row * width)
     survivors = np.concatenate(parts)
     if survivors.size == 0:

@@ -159,9 +159,11 @@ def rgb_to_hsv(img: RgbImage) -> np.ndarray:
     on_g = (v == g) & ~on_r
     numer = np.where(on_r, g - b, np.where(on_g, b - r, r - g))
     base = np.where(on_r, 0.0, np.where(on_g, 60.0, 120.0))
+    # gray pixels take the on_r branch with numer 0, so their hue is 0;
+    # hue lies in -30..150 here, and one add of 180 wraps the negatives
     hue = np.rint(base + 30.0 * numer / np.maximum(delta, 1))
-    hue[delta == 0] = 0.0
-    hue = np.mod(hue, HUE_BINS).astype(np.uint8)
+    np.add(hue, HUE_BINS, out=hue, where=hue < 0)
+    hue = hue.astype(np.uint8)
     return np.stack([hue, sat, v.astype(np.uint8)], axis=2)
 
 
@@ -370,7 +372,9 @@ def warp_affine(img: DepthImage, t: AffineTransform,
     sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy).astype(np.int64)
     ok = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
 
-    out = np.zeros((bh, bw), dtype=img.pixels.dtype)
-    out[ok] = img.pixels[sy[ok], sx[ok]]
+    # one flat gather, which np.take makes from any memory layout; pixels
+    # off the source read pixel 0 and are then zeroed
+    out = np.take(img.pixels, np.where(ok, sy * w + sx, 0))
+    out[~ok] = 0
     return DepthImage(out, img.raw_to_mm)
 

@@ -221,9 +221,24 @@ def fill_convex_polygon(width: int, height: int, corners) -> BinaryMask:
 
 
 def _fill_disc(width: int, height: int, center, radius: float) -> np.ndarray:
-    xs = np.arange(width, dtype=np.float64)[None, :]
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    return (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius * radius
+    """Pixels whose centres lie within ``radius`` of ``center``.
+
+    Only the disc's bounding box, widened by one pixel and clipped to the
+    frame, is tested, so a centre far off the frame squares no huge offset
+    and a box that misses the frame sets nothing.
+    """
+    size = (width, height)
+    lo = np.floor(np.subtract(center, radius)) - 1
+    hi = np.ceil(np.add(center, radius)) + 2
+    # a nan bound (a non-finite centre or radius) leaves the whole axis to
+    # the test, which then decides as it does over the full frame
+    x0, y0 = np.clip(np.nan_to_num(lo, nan=0.0), 0, size).astype(int)
+    x1, y1 = np.clip(np.nan_to_num(hi, nan=np.inf), 0, size).astype(int)
+    xs = np.arange(x0, x1, dtype=np.float64)[None, :]
+    ys = np.arange(y0, y1, dtype=np.float64)[:, None]
+    disc = np.zeros((height, width), dtype=bool)
+    disc[y0:y1, x0:x1] = (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius * radius
+    return disc
 
 
 def hsv_to_rgb_bins(h, s, v) -> np.ndarray:

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import resource
 import socket
 import subprocess
 import sys
@@ -430,7 +431,10 @@ def test_fps_report_counts_statuses(sequence_dir, sequence_profile_path,
     assert rc == 0
     report = json.loads(lines[-1])
     assert list(report) == ["fps", "frames", "kernel_seconds", "wall_seconds",
-                            "status_counts"]
+                            "status_counts", "peak_rss_kb"]
+    # the high-water mark of this very process, read after the frame loop
+    assert isinstance(report["peak_rss_kb"], int)
+    assert 0 < report["peak_rss_kb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert report["frames"] == 5
     assert report["fps"] > 0
     assert 0 < report["kernel_seconds"] <= report["wall_seconds"]
@@ -616,6 +620,18 @@ def test_simulate_rejects_every_wrong_kind(tmp_path, capsys, name, value):
     err = capsys.readouterr().err
     assert rc == 5 and err.startswith(f"Validation: scene field {name} "), err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_ball_far_off_the_frame_warns_nothing(tmp_path, capsys):
+    # a finite plane point whose ball lands about 2.5e300 px off the frame
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ball_plane_mm": [1e300, 0]}))
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", str(spec)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "rgb_0000.ppm").exists()
 
 
 def test_simulate_seeds_differ_only_in_noise(tmp_path):

@@ -295,6 +295,8 @@ CANDIDATE_ONLY = (255, 245, 245)
          layout="c", band_bytes=1, bounds=HueBounds(165, 15, True, 0, 0))
 @example(pixels=np.arange(13 * 1 * 3, dtype=np.uint8).reshape(13, 1, 3) * 6,
          layout="strided", band_bytes=1, bounds=HueBounds(0, 179, False, 255, 255))
+@example(pixels=np.array([[(90, 90, 90)] * 3 + [(255, 85, 0)]] * 3, dtype=np.uint8),
+         layout="c", band_bytes=12, bounds=HueBounds(5, 35))  # v read at the buffer's end
 def test_color_key_matches_frozen_reference(pixels, layout, band_bytes, bounds):
     img = RgbImage(LAYOUTS[layout](pixels))
     # a budget of a few bytes makes every row, or every few rows, a band

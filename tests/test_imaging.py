@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from tangible_tracker.errors import EmptyMaskError
 from tangible_tracker.imaging import (
     DEPTH_SAMPLE,
+    HUE_BINS,
     AffineTransform,
     BinaryMask,
     DepthImage,
@@ -59,6 +60,32 @@ def test_rgb_to_hsv_hue_below_180():
     rng = np.random.default_rng(0)
     img = RgbImage(rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8))
     assert rgb_to_hsv(img)[..., 0].max() < 180
+
+
+def frozen_rgb_to_hsv(img):
+    """rgb_to_hsv before hue wrapped by one add of 180, frozen."""
+    r = img.pixels[..., 0].astype(np.int16)
+    g = img.pixels[..., 1].astype(np.int16)
+    b = img.pixels[..., 2].astype(np.int16)
+    v = np.maximum(np.maximum(r, g), b)
+    delta = v - np.minimum(np.minimum(r, g), b)
+    sat = np.rint(255.0 * delta / np.maximum(v, 1)).astype(np.uint8)
+    on_r = v == r
+    on_g = (v == g) & ~on_r
+    numer = np.where(on_r, g - b, np.where(on_g, b - r, r - g))
+    base = np.where(on_r, 0.0, np.where(on_g, 60.0, 120.0))
+    hue = np.rint(base + 30.0 * numer / np.maximum(delta, 1))
+    hue[delta == 0] = 0.0
+    hue = np.mod(hue, HUE_BINS).astype(np.uint8)
+    return np.stack([hue, sat, v.astype(np.uint8)], axis=2)
+
+
+def test_rgb_to_hsv_exhaustive_over_all_rgb_colors():
+    # all 2^24 colors, one 256x256 (g, b) plane per red value
+    g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    for r in range(256):
+        img = RgbImage(np.stack([np.full_like(g, r), g, b], axis=2))
+        assert np.array_equal(rgb_to_hsv(img), frozen_rgb_to_hsv(img)), r
 
 
 def _hue_circular_diff(a, b):
@@ -548,13 +575,23 @@ def warp_cases(draw):
     return h, w, box, seed, t
 
 
-@given(warp_cases())
+# source rasters of each memory layout: DepthImage keeps a view of pixels
+# already in its sample dtype
+DEPTH_LAYOUTS = {
+    "c": lambda rng, h, w: rng.integers(1, 65536, size=(h, w)).astype(DEPTH_SAMPLE),
+    "transposed": lambda rng, h, w: rng.integers(1, 65536, size=(w, h)).astype(DEPTH_SAMPLE).T,
+    "strided": lambda rng, h, w: rng.integers(
+        1, 65536, size=(2 * h, 3 * w)).astype(DEPTH_SAMPLE)[::2, ::-3],
+}
+
+
+@given(warp_cases(), st.sampled_from(sorted(DEPTH_LAYOUTS)))
 @settings(max_examples=400, deadline=None)
-def test_warp_box_is_the_crop_of_the_full_warp(case):
+def test_warp_box_is_the_crop_of_the_full_warp(case, layout):
     h, w, (x, y, bw, bh), seed, t = case
     rng = np.random.default_rng(seed)
     # no zero in the source, so a 0 in the output can only mean off-source
-    img = DepthImage(rng.integers(1, 65536, size=(h, w), dtype=np.uint16), 2.5)
+    img = DepthImage(DEPTH_LAYOUTS[layout](rng, h, w), 2.5)
     full = full_warp_oracle(img, t)
     out = warp_affine(img, t, (x, y, bw, bh))
     assert out.pixels.shape == (bh, bw)

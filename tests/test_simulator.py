@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tangible_tracker.imaging import warp_affine
 from tangible_tracker.simulator import (
     CALIBRATION_IMAGES,
     MAX_SCENE_PIXELS,
     SceneSpec,
+    _fill_disc,
     apply_projective,
     ball_geometry,
     circular_trajectory,
@@ -168,3 +171,37 @@ def test_polygon_fill_is_boundary_inclusive():
     assert mask.bits[2, 2] and mask.bits[7, 7]
     assert not mask.bits[1, 2] and not mask.bits[8, 7]
     assert mask.area == 36
+
+
+def frozen_fill_disc(width, height, center, radius):
+    """The disc test over every pixel of the frame, frozen."""
+    xs = np.arange(width, dtype=np.float64)[None, :]
+    ys = np.arange(height, dtype=np.float64)[:, None]
+    return (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius * radius
+
+
+# centres on, near and far off a frame of up to 40x40 pixels, on the pixel
+# grid, half way between pixels or anywhere, and radii from a sliver to
+# twice the frame
+@settings(max_examples=400, deadline=None)
+@given(size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       center=st.tuples(st.floats(-120, 120), st.floats(-120, 120)),
+       snap=st.sampled_from([0, 1, 2]),
+       radius=st.floats(0.01, 80))
+@example(size=(20, 10), center=(-3.5, 4.0), snap=0, radius=2.5)
+@example(size=(20, 10), center=(22.0, 11.0), snap=0, radius=2.0)
+def test_fill_disc_matches_the_full_frame_test(size, center, snap, radius):
+    if snap:
+        center = tuple(round(c * snap) / snap for c in center)
+    assert np.array_equal(_fill_disc(*size, center, radius),
+                          frozen_fill_disc(*size, center, radius))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf is nan
+@pytest.mark.parametrize("center, radius", [
+    ((np.inf, 3.0), 5.0), ((-np.inf, 3.0), 5.0), ((np.nan, 3.0), 5.0),
+    ((3.0, 3.0), np.inf), ((3.0, 3.0), np.nan), ((np.inf, np.inf), np.inf),
+    ((2.5e300, 239.5), 50.0)])
+def test_fill_disc_non_finite_or_far_centre_matches_the_full_frame_test(center, radius):
+    assert np.array_equal(_fill_disc(20, 10, center, radius),
+                          frozen_fill_disc(20, 10, center, radius))
