@@ -132,9 +132,43 @@ def _floor_thresholds(min_saturation: int, min_value: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _hue_passes(lo: int, hi: int, wraps: bool) -> np.ndarray:
+    """Flat 511x511 table over ``_hue_key``: is the hue of a color with
+    channel differences (r - g, g - b) inside the interval [lo, hi]?
+
+    ``rgb_to_hsv``'s hue depends on the channel differences alone, so every
+    color has the hue of the color with its smallest channel lowered to 0,
+    which has the same differences. Built by running the reference
+    ``rgb_to_hsv`` and ``hue_bounds_mask`` (floors 0) on the three 256x256
+    faces of colors with a zero channel, a few rows at a time so that no
+    temporary is large. Keys no 8-bit color reaches stay False. Keyed on
+    the interval alone, so bounds that differ only in their floors share
+    one table; the result is shared between callers and marked read-only.
+    """
+    interval = HueBounds(lo, hi, wraps, min_saturation=0, min_value=0)
+    table = np.zeros(511 * 511, dtype=bool)
+    rows = 64  # slices of 16384 colors: no build temporary is large
+    for zero in range(3):
+        for row in range(0, 256, rows):
+            face = np.zeros((rows, 256, 3), dtype=np.uint8)
+            face[..., (zero + 1) % 3] = np.arange(row, row + rows)[:, None]
+            face[..., (zero + 2) % 3] = np.arange(256)
+            passes = hue_bounds_mask(rgb_to_hsv(RgbImage(face)), interval).bits
+            table[_hue_key(*np.moveaxis(face.astype(np.int32), 2, 0))] = passes
+    table.flags.writeable = False
+    return table
+
+
+def _hue_key(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat index of (r - g, g - b), each in -255..255, into ``_hue_passes``."""
+    return (r - g + 255) * 511 + (g - b + 255)
+
+
 def color_key(rgb: RgbImage, bounds: HueBounds) -> BinaryMask:
     """``hue_bounds_mask(rgb_to_hsv(rgb), bounds)``, computed from the row
-    bands of the frame's bytes and converting only the pixels that can pass.
+    bands of the frame's bytes and two tables built once from that
+    reference, without converting any pixel to HSV.
 
     Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
     run ``b``: ``max(b[i], b[i+1], b[i+2])`` and the matching min, taken over
@@ -143,11 +177,12 @@ def color_key(rgb: RgbImage, bounds: HueBounds) -> BinaryMask:
     gathered once into a contiguous pixel-aligned buffer, where the compare
     runs. Pixels with ``delta`` below the smallest entry of
     ``_floor_thresholds`` cannot reach the floors and are dropped without a
-    table lookup; the rest are looked up, and the survivors go through the
-    reference conversion and predicate. A mostly gray frame costs a few
-    passes over its bytes, each band in cache, plus work in proportion to
-    its few candidates. A frame saturated everywhere costs about the
-    reference conversion and predicate of every pixel.
+    table lookup; the rest are looked up, and the hue of the survivors is
+    tested by one lookup each in ``_hue_passes``, keyed on their channel
+    differences. A mostly gray frame costs a few passes over its bytes,
+    each band in cache, plus work in proportion to its few candidates. A
+    frame saturated everywhere adds a gather, a few integer passes and a
+    lookup per pixel.
     """
     bits = np.zeros(rgb.height * rgb.width, dtype=bool)
     bits[_keyed_indices(rgb, bounds)] = True
@@ -160,11 +195,16 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     A strided compare gets no SIMD loop in numpy, so the floor compare runs
     on a contiguous copy of each band's chroma ``lo[::3]``; the candidates'
     values are read back from the window maxima as ``hi[3 * candidates]``.
+    The survivors' channels are gathered once, as int32, for their
+    ``_hue_key`` into the interval's hue table.
     """
     pixels = rgb.pixels
     height, width, _ = pixels.shape
-    table = _floor_thresholds(bounds.min_saturation, bounds.min_value)
-    floor = int(table.min())  # no pixel below it reaches table[v]
+    floor_table = _floor_thresholds(bounds.min_saturation, bounds.min_value)
+    # fetched on every call, so a cold build lands in the first frame,
+    # hit or miss, never in a later one
+    hue_table = _hue_passes(bounds.lo, bounds.hi, bounds.wraps)
+    floor = int(floor_table.min())  # no pixel below it reaches floor_table[v]
     band_rows = min(height, max(1, _BAND_BYTES // (3 * width)))
     # per call, not per module: concurrent calls share nothing writable
     hi_buf = np.empty(band_rows * width * 3 - 2, dtype=np.uint8)
@@ -182,11 +222,9 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
         delta = delta_buf[:b.size // 3]
         np.copyto(delta, lo[::3])  # pixel k's window starts at byte 3k
         candidates = np.flatnonzero(delta >= floor)
-        passes = delta[candidates] >= np.take(table, hi[3 * candidates])
+        passes = delta[candidates] >= np.take(floor_table, hi[3 * candidates])
         parts.append(candidates[passes] + row * width)
     survivors = np.concatenate(parts)
-    if survivors.size == 0:
-        return survivors
     kept = np.take(pixels.reshape(-1, 3), survivors, axis=0)
-    hsv = rgb_to_hsv(RgbImage(kept[:, None, :]))
-    return survivors[hue_bounds_mask(hsv, bounds).bits[:, 0]]
+    key = _hue_key(*kept.T.astype(np.int32, order="C"))
+    return survivors[np.take(hue_table, key)]

@@ -117,6 +117,12 @@ class SceneSpec:
         corners = apply_projective(m, marker_plane_corners(self))
         if not np.isfinite(corners).all() or not _is_strictly_convex(corners):
             raise ValueError("marker corners must be finite and in convex position")
+        # a finite plane point can still project beyond float range
+        with np.errstate(all="ignore"):
+            footprint, center, radius = ball_geometry(self)
+        if not np.isfinite([*footprint, *center, radius]).all():
+            raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} puts the "
+                             "ball's footprint, centre or radius beyond float range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,13 +377,19 @@ def render_sequence(spec: SceneSpec, trajectory, out_dir) -> str:
     truth.json path.
     """
     trajectory = [(float(x), float(y), float(h)) for x, y, h in trajectory]
-    for x, y, h in trajectory:
+    scenes = []
+    for idx, (x, y, h) in enumerate(trajectory):
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(h)):
             raise ValueError("trajectory points must be finite")
         if not 0 <= h < spec.camera_height_mm:
             raise ValueError(
                 f"trajectory height {h} outside [0, {spec.camera_height_mm})"
             )
+        try:
+            scenes.append(dataclasses.replace(spec, ball_plane_mm=(x, y), ball_height_mm=h,
+                                              seed=spec.seed + idx))
+        except ValueError as exc:
+            raise ValueError(f"trajectory point {idx}: {exc}") from None
 
     os.makedirs(out_dir, exist_ok=True)
     # background, marker only, pointer only
@@ -388,9 +400,7 @@ def render_sequence(spec: SceneSpec, trajectory, out_dir) -> str:
                                  with_marker=marker, with_ball=ball))
 
     frames = []
-    for idx, (x, y, h) in enumerate(trajectory):
-        sub = dataclasses.replace(spec, ball_plane_mm=(x, y), ball_height_mm=h,
-                                  seed=spec.seed + idx)
+    for idx, sub in enumerate(scenes):
         rgb, depth, truth = render_scene(sub)
         pnm.write_ppm(os.path.join(out_dir, RGB_NAME % idx), rgb)
         pnm.write_depth(os.path.join(out_dir, DEPTH_NAME % idx), depth)

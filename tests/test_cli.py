@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from tangible_tracker import cli, imaging, pnm, tracking
+from tangible_tracker import cli, color_calibration, imaging, pnm, tracking
 from tangible_tracker.cli import main
 from tangible_tracker.errors import DegenerateError, PipelineError
 from tangible_tracker.imaging import AffineTransform
@@ -441,6 +441,27 @@ def test_fps_report_counts_statuses(sequence_dir, sequence_profile_path,
     assert report["status_counts"] == {"ok": 3, "NoPointer": 1, "BadFrame": 1}
 
 
+def test_tracked_frames_make_no_hsv_conversion(sequence_dir, sequence_profile_path,
+                                                capsys, monkeypatch):
+    # the reference conversion only builds the key's tables: once they are
+    # cached, a whole track run converts no pixel to HSV
+    calls = []
+
+    def counting_rgb_to_hsv(img):
+        calls.append(img.pixels.shape)
+        return imaging.rgb_to_hsv(img)
+
+    monkeypatch.setattr(color_calibration, "rgb_to_hsv", counting_rgb_to_hsv)
+    argv = ["track", "--calib", str(sequence_profile_path), "--frames", str(sequence_dir)]
+    assert main(argv) == 0
+    calls.clear()
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert '"status": "ok"' in first
+    assert calls == []
+
+
 def test_track_stream_clients_get_contiguous_suffix(sequence_dir,
                                                     sequence_profile_path):
     with socket.socket() as probe:
@@ -632,6 +653,23 @@ def test_simulate_ball_far_off_the_frame_warns_nothing(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().err == ""
     assert (out / "rgb_0000.ppm").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--spec", "--trajectory"])
+def test_simulate_ball_beyond_float_range_exits_5(tmp_path, capsys, flag):
+    # a finite plane point whose projection overflows: the footprint and
+    # centre are infinite and the radius nan
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"ball_plane_mm": [1e308, 0]} if flag == "--spec"
+                              else [[0, 0, 120], [1e308, 0, 120]]))
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "1", flag, str(doc)])
+    assert rc == 5
+    err = capsys.readouterr().err
+    prefix = "Validation: " + ("trajectory point 1: " if flag == "--trajectory" else "")
+    assert err.startswith(prefix + "scene field ball_plane_mm (1e+308, 0.0) "), err
+    assert not out.exists()
 
 
 def test_simulate_seeds_differ_only_in_noise(tmp_path):

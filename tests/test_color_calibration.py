@@ -15,6 +15,8 @@ from tangible_tracker.color_calibration import (
     PEAK_MARGIN,
     HueBounds,
     _floor_thresholds,
+    _hue_key,
+    _hue_passes,
     calibrate_hue_bounds,
     color_key,
     hue_bounds_mask,
@@ -381,6 +383,44 @@ def test_floor_table_extremes_and_cache():
     assert top[255] == 255 and (top[:255] == 256).all()
     assert _floor_thresholds(60, 40) is _floor_thresholds(60, 40)
     assert not _floor_thresholds(60, 40).flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(colors=arrays(np.uint8, st.tuples(st.integers(1, 64), st.just(3))),
+       bounds=any_bounds)
+@example(colors=np.array([(0, 0, 0), (255, 255, 255), (255, 0, 0), (0, 255, 255),
+                          (255, 0, 1), (255, 1, 0), (7, 3, 200)], dtype=np.uint8),
+         bounds=HueBounds(165, 15, wraps=True))
+# keys of (r - g, 255) and (r - g + 1, -255) sit side by side in the table
+@example(colors=np.array([(254, 255, 0), (0, 0, 255), (255, 255, 0), (1, 0, 255)],
+                         dtype=np.uint8),
+         bounds=HueBounds(15, 45))
+def test_hue_table_matches_the_reference_on_any_color(colors, bounds):
+    # floors 0: the table decides the hue interval alone, for every color,
+    # not only the zero-channel colors it was built from
+    interval = HueBounds(bounds.lo, bounds.hi, bounds.wraps, 0, 0)
+    expected = hue_bounds_mask(rgb_to_hsv(RgbImage(colors[:, None, :])), interval).bits[:, 0]
+    table = _hue_passes(bounds.lo, bounds.hi, bounds.wraps)
+    assert np.array_equal(table[_hue_key(*colors.T.astype(np.int32))], expected)
+
+
+def test_hue_table_is_cached_read_only_and_shared_across_floors():
+    table = _hue_passes(5, 35, False)
+    assert table.shape == (511 * 511,) and table.dtype == bool
+    assert not table.flags.writeable
+    assert _hue_passes(5, 35, False) is table
+    fetched = []
+
+    def fetch(*interval):
+        fetched.append((interval, _hue_passes(*interval)))
+        return fetched[-1][1]
+
+    img = value_chroma_colors()
+    with mock.patch.object(color_calibration, "_hue_passes", fetch):
+        for floors in ((0, 0), (60, 40), (255, 255)):
+            color_key(img, HueBounds(5, 35, False, *floors))
+    assert [interval for interval, _ in fetched] == [(5, 35, False)] * 3
+    assert all(result is table for _, result in fetched)
 
 
 def test_bounds_invariant_validation():

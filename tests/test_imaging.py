@@ -81,11 +81,16 @@ def frozen_rgb_to_hsv(img):
 
 
 def test_rgb_to_hsv_exhaustive_over_all_rgb_colors():
-    # all 2^24 colors, one 256x256 (g, b) plane per red value
+    # all 2^24 colors, one 256x256 (g, b) plane per red value; each color's
+    # hue is also that of the color with its smallest channel lowered to 0
+    # (the same r - g and g - b), the premise of the key's hue table
     g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
     for r in range(256):
         img = RgbImage(np.stack([np.full_like(g, r), g, b], axis=2))
-        assert np.array_equal(rgb_to_hsv(img), frozen_rgb_to_hsv(img)), r
+        hsv = rgb_to_hsv(img)
+        assert np.array_equal(hsv, frozen_rgb_to_hsv(img)), r
+        lowered = img.pixels - img.pixels.min(axis=2, keepdims=True)
+        assert np.array_equal(rgb_to_hsv(RgbImage(lowered))[..., 0], hsv[..., 0]), r
 
 
 def _hue_circular_diff(a, b):
