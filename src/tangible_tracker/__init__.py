@@ -6,7 +6,7 @@ per-frame RGB-D tracking, and the synthetic scene generator used as the
 test oracle.
 """
 
-from .color_calibration import HueBounds, calibrate_hue_bounds, color_key, hue_in_bounds
+from .color_calibration import HueBounds, calibrate_hue_bounds
 from .corner_detection import (
     CMinMaxParams,
     CornerSet,
@@ -71,14 +71,12 @@ __all__ = [
     "calibrate_hue_bounds",
     "calibrate_scene",
     "cminmax_corners",
-    "color_key",
     "correct_parallax",
     "detect_pointer_2d",
     "estimate_homography",
     "estimate_pointer_depth",
     "extract_mask",
     "harris_corners",
-    "hue_in_bounds",
     "largest_component",
     "load_profile",
     "mask_centroid",

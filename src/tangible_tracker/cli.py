@@ -146,6 +146,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     checked_principal = False
     status_counts: Counter[str] = Counter()
     kernel_seconds = 0.0
+    kernel_frames = 0  # frames that reached track_frame
     wall_start = time.perf_counter()
     try:
         for seq, (idx, rgb_path, depth_path) in enumerate(frames):
@@ -171,6 +172,7 @@ def cmd_track(args: argparse.Namespace) -> int:
                 except PipelineError as exc:
                     record = error_record(idx, exc.name)
                 kernel_seconds += time.perf_counter() - t0
+                kernel_frames += 1
             status_counts[record["status"]] += 1
             line = json.dumps({"seq": seq, **record}, allow_nan=False)
             print(line, flush=True)
@@ -183,7 +185,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     if args.fps_report:
         wall = time.perf_counter() - wall_start
         print(json.dumps({
-            "fps": len(frames) / kernel_seconds if kernel_seconds > 0 else 0.0,
+            "fps": kernel_frames / kernel_seconds if kernel_seconds > 0 else 0.0,
             "frames": len(frames),
             "kernel_seconds": kernel_seconds,
             "wall_seconds": wall,

@@ -3,8 +3,8 @@
 The pointer is isolated with a background-pair mask, its hue histogram is
 peaked, and the calibrated interval is the peak widened by 15 bins on each
 side (wrapping through 0 when needed), so the same object keys reliably as
-room lighting drifts. ``color_key`` applies the calibrated interval to a
-frame.
+room lighting drifts. ``_keyed_indices`` applies the calibrated interval to
+a frame; ``hue_bounds_mask`` of ``rgb_to_hsv`` is its reference.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ PEAK_MARGIN = 15  # hue bins kept on each side of the histogram peak
 DEFAULT_MIN_SATURATION = 60
 DEFAULT_MIN_VALUE = 40
 
-# Bytes of the frame keyed per band: the band, its two byte windows and its
-# pixel-aligned chroma stay in cache. Frame-sized temporaries instead cost
-# page faults on every frame.
+# Bytes of the frame ``_keyed_indices`` keys per band: a band and its
+# temporaries stay in cache, where frame-sized ones cost page faults.
 _BAND_BYTES = 128 * 1024
 
 
@@ -78,20 +77,6 @@ def calibrate_hue_bounds(
     lo = (peak - PEAK_MARGIN) % HUE_BINS
     hi = (peak + PEAK_MARGIN) % HUE_BINS
     return HueBounds(lo, hi, wraps=lo > hi)
-
-
-def hue_in_bounds(h: int, s: int, v: int, bounds: HueBounds) -> bool:
-    """Membership test for one HSV pixel: ``hue_bounds_mask`` of a 1x1 image.
-
-    Raises ValueError for a hue outside 0..179 or a saturation or value
-    outside 0..255.
-    """
-    if not 0 <= h < HUE_BINS:
-        raise ValueError("hue must be < 180")
-    if not (0 <= s <= 255 and 0 <= v <= 255):
-        raise ValueError("saturation and value must lie in 0..255")
-    pixel = np.array([[[h, s, v]]], dtype=np.uint8)
-    return bool(hue_bounds_mask(pixel, bounds).bits[0, 0])
 
 
 def hue_bounds_mask(hsv: np.ndarray, bounds: HueBounds) -> BinaryMask:
@@ -165,38 +150,27 @@ def _hue_key(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (r - g + 255) * 511 + (g - b + 255)
 
 
-def color_key(rgb: RgbImage, bounds: HueBounds) -> BinaryMask:
-    """``hue_bounds_mask(rgb_to_hsv(rgb), bounds)``, computed from the row
-    bands of the frame's bytes and two tables built once from that
-    reference, without converting any pixel to HSV.
+def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
+    """The color key of a frame: the sorted row-major flat indices
+    ``np.flatnonzero(hue_bounds_mask(rgb_to_hsv(rgb), bounds).bits)``,
+    computed from row bands of the frame's bytes and two tables built once
+    from that reference, without converting any pixel to HSV.
 
     Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
     run ``b``: ``max(b[i], b[i+1], b[i+2])`` and the matching min, taken over
     every byte, hold at byte ``3k`` pixel k's value ``v = max(r, g, b)`` and,
-    as their difference, its chroma ``delta``. Each band's chroma is
-    gathered once into a contiguous pixel-aligned buffer, where the compare
-    runs. Pixels with ``delta`` below the smallest entry of
-    ``_floor_thresholds`` cannot reach the floors and are dropped without a
-    table lookup; the rest are looked up, and the hue of the survivors is
-    tested by one lookup each in ``_hue_passes``, keyed on their channel
-    differences. A mostly gray frame costs a few passes over its bytes,
-    each band in cache, plus work in proportion to its few candidates. A
-    frame saturated everywhere adds a gather, a few integer passes and a
-    lookup per pixel.
-    """
-    bits = np.zeros(rgb.height * rgb.width, dtype=bool)
-    bits[_keyed_indices(rgb, bounds)] = True
-    return BinaryMask(bits.reshape(rgb.height, rgb.width))
+    as their difference, its chroma ``delta``. A strided compare gets no
+    SIMD loop in numpy, so each band's chroma ``lo[::3]`` is copied once
+    into a contiguous pixel-aligned buffer, where the compare runs. Pixels
+    with ``delta`` below the smallest entry of ``_floor_thresholds`` cannot
+    reach the floors and are dropped without a lookup; the rest are looked
+    up at their value, read back as ``hi[3 * candidates]``. The survivors'
+    channels are gathered once, as int32, and their hue is tested by one
+    lookup each in ``_hue_passes``, keyed on their channel differences.
 
-
-def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
-    """Sorted row-major flat indices of the pixels ``color_key`` sets.
-
-    A strided compare gets no SIMD loop in numpy, so the floor compare runs
-    on a contiguous copy of each band's chroma ``lo[::3]``; the candidates'
-    values are read back from the window maxima as ``hi[3 * candidates]``.
-    The survivors' channels are gathered once, as int32, for their
-    ``_hue_key`` into the interval's hue table.
+    A mostly gray frame costs a few passes over its bytes, each band in
+    cache, plus work in proportion to its few candidates. A frame saturated
+    everywhere adds a gather, a few integer passes and a lookup per pixel.
     """
     pixels = rgb.pixels
     height, width, _ = pixels.shape

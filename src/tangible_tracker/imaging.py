@@ -22,6 +22,13 @@ DEPTH_SAMPLE = np.dtype(">u2")  # big-endian uint16, the P5 depth file's sample 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)  # for scipy.ndimage callers, e.g. perfbench
 
 
+def _is_singular(matrix) -> bool:
+    """Is numpy's determinant of the square matrix 0? Computed quietly:
+    subnormal entries make it warn as it returns 0."""
+    with np.errstate(all="ignore"):
+        return bool(np.linalg.det(matrix) == 0.0)
+
+
 def _samples(pixels, dtype: np.dtype) -> np.ndarray:
     """pixels in the sample dtype, converted by value: an array of that
     dtype is kept as it is, integer or bool values are converted when they
@@ -132,7 +139,7 @@ class AffineTransform:
             raise ValueError("AffineTransform expects a 2x3 matrix")
         if not np.isfinite(self.matrix).all():
             raise ValueError("transform must be finite")
-        if np.linalg.det(self.matrix[:, :2]) == 0.0:
+        if _is_singular(self.matrix[:, :2]):
             raise ValueError("singular transform")
 
     @staticmethod

@@ -18,7 +18,7 @@ import numpy as np
 from .color_calibration import HueBounds, calibrate_hue_bounds
 from .corner_detection import CMinMaxParams, cminmax_corners, mask_centroid
 from .errors import DegenerateError, ResidualTooHighError
-from .imaging import AffineTransform, Point2, RgbImage
+from .imaging import AffineTransform, Point2, RgbImage, _is_singular
 from .mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
 
 RESIDUAL_LIMIT = 0.02  # virtual units, mean over the five fit points
@@ -64,7 +64,7 @@ class Homography:
             m = m / m[2, 2]
         if not np.isfinite(m).all():
             raise ValueError("homography matrix must be finite")
-        if np.linalg.det(m) == 0.0:
+        if _is_singular(m):
             raise ValueError("homography matrix must be invertible")
         object.__setattr__(self, "matrix", m)
         if not 0 < self.rho_z < math.inf:

@@ -27,6 +27,7 @@ from .imaging import (
     Point2,
     Point3,
     RgbImage,
+    _is_singular,
 )
 from .registration import checked_value
 
@@ -111,16 +112,15 @@ class SceneSpec:
                           [0.0, 0.0, 1.0]])
         else:
             m = np.asarray(self.marker_to_image, dtype=np.float64).reshape(3, 3)
-        if np.linalg.det(m) == 0.0:
+        if _is_singular(m):
             raise ValueError("marker homography must be invertible")
         object.__setattr__(self, "marker_to_image", m)
-        corners = apply_projective(m, marker_plane_corners(self))
-        if not np.isfinite(corners).all() or not _is_strictly_convex(corners):
-            raise ValueError("marker corners must be finite and in convex position")
-        # a finite plane point can still project beyond float range
-        with np.errstate(all="ignore"):
-            footprint, center, radius = ball_geometry(self)
-        if not np.isfinite([*footprint, *center, radius]).all():
+        # finite fields can still put what rendering derives from them
+        # beyond float range, or overflow on the way, where it would warn
+        if _beyond_float_range(lambda: _marker_geometry(self)):
+            raise ValueError("scene fields marker_size_mm and marker_to_image put the "
+                             "marker's corners, centre or virtual map beyond float range")
+        if _beyond_float_range(lambda: ball_geometry(self)):
             raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} puts the "
                              "ball's footprint, centre or radius beyond float range")
 
@@ -137,6 +137,27 @@ class GroundTruth:
     expected_virtual: Point3
 
 
+def _beyond_float_range(compute) -> bool:
+    """Does ``compute()`` overflow, divide by zero or make a nan on the way,
+    which numpy would warn of, or return a number that is not finite?"""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return not np.isfinite(np.hstack(compute())).all()
+    except FloatingPointError:
+        return True
+
+
+def _marker_geometry(spec: SceneSpec) -> list:
+    """The numbers rendering derives from the marker: its corners, the sum
+    of their turns that orients the fill, its centre and the virtual map.
+    Raises ValueError when the corners are not in convex position."""
+    corners = apply_projective(spec.marker_to_image, marker_plane_corners(spec))
+    if not _is_strictly_convex(corners):
+        raise ValueError("marker corners must be in convex position")
+    centre = apply_projective(spec.marker_to_image, [(0.0, 0.0)])
+    return [corners.ravel(), _turns(corners).sum(), centre.ravel(), true_t_rv(spec).ravel()]
+
+
 def marker_plane_corners(spec: SceneSpec) -> np.ndarray:
     """Rectangle corners in plane mm, ordered TL, BL, BR, TR (plane y down)."""
     hw = spec.marker_size_mm[0] / 2.0
@@ -150,18 +171,16 @@ def apply_projective(h: np.ndarray, pts) -> np.ndarray:
     return mapped[:, :2] / mapped[:, 2:3]
 
 
+def _turns(corners: np.ndarray) -> np.ndarray:
+    """Cross product (b - a) x (c - a) of each three consecutive corners."""
+    a, b, c = corners, np.roll(corners, -1, axis=0), np.roll(corners, -2, axis=0)
+    (ux, uy), (wx, wy) = (b - a).T, (c - a).T
+    return ux * wy - uy * wx
+
+
 def _is_strictly_convex(corners: np.ndarray) -> bool:
-    n = len(corners)
-    signs = []
-    for i in range(n):
-        a = corners[i]
-        b = corners[(i + 1) % n]
-        c = corners[(i + 2) % n]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross == 0:
-            return False
-        signs.append(cross > 0)
-    return all(signs) or not any(signs)
+    turns = _turns(corners)
+    return bool((turns > 0).all() or (turns < 0).all())
 
 
 def virtual_of_plane(spec: SceneSpec, plane_pt) -> Point2:
@@ -176,7 +195,7 @@ def true_t_rv(spec: SceneSpec) -> np.ndarray:
                            [0.0, 1.5 / mh, 0.0],
                            [0.0, 0.0, 1.0]])
     t = to_virtual @ np.linalg.inv(spec.marker_to_image)
-    return t / t[2, 2]
+    return t / t[2, 2] if t[2, 2] != 0.0 else t  # normalized as a Homography is
 
 
 def _local_scale(h: np.ndarray, p) -> float:
@@ -211,13 +230,10 @@ def fill_convex_polygon(width: int, height: int, corners) -> BinaryMask:
     pts = np.asarray(corners, dtype=np.float64)
     xs = np.arange(width, dtype=np.float64)[None, :]
     ys = np.arange(height, dtype=np.float64)[:, None]
-    area2 = 0.0
-    n = len(pts)
-    for i in range(n):
-        j = (i + 1) % n
-        area2 += pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
-    orient = 1.0 if area2 > 0 else -1.0
+    # every turn of a convex polygon has the sign of its orientation
+    orient = 1.0 if _turns(pts).sum() > 0 else -1.0
     inside = np.ones((height, width), dtype=bool)
+    n = len(pts)
     for i in range(n):
         j = (i + 1) % n
         cross = (pts[j, 0] - pts[i, 0]) * (ys - pts[i, 1]) \
@@ -234,16 +250,18 @@ def _fill_disc(width: int, height: int, center, radius: float) -> np.ndarray:
     and a box that misses the frame sets nothing.
     """
     size = (width, height)
-    lo = np.floor(np.subtract(center, radius)) - 1
-    hi = np.ceil(np.add(center, radius)) + 2
-    # a nan bound (a non-finite centre or radius) leaves the whole axis to
-    # the test, which then decides as it does over the full frame
-    x0, y0 = np.clip(np.nan_to_num(lo, nan=0.0), 0, size).astype(int)
-    x1, y1 = np.clip(np.nan_to_num(hi, nan=np.inf), 0, size).astype(int)
-    xs = np.arange(x0, x1, dtype=np.float64)[None, :]
-    ys = np.arange(y0, y1, dtype=np.float64)[:, None]
-    disc = np.zeros((height, width), dtype=bool)
-    disc[y0:y1, x0:x1] = (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius * radius
+    # overflows near float range give inf, which clips and compares as the largest float
+    with np.errstate(over="ignore"):
+        lo = np.floor(np.subtract(center, radius)) - 1
+        hi = np.ceil(np.add(center, radius)) + 2
+        # a nan bound (a non-finite centre or radius) leaves the whole axis
+        # to the test, which then decides as it does over the full frame
+        x0, y0 = np.clip(np.nan_to_num(lo, nan=0.0), 0, size).astype(int)
+        x1, y1 = np.clip(np.nan_to_num(hi, nan=np.inf), 0, size).astype(int)
+        xs = np.arange(x0, x1, dtype=np.float64)[None, :]
+        ys = np.arange(y0, y1, dtype=np.float64)[:, None]
+        disc = np.zeros((height, width), dtype=bool)
+        disc[y0:y1, x0:x1] = (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius * radius
     return disc
 
 
@@ -294,8 +312,8 @@ def render_depth_rgb_frame(spec: SceneSpec, rng: np.random.Generator) -> np.ndar
     _, b, radius = ball_geometry(spec)
     ball_raw = max(1, int(round(
         (spec.camera_height_mm - spec.ball_height_mm) / spec.raw_to_mm)))
-    shadow_center = (b[0] + spec.shadow_offset_px[0],
-                     b[1] + spec.shadow_offset_px[1])
+    with np.errstate(over="ignore"):  # a centre past float range misses the frame
+        shadow_center = np.add(b, spec.shadow_offset_px)
     canvas[_fill_disc(spec.width, spec.height, shadow_center, radius)] = 0
     canvas[_fill_disc(spec.width, spec.height, b, radius)] = ball_raw
     if spec.depth_jitter > 0:

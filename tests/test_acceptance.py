@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from tangible_tracker.cli import main
-from tangible_tracker.color_calibration import HueBounds, hue_in_bounds
+from tangible_tracker.color_calibration import HueBounds, hue_bounds_mask
 from tangible_tracker.corner_detection import CMinMaxParams, cminmax_corners
 from tangible_tracker.imaging import BinaryMask, DepthImage, largest_component, otsu_threshold
 from tangible_tracker.registration import (
@@ -220,6 +220,7 @@ def test_8_unit_oracles():
             break
 
     bounds_ok = True
+    all_hues = np.array([[(h, 255, 255) for h in range(180)]], dtype=np.uint8)
     for _ in range(100):
         peak = int(rng.integers(0, 180))
         lo = (peak - 15) % 180
@@ -232,7 +233,7 @@ def test_8_unit_oracles():
             if h == hi:
                 break
             h = (h + 1) % 180
-        member = {h for h in range(180) if hue_in_bounds(h, 255, 255, bounds)}
+        member = set(np.flatnonzero(hue_bounds_mask(all_hues, bounds).bits).tolist())
         if member != enumerated:
             bounds_ok = False
             break

@@ -441,6 +441,29 @@ def test_fps_report_counts_statuses(sequence_dir, sequence_profile_path,
     assert report["status_counts"] == {"ok": 3, "NoPointer": 1, "BadFrame": 1}
 
 
+@pytest.mark.parametrize("readable", [2, 0])
+def test_fps_report_rates_only_the_tracked_frames(sequence_dir, sequence_profile_path,
+                                                  tmp_path, capsys, readable):
+    # frames without a depth file never reach track_frame, so they add
+    # neither kernel time nor a frame to the rate
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(8):
+        kinds = ("rgb_%04d.ppm", "depth_%04d.pgm") if i < readable else ("rgb_%04d.ppm",)
+        for kind in kinds:
+            (frames / (kind % i)).write_bytes((sequence_dir / (kind % i)).read_bytes())
+    rc = main(["track", "--calib", str(sequence_profile_path),
+               "--frames", str(frames), "--fps-report"])
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert rc == 0
+    assert report["frames"] == 8
+    assert report["status_counts"]["IOError"] == 8 - readable
+    if readable:
+        assert report["fps"] * report["kernel_seconds"] == pytest.approx(readable)
+    else:
+        assert report["fps"] == 0.0 and report["kernel_seconds"] == 0.0
+
+
 def test_tracked_frames_make_no_hsv_conversion(sequence_dir, sequence_profile_path,
                                                 capsys, monkeypatch):
     # the reference conversion only builds the key's tables: once they are
@@ -534,7 +557,9 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
 # objects, tuple fields of the wrong length and non-finite numbers; values
 # of another JSON kind, null, 8-bit fields out of range, a plane depth
 # beyond 16 bits; a file that is not UTF-8 and one nested too deep for the
-# parser
+# parser; finite marker sizes or entries whose corners or convexity turns
+# overflow
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
                                  {"ball_saturation": True}, [1], [["width", 64]], 7,
                                  {"principal_point": [1]}, {"marker_size_mm": [1]},
@@ -549,7 +574,10 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
                                  {"ball_saturation": 999}, {"ball_value": -5},
                                  {"raw_to_mm": 0.001}, {"seed": -1},
                                  pytest.param(b"\xff\xfe{}", id="not-utf8"),
-                                 pytest.param(b"[" * 100_000, id="too-deep")])
+                                 pytest.param(b"[" * 100_000, id="too-deep"),
+                                 {"marker_size_mm": [1e308, 1e308]},
+                                 {"marker_size_mm": [1e200, 1e200]},
+                                 {"marker_to_image": [1e308, 0, 320, 0, 1e308, 240, 0, 0, 1]}])
 def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     spec = tmp_path / "spec.json"
     spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -557,7 +585,7 @@ def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", str(spec)])
     assert rc == 5
     err = capsys.readouterr().err
-    assert err.startswith("Validation:")
+    assert err.startswith("Validation:") and err.count("\n") == 1, err
     if isinstance(doc, dict):
         assert all(key in err for key in doc), err
     assert not out.exists()
@@ -653,6 +681,22 @@ def test_simulate_ball_far_off_the_frame_warns_nothing(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().err == ""
     assert (out / "rgb_0000.ppm").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_shadow_beyond_float_range_warns_nothing(tmp_path, capsys):
+    # a ball centre near float range plus a shadow offset overflows: the
+    # shadow falls off the frame
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"shadow_offset_px": [1.5e308, 0]}))
+    trajectory = tmp_path / "trajectory.json"
+    trajectory.write_text(json.dumps([[7e307, 0, 120]]))
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--spec", str(spec),
+               "--trajectory", str(trajectory)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "depth_0000.pgm").exists()
 
 
 @pytest.mark.filterwarnings("error")

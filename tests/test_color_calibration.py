@@ -17,10 +17,9 @@ from tangible_tracker.color_calibration import (
     _floor_thresholds,
     _hue_key,
     _hue_passes,
+    _keyed_indices,
     calibrate_hue_bounds,
-    color_key,
     hue_bounds_mask,
-    hue_in_bounds,
 )
 from tangible_tracker.errors import LowSaturationError, PipelineError
 from tangible_tracker.imaging import HUE_BINS, RgbImage, rgb_to_hsv
@@ -37,6 +36,10 @@ def pointer_pair(ball_hue=20, sat=200, val=230, seed=0, jitter=0):
     wp = render_rgb(spec, np.random.default_rng(spec.seed),
                     with_marker=False, with_ball=True)
     return bg, wp
+
+
+# every hue at full saturation and value: a (1, 180, 3) HSV row
+ALL_HUES = np.array([[(h, 255, 255) for h in range(HUE_BINS)]], dtype=np.uint8)
 
 
 def wrap_membership_oracle(lo, hi):
@@ -67,9 +70,10 @@ def test_red_ball_wraps():
     bg, wp = pointer_pair(ball_hue=8)
     bounds = calibrate_hue_bounds(bg, wp)
     assert (bounds.lo, bounds.hi, bounds.wraps) == (173, 23, True)
+    inside = hue_bounds_mask(ALL_HUES, bounds).bits[0]
     for h, expected in ((0, True), (10, True), (23, True),
                         (24, False), (172, False), (173, True)):
-        assert hue_in_bounds(h, 255, 255, bounds) is expected
+        assert inside[h] == expected
 
 
 def test_low_saturation_ball_rejected():
@@ -152,22 +156,6 @@ def test_calibrate_hue_bounds_matches_frozen_reference(patch, corner):
     assert calibrate_hue_bounds(background, with_pointer, min_area=16) == expected
 
 
-def test_hue_in_bounds_trivials():
-    bounds = HueBounds(5, 35)
-    assert hue_in_bounds(20, 255, 255, bounds)
-    assert not hue_in_bounds(20, 10, 255, bounds)   # below saturation floor
-    assert not hue_in_bounds(20, 255, 10, bounds)   # below value floor
-    assert not hue_in_bounds(40, 255, 255, bounds)
-    with pytest.raises(ValueError):
-        hue_in_bounds(180, 255, 255, bounds)
-
-
-@pytest.mark.parametrize("s, v", [(300, 255), (-1, 255), (255, 256), (255, -1)])
-def test_hue_in_bounds_rejects_saturation_or_value_outside_a_byte(s, v):
-    with pytest.raises(ValueError, match="0..255"):
-        hue_in_bounds(20, s, v, HueBounds(5, 35))
-
-
 @settings(max_examples=150, deadline=None)
 @given(peak=st.integers(min_value=0, max_value=179))
 def test_membership_matches_exhaustive_enumeration(peak):
@@ -175,7 +163,7 @@ def test_membership_matches_exhaustive_enumeration(peak):
     hi = (peak + 15) % 180
     bounds = HueBounds(lo, hi, wraps=lo > hi)
     expected = wrap_membership_oracle(lo, hi)
-    member = {h for h in range(180) if hue_in_bounds(h, 255, 255, bounds)}
+    member = set(np.flatnonzero(hue_bounds_mask(ALL_HUES, bounds).bits).tolist())
     assert member == expected
     assert len(member) == 31
 
@@ -195,7 +183,7 @@ def test_mask_exhaustive_over_hues_and_floors():
             assert mask[row].tolist() == expected
 
 
-# ------------------------------------------------------------------ color_key
+# ------------------------------------------------------------------ color key
 
 KEY_BOUNDS = (HueBounds(5, 35), HueBounds(165, 15, wraps=True))
 
@@ -207,8 +195,8 @@ def test_color_key_exhaustive_over_all_rgb_colors():
         img = RgbImage(np.stack([np.full_like(g, r), g, b], axis=2))
         hsv = rgb_to_hsv(img)
         for bounds in KEY_BOUNDS:
-            expected = hue_bounds_mask(hsv, bounds).bits
-            assert np.array_equal(color_key(img, bounds).bits, expected), (r, bounds)
+            expected = np.flatnonzero(hue_bounds_mask(hsv, bounds).bits)
+            assert np.array_equal(_keyed_indices(img, bounds), expected), (r, bounds)
 
 
 def value_chroma_colors():
@@ -232,9 +220,9 @@ def test_color_key_at_extreme_floors(floors):
     hsv = rgb_to_hsv(img)
     for hue in KEY_BOUNDS + (HueBounds(0, 179),):
         bounds = HueBounds(hue.lo, hue.hi, hue.wraps, *floors)
-        expected = hue_bounds_mask(hsv, bounds).bits
-        assert expected.any()
-        assert np.array_equal(color_key(img, bounds).bits, expected), bounds
+        expected = np.flatnonzero(hue_bounds_mask(hsv, bounds).bits)
+        assert expected.size
+        assert np.array_equal(_keyed_indices(img, bounds), expected), bounds
 
 
 LAYOUTS = {
@@ -250,8 +238,8 @@ def test_color_key_any_memory_layout(layout):
     pixels = np.random.default_rng(3).integers(0, 256, (48, 64, 3), dtype=np.uint8)
     img = RgbImage(LAYOUTS[layout](pixels))
     for bounds in KEY_BOUNDS:
-        expected = hue_bounds_mask(rgb_to_hsv(img), bounds).bits
-        assert np.array_equal(color_key(img, bounds).bits, expected)
+        expected = np.flatnonzero(hue_bounds_mask(rgb_to_hsv(img), bounds).bits)
+        assert np.array_equal(_keyed_indices(img, bounds), expected)
 
 
 def frozen_color_key(rgb, bounds):
@@ -303,8 +291,8 @@ def test_color_key_matches_frozen_reference(pixels, layout, band_bytes, bounds):
     img = RgbImage(LAYOUTS[layout](pixels))
     # a budget of a few bytes makes every row, or every few rows, a band
     with mock.patch.object(color_calibration, "_BAND_BYTES", band_bytes):
-        keyed = color_key(img, bounds).bits
-    assert np.array_equal(keyed, frozen_color_key(img, bounds))
+        keyed = _keyed_indices(img, bounds)
+    assert np.array_equal(keyed, np.flatnonzero(frozen_color_key(img, bounds)))
 
 
 def test_color_key_on_uniform_random_hd_frame():
@@ -313,8 +301,8 @@ def test_color_key_on_uniform_random_hd_frame():
                                                      dtype=np.uint8))
     hsv = rgb_to_hsv(img)
     for bounds in KEY_BOUNDS:
-        assert np.array_equal(color_key(img, bounds).bits,
-                              hue_bounds_mask(hsv, bounds).bits)
+        assert np.array_equal(_keyed_indices(img, bounds),
+                              np.flatnonzero(hue_bounds_mask(hsv, bounds).bits))
 
 
 def test_color_key_concurrent_calls_match_serial():
@@ -329,12 +317,12 @@ def test_color_key_concurrent_calls_match_serial():
             pixels[y:y + 40, x:x + 40] = rng.integers(0, 256, 3)
         frames.append(RgbImage(np.clip(pixels, 0, 255).astype(np.uint8)))
     bounds = KEY_BOUNDS[1]
-    serial = [color_key(frame, bounds).bits for frame in frames]
+    serial = [_keyed_indices(frame, bounds) for frame in frames]
     start = Barrier(4, timeout=60)
 
     def key_repeatedly(frame):
         start.wait()
-        return [color_key(frame, bounds).bits for _ in range(20)]
+        return [_keyed_indices(frame, bounds) for _ in range(20)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the interpreter over mid-band
@@ -344,7 +332,7 @@ def test_color_key_concurrent_calls_match_serial():
     finally:
         sys.setswitchinterval(interval)
     for expected, results in zip(serial, concurrent):
-        assert expected.any() and not expected.all()
+        assert 0 < expected.size < 240 * 320
         assert all(np.array_equal(keyed, expected) for keyed in results)
 
 
@@ -418,7 +406,7 @@ def test_hue_table_is_cached_read_only_and_shared_across_floors():
     img = value_chroma_colors()
     with mock.patch.object(color_calibration, "_hue_passes", fetch):
         for floors in ((0, 0), (60, 40), (255, 255)):
-            color_key(img, HueBounds(5, 35, False, *floors))
+            _keyed_indices(img, HueBounds(5, 35, False, *floors))
     assert [interval for interval, _ in fetched] == [(5, 35, False)] * 3
     assert all(result is table for _, result in fetched)
 

@@ -4,7 +4,7 @@ Profiles, netpbm headers and frame directories are mutated at random. Each
 ``track`` run must exit 0, 4 or 5 with its documented stderr prefix, print
 only strict JSON records with a documented status, and raise nothing.
 Scene specs of the right JSON kinds at any magnitude make ``simulate``
-exit 0 or 5, and raise nothing.
+exit 0 or 5, and raise nothing, not even a numpy ``RuntimeWarning``.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -249,6 +250,15 @@ SCENE_VALUES = {name: kind_values(*shape) for name, shape in simulator._SHAPES.i
 @settings(max_examples=200, deadline=None)
 @given(st.fixed_dictionaries({}, optional=SCENE_VALUES))
 @example({"raw_to_mm": 1e-38})  # a plane depth beyond any integer numpy holds
+@example({"marker_size_mm": [1e308, 1e308]})  # corners beyond float range
+@example({"marker_size_mm": [1e200, 1e200]})  # convexity products beyond it
+@example({"marker_to_image": [0, 0, 1, 0, 1.5e41, 0, 2.2e156, 0, 9.9e173]})  # w * w
+@example({"ball_plane_mm": [-1e200, 0], "ball_radius_mm": 1e200})  # disc squares
+@example({"marker_to_image": [0, 0, 1, 1, 0, 0, 0, 1, 76]})  # t_rv with h33 = 0
+@example({"marker_to_image": [0, 0, 1, 0, 1.1125369292536007e-308, 21172647, -112,
+                               1914666122873048.0, 1]})  # its inverse beyond float range
+@example({"marker_to_image": [0, 0, 1, 0, 1, 1355049407, 1, 1386304027877517.0, 0]})  # centre
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_well_kinded_specs_simulate_or_exit_5(doc):
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "spec.json"

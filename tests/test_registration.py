@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tangible_tracker.color_calibration import HueBounds
@@ -304,6 +304,14 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
        matrix=st.tuples(*[_FINITE] * 8, st.sampled_from([0.0, 1.0])),
        rho_z=_POSITIVE, height=_POSITIVE, raw_to_mm=_POSITIVE,
        principal=st.tuples(_FINITE, _FINITE))
+# subnormal entries, whose numpy determinant warns as it returns 0
+@example(affine=[-0.0, -1.0, 0.0, -5e-324, 3.0, 0.0], lo=5, hi=35, floors=(60, 40),
+         matrix=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), rho_z=0.002,
+         height=600.0, raw_to_mm=1.0, principal=(319.5, 239.5))
+@example(affine=[1.0, 0.0, 4.0, 0.0, 1.0, 2.0], lo=5, hi=35, floors=(60, 40),
+         matrix=(0.0, 0.0, 1e6, 0.5, 1e-150, 1e-150, 2.2250738585072014e-308, -5e-324, 1.0),
+         rho_z=0.002, height=600.0, raw_to_mm=1.0, principal=(319.5, 239.5))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_profile_dict_round_trip_property(affine, lo, hi, floors, matrix, rho_z,
                                           height, raw_to_mm, principal):
     try:
