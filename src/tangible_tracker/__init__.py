@@ -25,7 +25,6 @@ from .imaging import (
     otsu_threshold,
     rgb_to_hsv,
     smooth_binary,
-    warp_affine,
 )
 from .mask_extraction import MaskRequest, extract_mask
 from .registration import (
@@ -88,5 +87,4 @@ __all__ = [
     "save_profile",
     "smooth_binary",
     "track_frame",
-    "warp_affine",
 ]

@@ -70,7 +70,7 @@ def _clusters(candidates: np.ndarray, eps: float) -> list[tuple[np.ndarray, int]
     return [(candidates[root == r].mean(axis=0), int(c)) for r, c in zip(roots, counts)]
 
 
-def cminmax_corners(mask: BinaryMask, params: CMinMaxParams | None = None) -> CornerSet:
+def cminmax_corners(mask: BinaryMask, params: CMinMaxParams) -> CornerSet:
     """Detect up to n corners of a convex mask from rotated coordinate extremes.
 
     For k = 0 .. int(n/2)-1 the set-pixel coordinates are rotated about the
@@ -79,8 +79,6 @@ def cminmax_corners(mask: BinaryMask, params: CMinMaxParams | None = None) -> Co
     bunches appear, one retry shifts every angle by -pi/(2n) and the attempt
     with more bunches wins (ties keep the first).
     """
-    if params is None:
-        params = CMinMaxParams()
     n = params.n
 
     ys, xs = np.nonzero(mask.bits)

@@ -1,12 +1,14 @@
 """Raster value types and the pixel-level primitives built on them.
 
-Images are thin wrappers around row-major numpy arrays and are treated as
-immutable after construction; every operation is a pure function returning
-new values, so all of them are safe to call concurrently.
+Images are thin wrappers around numpy arrays, which they may share with the
+caller. No package function writes to an image's pixels: every operation is
+a pure function returning new values, so all of them are safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +90,8 @@ class DepthImage:
             raise ValueError("DepthImage expects pixels shaped (height, width)")
         if self.pixels.shape[0] < 1 or self.pixels.shape[1] < 1:
             raise ValueError("image must be at least 1x1")
-        if not self.raw_to_mm > 0:
-            raise ValueError("raw_to_mm must be positive")
+        if not 0 < self.raw_to_mm < math.inf:
+            raise ValueError("raw_to_mm must be positive and finite")
 
     @property
     def height(self) -> int:
@@ -347,41 +349,3 @@ def largest_component(mask: BinaryMask) -> BinaryMask:
     bits = np.zeros(height * width, dtype=bool)
     bits[_ranges(row * width + c0, c1 - c0 + 1)] = True
     return BinaryMask(bits.reshape(height, width))
-
-
-def warp_affine(img: DepthImage, t: AffineTransform,
-                box: tuple[int, int, int, int] | None = None) -> DepthImage:
-    """Resample into the target frame by nearest neighbor.
-
-    The target frame has the source's size. With ``box = (x, y, w, h)``,
-    which must lie inside that frame, only the window's pixels are sampled
-    and the w x h result equals that crop of the full warp: each pixel is
-    computed alone, by the same float operations. The identity transform
-    returns a view of the source and samples nothing.
-
-    Destination pixels that map outside the source get raw value 0, which
-    downstream consumers already treat as no-data.
-    """
-    h, w = img.pixels.shape
-    x, y, bw, bh = (0, 0, w, h) if box is None else box
-    if bw < 1 or bh < 1 or x < 0 or y < 0 or x + bw > w or y + bh > h:
-        raise ValueError("box must lie within the frame")
-    if np.array_equal(t.matrix, _IDENTITY):
-        return DepthImage(img.pixels[y:y + bh, x:x + bw], img.raw_to_mm)
-
-    inv = np.linalg.inv(t.matrix[:, :2])
-    offset = t.matrix[:, 2]
-
-    # x offsets as a row and y offsets as a column broadcast to the box
-    dx = np.arange(x, x + bw, dtype=np.float64) - offset[0]
-    dy = (np.arange(y, y + bh, dtype=np.float64) - offset[1])[:, None]
-    sx = np.rint(inv[0, 0] * dx + inv[0, 1] * dy).astype(np.int64)
-    sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy).astype(np.int64)
-    ok = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
-
-    # one flat gather, which np.take makes from any memory layout; pixels
-    # off the source read pixel 0 and are then zeroed
-    out = np.take(img.pixels, np.where(ok, sy * w + sx, 0))
-    out[~ok] = 0
-    return DepthImage(out, img.raw_to_mm)
-

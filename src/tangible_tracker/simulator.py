@@ -121,8 +121,9 @@ class SceneSpec:
             raise ValueError("scene fields marker_size_mm and marker_to_image put the "
                              "marker's corners, centre or virtual map beyond float range")
         if _beyond_float_range(lambda: ball_geometry(self)):
-            raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} puts the "
-                             "ball's footprint, centre or radius beyond float range")
+            raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} through "
+                             "scene field marker_to_image puts the ball's footprint, "
+                             "centre or radius beyond float range")
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ the line to each client's pending bytes and sends what the socket takes at
 once; it never waits on the network. A client whose send fails, or whose
 pending bytes exceed the limit, is closed and dropped, so the tracking loop
 keeps pace. Every client socket asks the kernel for a fixed 64 KiB send
-buffer, so the limit applies near ``max_buffered`` bytes of backlog rather
+buffer, so the limit applies near ``MAX_BUFFERED`` bytes of backlog rather
 than after the megabytes a self-sized buffer would take first. A server is
 not for concurrent use: call it from one thread at a time.
 """
@@ -20,7 +20,7 @@ import time
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_BUFFERED = 1 << 20  # pending bytes per client before it is dropped
+MAX_BUFFERED = 1 << 20  # pending bytes per client before it is dropped
 SEND_BUFFER = 64 << 10  # SO_SNDBUF of every client socket
 FLUSH_SECONDS = 2.0  # close() waits at most this long for all clients together
 
@@ -45,9 +45,7 @@ class StreamServer:
     ``client_count``.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 max_buffered: int = DEFAULT_MAX_BUFFERED):
-        self._limit = max_buffered
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -79,7 +77,7 @@ class StreamServer:
         dropped = []
         for conn, pending in self._clients.items():
             pending += line
-            if not _send(conn, pending) or len(pending) > self._limit:
+            if not _send(conn, pending) or len(pending) > MAX_BUFFERED:
                 dropped.append(conn)
         for conn in dropped:
             conn.close()

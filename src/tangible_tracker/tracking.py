@@ -1,8 +1,8 @@
 """Per-frame pointer localization.
 
-Each frame finds the pointer blob by its calibrated color, aligns only the
-depth pixels under the blob's bounding box into the RGB frame, reads a
-filtered depth from that crop, shifts the observed pixel to its
+Each frame finds the pointer blob by its calibrated color, reads a
+filtered depth from the depth pixels that the profile's alignment maps
+into the blob's bounding box, shifts the observed pixel to its
 marker-plane footprint to undo parallax, and maps the result into virtual
 coordinates. Frames are independent: the function is pure with respect to
 an immutable calibration profile.
@@ -17,12 +17,13 @@ import numpy as np
 from .color_calibration import HueBounds, _keyed_indices
 from .errors import InvalidHeightError, NoDepthError, NonFiniteError, NoPointerError
 from .imaging import (
+    _IDENTITY,
+    AffineTransform,
     DepthImage,
     Point2,
     Point3,
     RgbImage,
     _largest_run_component,
-    warp_affine,
 )
 from .registration import CalibrationProfile, apply_homography
 
@@ -48,8 +49,9 @@ class PointerFix:
 class FramePair:
     """RGB frame plus the depth frame as read, in depth pixels.
 
-    ``track_frame`` aligns the depth pixels it reads through the profile's
-    ``depth_to_rgb``; both frames must have the same size.
+    Both frames must have the same size, so every box found in ``rgb`` lies
+    within ``depth``; ``track_frame`` maps the box's pixels to depth pixels
+    through the inverse of the profile's ``depth_to_rgb``.
     """
 
     rgb: RgbImage
@@ -82,6 +84,18 @@ def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
     return center, (x0, y0, w, h)
 
 
+def _filtered_depth_mm(samples: np.ndarray, raw_to_mm: float) -> float:
+    """``estimate_pointer_depth``'s two-pass filter over raw samples of any
+    shape."""
+    nonzero = samples[samples > 0].astype(np.float64)
+    if nonzero.size == 0:
+        raise NoDepthError("pointer region is entirely in IR shadow")
+    first_mean = nonzero.mean()
+    # the smallest sample is at most the mean, so kept is never empty
+    kept = nonzero[nonzero <= BACKGROUND_FACTOR * first_mean]
+    return float(kept.mean() * raw_to_mm)
+
+
 def estimate_pointer_depth(depth: DepthImage, bbox: BBox) -> float:
     """Two-pass filtered depth of the pointer crop, in millimeters.
 
@@ -92,14 +106,31 @@ def estimate_pointer_depth(depth: DepthImage, bbox: BBox) -> float:
     x, y, w, h = bbox
     if w < 1 or h < 1 or x < 0 or y < 0 or x + w > depth.width or y + h > depth.height:
         raise ValueError("bbox must lie within the depth image")
-    crop = depth.pixels[y:y + h, x:x + w]
-    nonzero = crop[crop > 0].astype(np.float64)
-    if nonzero.size == 0:
-        raise NoDepthError("pointer region is entirely in IR shadow")
-    first_mean = nonzero.mean()
-    # the smallest sample is at most the mean, so kept is never empty
-    kept = nonzero[nonzero <= BACKGROUND_FACTOR * first_mean]
-    return float(kept.mean() * depth.raw_to_mm)
+    return _filtered_depth_mm(depth.pixels[y:y + h, x:x + w], depth.raw_to_mm)
+
+
+def _box_depth_samples(depth: DepthImage, to_rgb: AffineTransform, box: BBox) -> np.ndarray:
+    """The raw depth samples under an RGB-frame box that lies within the
+    depth frame's size, in the box's row-major order.
+
+    Each box pixel maps through the inverse of ``to_rgb`` to its nearest
+    depth pixel; box pixels that map off the depth frame are left out. The
+    identity transform returns a view of the box and samples nothing.
+    """
+    x, y, w, h = box
+    if np.array_equal(to_rgb.matrix, _IDENTITY):
+        return depth.pixels[y:y + h, x:x + w]
+    inv = np.linalg.inv(to_rgb.matrix[:, :2])
+    offset = to_rgb.matrix[:, 2]
+    # x offsets as a row and y offsets as a column broadcast to the box
+    dx = np.arange(x, x + w, dtype=np.float64) - offset[0]
+    dy = (np.arange(y, y + h, dtype=np.float64) - offset[1])[:, None]
+    sx = np.rint(inv[0, 0] * dx + inv[0, 1] * dy).astype(np.int64)
+    sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy).astype(np.int64)
+    height, width = depth.pixels.shape
+    ok = (sx >= 0) & (sx < width) & (sy >= 0) & (sy < height)
+    # one flat gather, which np.take makes from any memory layout
+    return np.take(depth.pixels, (sy * width + sx)[ok])
 
 
 def correct_parallax(b: Point2, o: Point2, h: float, camera_height_mm: float) -> Point2:
@@ -119,11 +150,11 @@ def correct_parallax(b: Point2, o: Point2, h: float, camera_height_mm: float) ->
 
 
 def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
-    """Detect, align the depth crop, depth-filter, parallax-correct, and map
-    one frame."""
+    """Detect, depth-filter the box's aligned samples, parallax-correct,
+    and map one frame."""
     center, bbox = detect_pointer_2d(frame.rgb, cal.hue_bounds)
-    crop = warp_affine(frame.depth, cal.depth_to_rgb, bbox)
-    depth_mm = estimate_pointer_depth(crop, (0, 0, crop.width, crop.height))
+    samples = _box_depth_samples(frame.depth, cal.depth_to_rgb, bbox)
+    depth_mm = _filtered_depth_mm(samples, frame.depth.raw_to_mm)
 
     cam_h = cal.camera_height_mm
     height = cam_h - depth_mm

@@ -368,20 +368,17 @@ def test_track_aligns_only_the_pointer_box(
     profile_path = _profile_with(sequence_profile_path, tmp_path / "profile.json",
                                  depth_to_rgb=depth_to_rgb)
     profile = load_profile(profile_path)
-    real_warp = imaging.warp_affine
+    real_sampler = tracking._box_depth_samples
     calls = []
 
-    def counting_warp(img, t, box=None):
-        out = real_warp(img, t, box)
-        # a view of the source is a slice: nothing was sampled
-        sampled = 0 if np.shares_memory(out.pixels, img.pixels) else out.pixels.size
+    def counting_sampler(depth, t, box):
+        out = real_sampler(depth, t, box)
+        # a view of the depth frame is a slice: nothing was sampled
+        sampled = 0 if np.shares_memory(out, depth.pixels) else out.size
         calls.append((box, sampled))
         return out
 
-    # tracking binds the name at import; the module attribute catches any
-    # other caller
-    monkeypatch.setattr(imaging, "warp_affine", counting_warp)
-    monkeypatch.setattr(tracking, "warp_affine", counting_warp)
+    monkeypatch.setattr(tracking, "_box_depth_samples", counting_sampler)
     rc = main(["track", "--calib", str(profile_path), "--frames", str(frames)])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
@@ -485,6 +482,25 @@ def test_tracked_frames_make_no_hsv_conversion(sequence_dir, sequence_profile_pa
     assert calls == []
 
 
+def test_tracked_frames_make_no_depth_image_but_the_read(sequence_dir, sequence_profile_path,
+                                                         capsys, monkeypatch):
+    # the pointer box's depth is sampled straight from the frame as read:
+    # read_depth builds the only DepthImage of each frame, hit or miss
+    calls = []
+    post_init = imaging.DepthImage.__post_init__
+
+    def counting_post_init(self):
+        calls.append(self.pixels.shape)
+        post_init(self)
+
+    monkeypatch.setattr(imaging.DepthImage, "__post_init__", counting_post_init)
+    argv = ["track", "--calib", str(sequence_profile_path), "--frames", str(sequence_dir)]
+    assert main(argv) == 0
+    statuses = [json.loads(line)["status"] for line in capsys.readouterr().out.splitlines()]
+    assert statuses.count("ok") > 0
+    assert len(calls) == len(statuses)
+
+
 def test_track_stream_clients_get_contiguous_suffix(sequence_dir,
                                                     sequence_profile_path):
     with socket.socket() as probe:
@@ -558,7 +574,7 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
 # of another JSON kind, null, 8-bit fields out of range, a plane depth
 # beyond 16 bits; a file that is not UTF-8 and one nested too deep for the
 # parser; finite marker sizes or entries whose corners or convexity turns
-# overflow
+# overflow, and entries that put the ball beyond float range
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
                                  {"ball_saturation": True}, [1], [["width", 64]], 7,
@@ -577,7 +593,8 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
                                  pytest.param(b"[" * 100_000, id="too-deep"),
                                  {"marker_size_mm": [1e308, 1e308]},
                                  {"marker_size_mm": [1e200, 1e200]},
-                                 {"marker_to_image": [1e308, 0, 320, 0, 1e308, 240, 0, 0, 1]}])
+                                 {"marker_to_image": [1e308, 0, 320, 0, 1e308, 240, 0, 0, 1]},
+                                 {"marker_to_image": [0, 0, 1, 0, 1.5e41, 0, 2.2e156, 0, 9.9e173]}])
 def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     spec = tmp_path / "spec.json"
     spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())

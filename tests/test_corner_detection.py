@@ -317,7 +317,7 @@ def test_oracle_on_convex_polygons(angles, cx, cy, rx, ry, phi, requested):
 
 def test_degenerate_masks_rejected():
     with pytest.raises(DegenerateMaskError):
-        cminmax_corners(BinaryMask(np.zeros((10, 10), dtype=bool)))
+        cminmax_corners(BinaryMask(np.zeros((10, 10), dtype=bool)), CMinMaxParams())
     line = np.zeros((30, 30), dtype=bool)
     line[15, 4:26] = True
     with pytest.raises(DegenerateMaskError):

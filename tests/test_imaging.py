@@ -22,8 +22,8 @@ from tangible_tracker.imaging import (
     otsu_threshold,
     rgb_to_hsv,
     smooth_binary,
-    warp_affine,
 )
+from tangible_tracker.tracking import _box_depth_samples, estimate_pointer_depth
 
 
 def solid_rgb(h, w, color):
@@ -474,7 +474,7 @@ def test_largest_component_on_uniform_random_hd_mask():
             == frozen_largest_component(bits)).all()
 
 
-# --------------------------------------------------------------- warp_affine
+# ------------------------------------------------------- depth and alignment
 
 @pytest.mark.parametrize("dtype", [np.uint16, np.int64, ">u2", "<u2"])
 def test_depth_image_keeps_the_values_of_any_integer_dtype(dtype):
@@ -488,6 +488,13 @@ def test_depth_image_keeps_the_values_of_any_integer_dtype(dtype):
     for bad in ([[70000, 0]], [[-1, 0]], [[1.0, 2.0]], [[1.5, 2.0]]):
         with pytest.raises(ValueError):
             DepthImage(np.array(bad))
+
+
+@pytest.mark.parametrize("raw_to_mm", [0.0, -1.0, float("inf"), float("nan")])
+def test_depth_image_refuses_a_scale_that_is_not_positive_and_finite(raw_to_mm):
+    # the profile's rule: an infinite scale would make every depth infinite
+    with pytest.raises(ValueError):
+        DepthImage(np.full((4, 4), 100, dtype=np.uint16), raw_to_mm)
 
 
 def test_rgb_image_converts_by_value_or_refuses():
@@ -504,32 +511,13 @@ def test_depth_image_takes_file_order_pixels_without_a_copy():
     assert DepthImage(pixels).pixels is pixels
 
 
-def test_warp_identity_is_bit_identical():
-    rng = np.random.default_rng(6)
-    img = DepthImage(rng.integers(0, 5000, size=(30, 40), dtype=np.uint16))
-    out = warp_affine(img, AffineTransform.identity())
-    assert (out.pixels == img.pixels).all()
-
-
 def test_warp_integer_translation():
     rng = np.random.default_rng(7)
     img = DepthImage(rng.integers(1, 5000, size=(20, 25), dtype=np.uint16))
     t = AffineTransform(np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 5.0]]))
-    out = warp_affine(img, t).pixels
-    assert (out[5:, 3:] == img.pixels[:-5, :-3]).all()
-    assert (out[:5, :] == 0).all()
-    assert (out[:, :3] == 0).all()
-
-
-def test_warp_round_trip_on_common_region():
-    rng = np.random.default_rng(8)
-    img = DepthImage(rng.integers(1, 5000, size=(40, 50), dtype=np.uint16))
-    t = AffineTransform(np.array([[1.0, 0.0, 4.0], [0.0, 1.0, -3.0]]))
-    inv = AffineTransform(np.array([[1.0, 0.0, -4.0], [0.0, 1.0, 3.0]]))
-    back = warp_affine(warp_affine(img, t), inv).pixels
-    covered = back > 0
-    assert covered.sum() > 0.6 * img.pixels.size
-    assert (back[covered] == img.pixels[covered]).all()
+    # the frame's top 5 rows and left 3 columns map off the depth frame
+    samples = _box_depth_samples(img, t, (0, 0, 25, 20))
+    assert (samples == img.pixels[:-5, :-3].ravel()).all()
 
 
 def test_warp_rejects_singular_transform():
@@ -595,14 +583,14 @@ DEPTH_LAYOUTS = {
 def test_warp_box_is_the_crop_of_the_full_warp(case, layout):
     h, w, (x, y, bw, bh), seed, t = case
     rng = np.random.default_rng(seed)
-    # no zero in the source, so a 0 in the output can only mean off-source
-    img = DepthImage(DEPTH_LAYOUTS[layout](rng, h, w), 2.5)
-    full = full_warp_oracle(img, t)
-    out = warp_affine(img, t, (x, y, bw, bh))
-    assert out.pixels.shape == (bh, bw)
-    assert out.raw_to_mm == 2.5
-    assert (out.pixels == full.pixels[y:y + bh, x:x + bw]).all()
-    assert (warp_affine(img, t).pixels == full.pixels).all()
+    # no zero in the source, so a 0 in the full warp can only mean
+    # off-source, and the sampler leaves those pixels out
+    img = DepthImage(DEPTH_LAYOUTS[layout](rng, h, w))
+    crop = full_warp_oracle(img, t).pixels[y:y + bh, x:x + bw]
+    samples = _box_depth_samples(img, t, (x, y, bw, bh))
+    assert samples.dtype == DEPTH_SAMPLE
+    assert (samples > 0).all()
+    assert np.array_equal(samples.ravel(), crop[crop > 0])
 
 
 @given(warp_cases(), st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
@@ -614,18 +602,19 @@ def test_warp_box_wholly_off_the_source_is_no_data(case, sign_x, sign_y):
     shifted[:, 2] += (1000.0 * sign_x, 1000.0 * sign_y)
     img = DepthImage(np.random.default_rng(seed).integers(
         1, 65536, size=(h, w), dtype=np.uint16))
-    out = warp_affine(img, AffineTransform(shifted), box)
-    assert out.pixels.shape == (box[3], box[2])
-    assert (out.pixels == 0).all()
+    x, y, bw, bh = box
+    crop = full_warp_oracle(img, AffineTransform(shifted)).pixels[y:y + bh, x:x + bw]
+    samples = _box_depth_samples(img, AffineTransform(shifted), box)
+    assert samples.size == 0
+    assert np.array_equal(samples, crop[crop > 0])
 
 
 def test_warp_identity_box_is_the_slice():
     rng = np.random.default_rng(9)
-    img = DepthImage(rng.integers(0, 5000, size=(30, 40), dtype=np.uint16), 0.5)
-    out = warp_affine(img, AffineTransform.identity(), (7, 11, 13, 5))
-    assert (out.pixels == img.pixels[11:16, 7:20]).all()
-    assert out.raw_to_mm == 0.5
-    assert np.shares_memory(out.pixels, img.pixels)  # nothing was sampled
+    img = DepthImage(rng.integers(0, 5000, size=(30, 40), dtype=np.uint16))
+    samples = _box_depth_samples(img, AffineTransform.identity(), (7, 11, 13, 5))
+    assert (samples == img.pixels[11:16, 7:20]).all()
+    assert np.shares_memory(samples, img.pixels)  # nothing was sampled
 
 
 @pytest.mark.parametrize("box", [
@@ -633,9 +622,10 @@ def test_warp_identity_box_is_the_slice():
     (0, 0, 0, 5), (0, 0, 5, 0),
 ])
 def test_warp_box_outside_the_frame_is_rejected(box):
+    # the one check of a box: estimate_pointer_depth takes boxes from
+    # outside, while track_frame's box comes from an RGB frame of the depth
+    # frame's size
     img = DepthImage(np.ones((30, 40), dtype=np.uint16))
-    t = AffineTransform(np.array([[1.0, 0.0, 4.0], [0.0, 1.0, 2.0]]))
-    for transform in (t, AffineTransform.identity()):
-        with pytest.raises(ValueError):
-            warp_affine(img, transform, box)
+    with pytest.raises(ValueError):
+        estimate_pointer_depth(img, box)
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangible_tracker.imaging import warp_affine
 from tangible_tracker.simulator import (
     CALIBRATION_IMAGES,
     MAX_SCENE_PIXELS,
@@ -23,6 +22,7 @@ from tangible_tracker.simulator import (
     render_sequence,
     spec_from_dict,
 )
+from tests.test_imaging import full_warp_oracle
 
 
 def test_ball_at_zero_height_projects_to_footprint():
@@ -68,7 +68,7 @@ def test_noise_free_truth_identical_across_seeds():
 def test_depth_frame_offset_round_trips_through_alignment():
     spec = SceneSpec(depth_frame_offset=(6, 3))
     _, depth, _ = render_scene(spec)
-    aligned = warp_affine(depth, depth_alignment(spec)).pixels
+    aligned = full_warp_oracle(depth, depth_alignment(spec)).pixels
     reference = render_scene(dataclasses.replace(spec, depth_frame_offset=(0, 0)))[1].pixels
     h, w = reference.shape
     # pixels left of x=6 / above y=3 were never seen by the depth camera

@@ -5,7 +5,7 @@ import threading
 import time
 
 from tangible_tracker import stream
-from tangible_tracker.stream import DEFAULT_MAX_BUFFERED, StreamServer
+from tangible_tracker.stream import MAX_BUFFERED, StreamServer
 
 
 def connect(server: StreamServer) -> socket.socket:
@@ -62,8 +62,9 @@ def test_clients_get_gapless_suffixes_from_join_point():
     assert lines_a[-len(lines_b):] == lines_b
 
 
-def test_slow_client_is_dropped_not_blocking():
-    server = StreamServer(max_buffered=256)
+def test_slow_client_is_dropped_not_blocking(monkeypatch):
+    monkeypatch.setattr(stream, "MAX_BUFFERED", 256)
+    server = StreamServer()
     try:
         slow = connect(server)
         wait_clients(server, 1)
@@ -141,14 +142,14 @@ def test_never_reading_client_is_dropped_near_the_limit():
         wait_clients(server, 1)
         line = b"s" * 234 + b"\n"
         published = 0
-        while server.client_count() and published < 8 * DEFAULT_MAX_BUFFERED:
+        while server.client_count() and published < 8 * MAX_BUFFERED:
             server.publish(line)
             published += len(line)
             if published % (64 * len(line)) == 0:
                 time.sleep(0.001)  # about the pace of a tracking loop
         assert server.client_count() == 0
         # the kernel holds only a small, fixed share on top of the limit
-        assert published < DEFAULT_MAX_BUFFERED + (512 << 10)
+        assert published < MAX_BUFFERED + (512 << 10)
     finally:
         server.close()
         sock.close()

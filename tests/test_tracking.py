@@ -22,7 +22,6 @@ from tangible_tracker.imaging import (
     DepthImage,
     RgbImage,
     rgb_to_hsv,
-    warp_affine,
 )
 from tangible_tracker.registration import Homography, apply_homography
 from tangible_tracker.simulator import (
@@ -33,6 +32,8 @@ from tangible_tracker.simulator import (
 from tangible_tracker.tracking import (
     MIN_POINTER_PIXELS,
     FramePair,
+    _box_depth_samples,
+    _filtered_depth_mm,
     correct_parallax,
     detect_pointer_2d,
     estimate_pointer_depth,
@@ -244,7 +245,7 @@ def test_depth_lies_within_the_nonzero_samples(pixels, raw_to_mm):
 
 def native_box_depth(pixels: np.ndarray, t: AffineTransform, box, raw_to_mm: float):
     """The aligned box crop and its filtered depth (or the error class) as
-    warp_affine and estimate_pointer_depth computed them on native uint16
+    the box warp and estimate_pointer_depth computed them on native uint16
     pixels, before depth kept the file's byte order; frozen."""
     h, w = pixels.shape
     x, y, bw, bh = box
@@ -285,11 +286,11 @@ def test_box_depth_on_file_order_pixels_equals_the_native_path(
     as_read = np.frombuffer(native.astype(">u2").tobytes(), dtype=">u2").reshape(h, w)
     want_crop, want = native_box_depth(native, t, box, raw_to_mm)
 
-    crop = warp_affine(DepthImage(as_read, raw_to_mm), t, box)
-    assert crop.pixels.dtype == DEPTH_SAMPLE
-    assert (crop.pixels == want_crop).all()
+    samples = _box_depth_samples(DepthImage(as_read, raw_to_mm), t, box)
+    assert samples.dtype == DEPTH_SAMPLE
+    assert np.array_equal(samples[samples > 0], want_crop[want_crop > 0])
     try:
-        got = estimate_pointer_depth(crop, (0, 0, crop.width, crop.height))
+        got = _filtered_depth_mm(samples, raw_to_mm)
     except NoDepthError as exc:
         got = type(exc)
     assert got == want
