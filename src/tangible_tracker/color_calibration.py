@@ -164,13 +164,15 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     into a contiguous pixel-aligned buffer, where the compare runs. Pixels
     with ``delta`` below the smallest entry of ``_floor_thresholds`` cannot
     reach the floors and are dropped without a lookup; the rest are looked
-    up at their value, read back as ``hi[3 * candidates]``. The survivors'
-    channels are gathered once, as int32, and their hue is tested by one
-    lookup each in ``_hue_passes``, keyed on their channel differences.
+    up at their value, read back as ``hi[3 * candidates]``, and a band with
+    no candidate skips its lookup. The survivors' channels are gathered
+    once, as int32, and their hue is tested by one lookup each in
+    ``_hue_passes``, keyed on their channel differences.
 
     A mostly gray frame costs a few passes over its bytes, each band in
-    cache, plus work in proportion to its few candidates. A frame saturated
-    everywhere adds a gather, a few integer passes and a lookup per pixel.
+    cache, plus work in proportion to its few candidates; its bands with
+    none make no lookup at all. A frame saturated everywhere adds a gather,
+    a few integer passes and a lookup per pixel.
     """
     pixels = rgb.pixels
     height, width, _ = pixels.shape
@@ -184,7 +186,7 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     hi_buf = np.empty(band_rows * width * 3 - 2, dtype=np.uint8)
     lo_buf = np.empty_like(hi_buf)
     delta_buf = np.empty(band_rows * width, dtype=np.uint8)
-    parts = []
+    parts = [np.empty(0, dtype=np.intp)]  # a frame with no candidate keys nothing
     for row in range(0, height, band_rows):
         b = pixels[row:row + band_rows].reshape(-1)  # a copy only if strided
         hi, lo = hi_buf[:b.size - 2], lo_buf[:b.size - 2]
@@ -196,6 +198,8 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
         delta = delta_buf[:b.size // 3]
         np.copyto(delta, lo[::3])  # pixel k's window starts at byte 3k
         candidates = np.flatnonzero(delta >= floor)
+        if candidates.size == 0:
+            continue  # a gray band: no lookup
         passes = delta[candidates] >= np.take(floor_table, hi[3 * candidates])
         parts.append(candidates[passes] + row * width)
     survivors = np.concatenate(parts)

@@ -2,10 +2,11 @@
 
 Each frame finds the pointer blob by its calibrated color, reads a
 filtered depth from the depth pixels that the profile's alignment maps
-into the blob's bounding box, shifts the observed pixel to its
-marker-plane footprint to undo parallax, and maps the result into virtual
-coordinates. Frames are independent: the function is pure with respect to
-an immutable calibration profile.
+into the blob's bounding box (a slice of the depth frame when the
+alignment is an integer translation, the identity included), shifts the
+observed pixel to its marker-plane footprint to undo parallax, and maps
+the result into virtual coordinates. Frames are independent: the function
+is pure with respect to an immutable calibration profile.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ BACKGROUND_FACTOR = 1.10  # depth samples above this multiple of the mean are ba
 HEIGHT_SLACK = 0.02  # fraction of camera height forgiven below the plane
 
 BBox = tuple[int, int, int, int]  # x, y, w, h
+
+_IDENTITY_LINEAR = _IDENTITY[:, :2].tolist()
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,19 @@ def _box_depth_samples(depth: DepthImage, to_rgb: AffineTransform, box: BBox) ->
     depth frame's size, in the box's row-major order.
 
     Each box pixel maps through the inverse of ``to_rgb`` to its nearest
-    depth pixel; box pixels that map off the depth frame are left out. The
-    identity transform returns a view of the box and samples nothing.
+    depth pixel; box pixels that map off the depth frame are left out. An
+    integer translation, the identity included, maps the box to the box
+    shifted by the negated offsets, so it returns a view of that box
+    clipped to the depth frame and samples nothing; every other affine
+    gathers its samples one by one.
     """
     x, y, w, h = box
-    if np.array_equal(to_rgb.matrix, _IDENTITY):
-        return depth.pixels[y:y + h, x:x + w]
+    linear = to_rgb.matrix[:, :2].tolist()
+    tx, ty = to_rgb.matrix[:, 2].tolist()
+    if linear == _IDENTITY_LINEAR and tx.is_integer() and ty.is_integer():
+        sx, sy = x - int(tx), y - int(ty)
+        # slicing clips the ends past the frame; only the negative ones need it
+        return depth.pixels[max(sy, 0):max(sy + h, 0), max(sx, 0):max(sx + w, 0)]
     inv = np.linalg.inv(to_rgb.matrix[:, :2])
     offset = to_rgb.matrix[:, 2]
     # x offsets as a row and y offsets as a column broadcast to the box

@@ -281,6 +281,9 @@ CANDIDATE_ONLY = (255, 245, 245)
          layout="c", band_bytes=15, bounds=HueBounds(5, 35))  # no survivor at all
 @example(pixels=np.full((3, 7, 3), 128, dtype=np.uint8),
          layout="c", band_bytes=21, bounds=HueBounds(5, 35))  # no candidate at all
+@example(pixels=np.array([[(90, 90, 90)] * 3] * 4
+                         + [[(255, 85, 0), CANDIDATE_ONLY, (90, 90, 90)]], dtype=np.uint8),
+         layout="c", band_bytes=18, bounds=HueBounds(5, 35))  # only the last, 1-row band
 @example(pixels=np.arange(1 * 13 * 3, dtype=np.uint8).reshape(1, 13, 3) * 6,
          layout="c", band_bytes=1, bounds=HueBounds(165, 15, True, 0, 0))
 @example(pixels=np.arange(13 * 1 * 3, dtype=np.uint8).reshape(13, 1, 3) * 6,
@@ -293,6 +296,18 @@ def test_color_key_matches_frozen_reference(pixels, layout, band_bytes, bounds):
     with mock.patch.object(color_calibration, "_BAND_BYTES", band_bytes):
         keyed = _keyed_indices(img, bounds)
     assert np.array_equal(keyed, np.flatnonzero(frozen_color_key(img, bounds)))
+
+
+def test_color_key_without_candidates_is_empty_of_the_hit_dtype():
+    gray = RgbImage(np.full((6, 8, 3), 90, dtype=np.uint8))
+    hit = RgbImage(np.full((6, 8, 3), (255, 85, 0), dtype=np.uint8))
+    bounds = HueBounds(5, 35)
+    keyed_hit = _keyed_indices(hit, bounds)
+    assert keyed_hit.size == 48
+    for band_bytes in (1, 24, 10**6):  # one band per row, a few, one in all
+        with mock.patch.object(color_calibration, "_BAND_BYTES", band_bytes):
+            keyed = _keyed_indices(gray, bounds)
+        assert keyed.shape == (0,) and keyed.dtype == keyed_hit.dtype
 
 
 def test_color_key_on_uniform_random_hd_frame():

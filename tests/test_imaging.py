@@ -517,7 +517,7 @@ def test_warp_integer_translation():
     t = AffineTransform(np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 5.0]]))
     # the frame's top 5 rows and left 3 columns map off the depth frame
     samples = _box_depth_samples(img, t, (0, 0, 25, 20))
-    assert (samples == img.pixels[:-5, :-3].ravel()).all()
+    assert (samples.ravel() == img.pixels[:-5, :-3].ravel()).all()
 
 
 def test_warp_rejects_singular_transform():
@@ -551,20 +551,24 @@ def affine(angle, scale_x, scale_y, shear, tx, ty) -> AffineTransform:
 
 
 @st.composite
-def warp_cases(draw):
+def warp_cases(draw, integer_shift=False):
     h = draw(st.integers(1, 40))
     w = draw(st.integers(1, 40))
     x = draw(st.integers(0, w - 1))
     y = draw(st.integers(0, h - 1))
     box = (x, y, draw(st.integers(1, w - x)), draw(st.integers(1, h - y)))
     seed = draw(st.integers(0, 2**32 - 1))
-    # fractional translations up to twice the frame push boxes partly or
-    # wholly off the source
-    reach = 2.0 * max(h, w)
-    t = affine(draw(st.floats(-np.pi, np.pi)),
-               draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)),
-               draw(st.floats(-0.5, 0.5)),
-               draw(st.floats(-reach, reach)), draw(st.floats(-reach, reach)))
+    # translations up to twice the frame push boxes partly or wholly off
+    # the source
+    reach = 2 * max(h, w)
+    if integer_shift:
+        t = affine(0.0, 1.0, 1.0, 0.0,
+                   draw(st.integers(-reach, reach)), draw(st.integers(-reach, reach)))
+    else:
+        t = affine(draw(st.floats(-np.pi, np.pi)),
+                   draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)),
+                   draw(st.floats(-0.5, 0.5)),
+                   draw(st.floats(-reach, reach)), draw(st.floats(-reach, reach)))
     return h, w, box, seed, t
 
 
@@ -593,6 +597,42 @@ def test_warp_box_is_the_crop_of_the_full_warp(case, layout):
     assert np.array_equal(samples.ravel(), crop[crop > 0])
 
 
+@given(warp_cases(integer_shift=True), st.sampled_from(sorted(DEPTH_LAYOUTS)))
+@settings(max_examples=400, deadline=None)
+def test_warp_integer_shift_is_a_view_of_the_crop(case, layout):
+    h, w, (x, y, bw, bh), seed, t = case
+    assert t.matrix[:, :2].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    img = DepthImage(DEPTH_LAYOUTS[layout](np.random.default_rng(seed), h, w))
+    crop = full_warp_oracle(img, t).pixels[y:y + bh, x:x + bw]
+    samples = _box_depth_samples(img, t, (x, y, bw, bh))
+    assert samples.dtype == DEPTH_SAMPLE
+    assert np.array_equal(samples.ravel(), crop[crop > 0])
+    # a slice of the frame, not a gather: an empty one shares no memory
+    assert samples.size == 0 or np.shares_memory(samples, img.pixels)
+
+
+# next to an integer shift, but not one: each must gather, and still match
+NEAR_SHIFTS = {
+    "half-px": [[1.0, 0.0, 4.5], [0.0, 1.0, 2.0]],
+    "1e-9-px": [[1.0, 0.0, 4.0 + 1e-9], [0.0, 1.0, 2.0]],
+    "scale-ulp": [[np.nextafter(1.0, 2.0), 0.0, 4.0], [0.0, 1.0, 2.0]],
+    "shear-ulp": [[1.0, 0.0, 4.0], [np.nextafter(0.0, 1.0), 1.0, 2.0]],
+}
+
+
+@given(warp_cases(), st.sampled_from(sorted(NEAR_SHIFTS)),
+       st.sampled_from(sorted(DEPTH_LAYOUTS)))
+@settings(max_examples=200, deadline=None)
+def test_warp_near_integer_shift_gathers(case, near, layout):
+    h, w, (x, y, bw, bh), seed, _ = case
+    t = AffineTransform(np.array(NEAR_SHIFTS[near]))
+    img = DepthImage(DEPTH_LAYOUTS[layout](np.random.default_rng(seed), h, w))
+    crop = full_warp_oracle(img, t).pixels[y:y + bh, x:x + bw]
+    samples = _box_depth_samples(img, t, (x, y, bw, bh))
+    assert samples.ndim == 1 and not np.shares_memory(samples, img.pixels)
+    assert np.array_equal(samples, crop[crop > 0])
+
+
 @given(warp_cases(), st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
 @settings(max_examples=100, deadline=None)
 def test_warp_box_wholly_off_the_source_is_no_data(case, sign_x, sign_y):
@@ -612,9 +652,12 @@ def test_warp_box_wholly_off_the_source_is_no_data(case, sign_x, sign_y):
 def test_warp_identity_box_is_the_slice():
     rng = np.random.default_rng(9)
     img = DepthImage(rng.integers(0, 5000, size=(30, 40), dtype=np.uint16))
-    samples = _box_depth_samples(img, AffineTransform.identity(), (7, 11, 13, 5))
-    assert (samples == img.pixels[11:16, 7:20]).all()
-    assert np.shares_memory(samples, img.pixels)  # nothing was sampled
+    # the identity, then an integer shift: either box is a slice
+    for tx, ty in [(0, 0), (4, -2)]:
+        t = AffineTransform(np.array([[1.0, 0.0, tx], [0.0, 1.0, ty]]))
+        samples = _box_depth_samples(img, t, (7, 11, 13, 5))
+        assert (samples == img.pixels[11 - ty:16 - ty, 7 - tx:20 - tx]).all()
+        assert np.shares_memory(samples, img.pixels)  # nothing was sampled
 
 
 @pytest.mark.parametrize("box", [
