@@ -22,6 +22,7 @@ import numpy as np
 
 from . import pnm
 from .bench import format_table, run_benchmark
+from .color_calibration import MIN_SATURATION, MIN_VALUE
 from .errors import PipelineError
 from .imaging import AffineTransform
 from .mask_extraction import DEFAULT_MIN_AREA
@@ -109,7 +110,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"centroid = ({summary.centroid[0]:.3f}, {summary.centroid[1]:.3f})")
     b = summary.profile.hue_bounds
     print(f"hue_bounds = [{b.lo}, {b.hi}] wraps={str(b.wraps).lower()} "
-          f"min_saturation={b.min_saturation} min_value={b.min_value}")
+          f"min_saturation={MIN_SATURATION} min_value={MIN_VALUE}")
     print(f"fit_residual = {summary.fit_residual:.6g}")
     print(f"profile written to {args.out}")
     return EXIT_OK
@@ -152,7 +153,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         for seq, (idx, rgb_path, depth_path) in enumerate(frames):
             try:
                 rgb = pnm.read_ppm(rgb_path)
-                frame = FramePair(rgb, pnm.read_depth(depth_path, profile.raw_to_mm))
+                frame = FramePair(rgb, pnm.read_depth(depth_path))
             except OSError as exc:
                 log.warning("frame %d unreadable: %s", idx, exc)
                 record = error_record(idx, "IOError")

@@ -3,8 +3,10 @@
 The pointer is isolated with a background-pair mask, its hue histogram is
 peaked, and the calibrated interval is the peak widened by 15 bins on each
 side (wrapping through 0 when needed), so the same object keys reliably as
-room lighting drifts. ``_keyed_indices`` applies the calibrated interval to
-a frame; ``hue_bounds_mask`` of ``rgb_to_hsv`` is its reference.
+room lighting drifts. The interval is all that is calibrated: the key's
+saturation and value floors are the constants ``MIN_SATURATION`` and
+``MIN_VALUE``. ``_keyed_indices`` applies the key to a frame;
+``hue_bounds_mask`` of ``rgb_to_hsv`` is its reference.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
 
 PEAK_MARGIN = 15  # hue bins kept on each side of the histogram peak
 
-DEFAULT_MIN_SATURATION = 60
-DEFAULT_MIN_VALUE = 40
+# below these floors a pixel is too gray or too dark for its hue to mean anything
+MIN_SATURATION = 60
+MIN_VALUE = 40
 
 # Bytes of the frame ``_keyed_indices`` keys per band: a band and its
 # temporaries stay in cache, where frame-sized ones cost page faults.
@@ -30,26 +33,19 @@ _BAND_BYTES = 128 * 1024
 
 @dataclass(frozen=True)
 class HueBounds:
-    """Calibrated hue interval [lo, hi] on the 0..179 scale.
-
-    ``wraps`` marks intervals crossing the 179/0 seam (red objects); the
-    saturation and value floors exclude near-gray pixels whose hue is
-    numerically meaningless.
-    """
+    """Calibrated hue interval [lo, hi] on the 0..179 scale; ``lo > hi``
+    means the interval wraps through the 179/0 seam (red objects)."""
 
     lo: int
     hi: int
-    wraps: bool = False
-    min_saturation: int = DEFAULT_MIN_SATURATION
-    min_value: int = DEFAULT_MIN_VALUE
 
     def __post_init__(self):
         if not (0 <= self.lo < HUE_BINS and 0 <= self.hi < HUE_BINS):
             raise ValueError("hue bounds must lie in 0..179")
-        if self.wraps != (self.lo > self.hi):
-            raise ValueError("wraps flag inconsistent with lo/hi ordering")
-        if not (0 <= self.min_saturation <= 255 and 0 <= self.min_value <= 255):
-            raise ValueError("saturation/value floors must be 8-bit")
+
+    @property
+    def wraps(self) -> bool:
+        return self.lo > self.hi
 
 
 def calibrate_hue_bounds(
@@ -67,34 +63,34 @@ def calibrate_hue_bounds(
     """
     mask = extract_mask(MaskRequest(background, with_pointer, min_area))
     hsv = rgb_to_hsv(RgbImage(with_pointer.pixels[mask.bits][:, None, :]))[:, 0]
-    kept = hsv[hsv[:, 1] >= DEFAULT_MIN_SATURATION, 0]
+    kept = hsv[hsv[:, 1] >= MIN_SATURATION, 0]
     if 2 * kept.size < mask.area:
         raise LowSaturationError(
             f"only {kept.size} of {mask.area} masked pixels reach "
-            f"saturation {DEFAULT_MIN_SATURATION}"
+            f"saturation {MIN_SATURATION}"
         )
     peak = int(np.argmax(np.bincount(kept, minlength=HUE_BINS)))
     lo = (peak - PEAK_MARGIN) % HUE_BINS
     hi = (peak + PEAK_MARGIN) % HUE_BINS
-    return HueBounds(lo, hi, wraps=lo > hi)
+    return HueBounds(lo, hi)
+
+
+def _in_interval(h: np.ndarray, bounds: HueBounds) -> np.ndarray:
+    """Which hues lie in [lo, hi], wrapping through 0 when ``bounds.wraps``."""
+    if bounds.wraps:
+        return (h >= bounds.lo) | (h <= bounds.hi)
+    return (h >= bounds.lo) & (h <= bounds.hi)
 
 
 def hue_bounds_mask(hsv: np.ndarray, bounds: HueBounds) -> BinaryMask:
-    """Pixels of an ``rgb_to_hsv`` array whose hue lies in the interval,
-    wrapping through 0 when ``bounds.wraps``, and whose saturation and
-    value reach the floors."""
-    h = hsv[..., 0]
-    s = hsv[..., 1]
-    v = hsv[..., 2]
-    if bounds.wraps:
-        in_hue = (h >= bounds.lo) | (h <= bounds.hi)
-    else:
-        in_hue = (h >= bounds.lo) & (h <= bounds.hi)
-    return BinaryMask(in_hue & (s >= bounds.min_saturation) & (v >= bounds.min_value))
+    """Pixels of an ``rgb_to_hsv`` array whose hue lies in the interval and
+    whose saturation and value reach ``MIN_SATURATION`` and ``MIN_VALUE``."""
+    return BinaryMask(_in_interval(hsv[..., 0], bounds)
+                      & (hsv[..., 1] >= MIN_SATURATION) & (hsv[..., 2] >= MIN_VALUE))
 
 
-@functools.lru_cache(maxsize=8)
-def _floor_thresholds(min_saturation: int, min_value: int) -> np.ndarray:
+@functools.cache
+def _floor_thresholds() -> np.ndarray:
     """Smallest chroma ``delta = max - min`` that passes both floors, per
     value ``v = max(r, g, b)``; 256 where no delta passes.
 
@@ -102,15 +98,14 @@ def _floor_thresholds(min_saturation: int, min_value: int) -> np.ndarray:
     (over every hue) on the 256x256 grid of colors (v, v - delta, v - delta).
     The floors depend on (v, delta) alone, and for a fixed v the saturation
     ``rint(255 * delta / v)`` never decreases as delta grows, so a pixel
-    passes both floors exactly when ``delta >= table[v]``. The result is
+    passes both floors exactly when ``delta >= table[v]``. Built once,
     shared between callers and marked read-only.
     """
     v = np.arange(256)[:, None]
     delta = np.arange(256)[None, :]
     low = np.clip(v - delta, 0, 255)
     grid = RgbImage(np.stack(np.broadcast_arrays(v, low, low), axis=2))
-    any_hue = HueBounds(0, HUE_BINS - 1, min_saturation=min_saturation,
-                        min_value=min_value)
+    any_hue = HueBounds(0, HUE_BINS - 1)
     passes = hue_bounds_mask(rgb_to_hsv(grid), any_hue).bits & (delta <= v)
     table = np.where(passes.any(axis=1), passes.argmax(axis=1), 256).astype(np.uint16)
     table.flags.writeable = False
@@ -118,20 +113,19 @@ def _floor_thresholds(min_saturation: int, min_value: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _hue_passes(lo: int, hi: int, wraps: bool) -> np.ndarray:
+def _hue_passes(lo: int, hi: int) -> np.ndarray:
     """Flat 511x511 table over ``_hue_key``: is the hue of a color with
     channel differences (r - g, g - b) inside the interval [lo, hi]?
 
     ``rgb_to_hsv``'s hue depends on the channel differences alone, so every
     color has the hue of the color with its smallest channel lowered to 0,
     which has the same differences. Built by running the reference
-    ``rgb_to_hsv`` and ``hue_bounds_mask`` (floors 0) on the three 256x256
-    faces of colors with a zero channel, a few rows at a time so that no
-    temporary is large. Keys no 8-bit color reaches stay False. Keyed on
-    the interval alone, so bounds that differ only in their floors share
-    one table; the result is shared between callers and marked read-only.
+    ``rgb_to_hsv`` and ``_in_interval``, the hue test of ``hue_bounds_mask``,
+    on the three 256x256 faces of colors with a zero channel, a few rows at
+    a time so that no temporary is large. Keys no 8-bit color reaches stay
+    False. The result is shared between callers and marked read-only.
     """
-    interval = HueBounds(lo, hi, wraps, min_saturation=0, min_value=0)
+    interval = HueBounds(lo, hi)
     table = np.zeros(511 * 511, dtype=bool)
     rows = 64  # slices of 16384 colors: no build temporary is large
     for zero in range(3):
@@ -139,7 +133,7 @@ def _hue_passes(lo: int, hi: int, wraps: bool) -> np.ndarray:
             face = np.zeros((rows, 256, 3), dtype=np.uint8)
             face[..., (zero + 1) % 3] = np.arange(row, row + rows)[:, None]
             face[..., (zero + 2) % 3] = np.arange(256)
-            passes = hue_bounds_mask(rgb_to_hsv(RgbImage(face)), interval).bits
+            passes = _in_interval(rgb_to_hsv(RgbImage(face))[..., 0], interval)
             table[_hue_key(*np.moveaxis(face.astype(np.int32), 2, 0))] = passes
     table.flags.writeable = False
     return table
@@ -176,10 +170,10 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     """
     pixels = rgb.pixels
     height, width, _ = pixels.shape
-    floor_table = _floor_thresholds(bounds.min_saturation, bounds.min_value)
+    floor_table = _floor_thresholds()
     # fetched on every call, so a cold build lands in the first frame,
     # hit or miss, never in a later one
-    hue_table = _hue_passes(bounds.lo, bounds.hi, bounds.wraps)
+    hue_table = _hue_passes(bounds.lo, bounds.hi)
     floor = int(floor_table.min())  # no pixel below it reaches floor_table[v]
     band_rows = min(height, max(1, _BAND_BYTES // (3 * width)))
     # per call, not per module: concurrent calls share nothing writable

@@ -31,7 +31,8 @@ class LowSaturationError(PipelineError):
 
 
 class DegenerateMaskError(PipelineError):
-    """Mask has too few set pixels, or they are collinear; corners undefined."""
+    """Mask has too few set pixels, or they are collinear, or a marker mask
+    shows fewer than 4 corners; corners undefined."""
 
 
 class DegenerateError(PipelineError):

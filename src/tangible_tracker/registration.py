@@ -17,7 +17,7 @@ import numpy as np
 
 from .color_calibration import HueBounds, calibrate_hue_bounds
 from .corner_detection import CMinMaxParams, cminmax_corners, mask_centroid
-from .errors import DegenerateError, ResidualTooHighError
+from .errors import DegenerateError, DegenerateMaskError, ResidualTooHighError
 from .imaging import AffineTransform, Point2, RgbImage, _is_singular
 from .mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
 
@@ -257,7 +257,8 @@ def calibrate_scene(
 
     The marker mask yields 4 ordered corners plus the centroid; those five
     points are fit against the virtual marker constants. The pointer pair
-    yields the hue bounds. Raises ResidualTooHighError when the mean
+    yields the hue bounds. Raises DegenerateMaskError when the marker mask
+    shows fewer than 4 corners, and ResidualTooHighError when the mean
     reprojection residual of the five points exceeds 0.02 virtual units.
     """
     if not camera_height_mm > 0:
@@ -267,6 +268,9 @@ def calibrate_scene(
 
     marker_mask = extract_mask(MaskRequest(background, with_marker, min_area))
     detected = cminmax_corners(marker_mask, CMinMaxParams(n=4))
+    if len(detected.corners) < 4:
+        raise DegenerateMaskError(
+            f"marker mask shows {len(detected.corners)} corners, need 4")
     centroid = mask_centroid(marker_mask)
     ordered = order_corners(detected.corners, centroid)
 
@@ -295,13 +299,7 @@ def profile_to_dict(profile: CalibrationProfile) -> dict:
     b = profile.hue_bounds
     return {
         "depth_to_rgb": [float(v) for v in profile.depth_to_rgb.matrix.ravel()],
-        "hue_bounds": {
-            "lo": b.lo,
-            "hi": b.hi,
-            "wraps": b.wraps,
-            "min_saturation": b.min_saturation,
-            "min_value": b.min_value,
-        },
+        "hue_bounds": {"lo": b.lo, "hi": b.hi},
         "t_rv": [float(v) for v in profile.t_rv.matrix.ravel()],
         "rho_z": float(profile.t_rv.rho_z),
         "camera_height_mm": float(profile.camera_height_mm),
@@ -316,8 +314,7 @@ def profile_to_dict(profile: CalibrationProfile) -> dict:
 _INTEGER = ("integer", "scalar")
 PROFILE_FIELDS = {
     "depth_to_rgb": ("number", 6),
-    "hue_bounds": {"lo": _INTEGER, "hi": _INTEGER, "wraps": ("boolean", "scalar"),
-                   "min_saturation": _INTEGER, "min_value": _INTEGER},
+    "hue_bounds": {"lo": _INTEGER, "hi": _INTEGER},
     "t_rv": ("number", 9),
     "rho_z": ("number", "scalar"),
     "camera_height_mm": ("number", "scalar"),
@@ -326,7 +323,7 @@ PROFILE_FIELDS = {
 }
 
 # exact types: a bool is never a number and a float never an integer
-_KIND_TYPES = {"number": (int, float), "integer": (int,), "boolean": (bool,)}
+_KIND_TYPES = {"number": (int, float), "integer": (int,)}
 
 
 def checked_value(name: str, value, kind: str, length):

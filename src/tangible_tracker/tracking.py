@@ -135,12 +135,16 @@ def _box_depth_samples(depth: DepthImage, to_rgb: AffineTransform, box: BBox) ->
     # x offsets as a row and y offsets as a column broadcast to the box
     dx = np.arange(x, x + w, dtype=np.float64) - offset[0]
     dy = (np.arange(y, y + h, dtype=np.float64) - offset[1])[:, None]
-    sx = np.rint(inv[0, 0] * dx + inv[0, 1] * dy).astype(np.int64)
-    sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy).astype(np.int64)
+    # quietly: a near-singular affine sends pixels far off the frame, or to
+    # inf or nan, and the bounds test, made before any integer cast that
+    # such values would overflow, leaves them all out
+    with np.errstate(all="ignore"):
+        sx = np.rint(inv[0, 0] * dx + inv[0, 1] * dy)
+        sy = np.rint(inv[1, 0] * dx + inv[1, 1] * dy)
     height, width = depth.pixels.shape
     ok = (sx >= 0) & (sx < width) & (sy >= 0) & (sy < height)
     # one flat gather, which np.take makes from any memory layout
-    return np.take(depth.pixels, (sy * width + sx)[ok])
+    return np.take(depth.pixels, (sy[ok] * width + sx[ok]).astype(np.intp))
 
 
 def correct_parallax(b: Point2, o: Point2, h: float, camera_height_mm: float) -> Point2:
@@ -160,11 +164,11 @@ def correct_parallax(b: Point2, o: Point2, h: float, camera_height_mm: float) ->
 
 
 def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
-    """Detect, depth-filter the box's aligned samples, parallax-correct,
-    and map one frame."""
+    """Detect, depth-filter the box's aligned samples at the profile's
+    ``raw_to_mm``, parallax-correct, and map one frame."""
     center, bbox = detect_pointer_2d(frame.rgb, cal.hue_bounds)
     samples = _box_depth_samples(frame.depth, cal.depth_to_rgb, bbox)
-    depth_mm = _filtered_depth_mm(samples, frame.depth.raw_to_mm)
+    depth_mm = _filtered_depth_mm(samples, cal.raw_to_mm)
 
     cam_h = cal.camera_height_mm
     height = cam_h - depth_mm

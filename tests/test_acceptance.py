@@ -225,7 +225,7 @@ def test_8_unit_oracles():
         peak = int(rng.integers(0, 180))
         lo = (peak - 15) % 180
         hi = (peak + 15) % 180
-        bounds = HueBounds(lo, hi, wraps=lo > hi)
+        bounds = HueBounds(lo, hi)
         enumerated = set()
         h = lo
         while True:

@@ -21,7 +21,12 @@ from tangible_tracker.cli import main
 from tangible_tracker.errors import DegenerateError, PipelineError
 from tangible_tracker.imaging import AffineTransform
 from tangible_tracker.registration import apply_homography, load_profile, save_profile
-from tangible_tracker.simulator import SceneSpec, circular_trajectory, render_sequence
+from tangible_tracker.simulator import (
+    SceneSpec,
+    circular_trajectory,
+    fill_convex_polygon,
+    render_sequence,
+)
 from tangible_tracker.tracking import (
     FramePair,
     detect_pointer_2d,
@@ -95,6 +100,28 @@ def test_calibrate_degenerate_scene_exits_3(sequence_dir, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 3
     assert "EmptyMask" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_calibrate_three_corner_marker_exits_3(sequence_dir, tmp_path, capsys):
+    background = pnm.read_ppm(sequence_dir / "background.ppm")
+    pixels = background.pixels.copy()
+    triangle = fill_convex_polygon(background.width, background.height,
+                                   [(320, 50), (120, 400), (520, 400)])
+    pixels[triangle.bits] = SceneSpec().marker_color
+    with_marker = tmp_path / "triangle.ppm"
+    pnm.write_ppm(with_marker, imaging.RgbImage(pixels))
+    out = tmp_path / "never.json"
+    rc = main(["calibrate",
+               "--background", str(sequence_dir / "background.ppm"),
+               "--with-marker", str(with_marker),
+               "--with-pointer", str(sequence_dir / "with_pointer.ppm"),
+               "--camera-height", "600",
+               "--principal-point", "319.5,239.5",
+               "--rho-z", "0.002",
+               "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("DegenerateMask: marker mask shows 3 corners")
     assert not out.exists()
 
 
@@ -215,11 +242,10 @@ HUGE = "9" * 401  # a JSON integer far beyond the float range
     lambda doc: doc.pop("rho_z"),
     None,  # not JSON at all
     _token("Infinity", "hue_bounds", "lo"),
-    _token("1e400", "hue_bounds", "min_saturation"),
+    _token("1e400", "hue_bounds", "hi"),
     _token("5.7", "hue_bounds", "lo"),
     _token("true", "hue_bounds", "lo"),
     _token('"5"', "hue_bounds", "lo"),
-    _token("0", "hue_bounds", "wraps"),
     lambda doc: doc.update(principal_point="32"),
     lambda doc: doc.update(principal_point=[320, 240, 7]),
     lambda doc: doc.update(principal_point=[True, False]),
@@ -240,8 +266,8 @@ HUGE = "9" * 401  # a JSON integer far beyond the float range
     _token(HUGE, "principal_point", 0),
 ], ids=["nan-t_rv", "inf-depth_to_rgb", "nan-principal_point",
         "inf-camera_height", "int-hue_bounds", "missing-rho_z", "invalid-json",
-        "inf-lo", "1e400-min_saturation", "float-lo", "bool-lo", "string-lo",
-        "int-wraps", "string-principal_point", "three-principal_point",
+        "inf-lo", "1e400-hi", "float-lo", "bool-lo", "string-lo",
+        "string-principal_point", "three-principal_point",
         "bool-principal_point", "string-camera_height", "bool-camera_height",
         "string-rho_z", "string-raw_to_mm", "strings-t_rv", "nested-t_rv",
         "bool-depth_to_rgb", "unknown-key", "unknown-hue_bounds-key",
@@ -262,6 +288,23 @@ def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
     assert captured.out == ""
     assert captured.err.startswith("BadProfile:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key, value", [("wraps", False), ("min_saturation", 60),
+                                        ("min_value", 40)])
+def test_track_profile_with_a_dropped_hue_key_exits_5(
+        sequence_dir, sequence_profile_path, tmp_path, capsys, key, value):
+    # the hue interval is all a profile holds: no old key is read or forgiven
+    doc = json.loads(sequence_profile_path.read_text())
+    doc["hue_bounds"][key] = value
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["track", "--calib", str(bad), "--frames", str(sequence_dir)])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert captured.out == ""
+    assert captured.err.startswith("BadProfile: hue_bounds has")
+    assert f"unknown keys ['{key}']" in captured.err
 
 
 @pytest.mark.parametrize("listen", ["127.0.0.1:70000", "127.0.0.1:65536",

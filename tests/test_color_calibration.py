@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from threading import Barrier
 from unittest import mock
 
@@ -11,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from tangible_tracker import color_calibration
 from tangible_tracker.color_calibration import (
-    DEFAULT_MIN_SATURATION,
+    MIN_SATURATION,
+    MIN_VALUE,
     PEAK_MARGIN,
     HueBounds,
     _floor_thresholds,
@@ -104,14 +106,14 @@ def frozen_calibrate_hue_bounds(background, with_pointer, *, min_area):
     frame to HSV, then a 180-bin histogram of the saturated masked hues."""
     mask = extract_mask(MaskRequest(background, with_pointer, min_area))
     hsv = rgb_to_hsv(with_pointer)
-    saturated = mask.bits & (hsv[..., 1] >= DEFAULT_MIN_SATURATION)
+    saturated = mask.bits & (hsv[..., 1] >= MIN_SATURATION)
     if 2 * int(saturated.sum()) < mask.area:
         raise LowSaturationError("too gray")
     hist = np.bincount(hsv[..., 0][saturated], minlength=HUE_BINS).astype(np.int64)
     peak = int(np.argmax(hist))
     lo = (peak - PEAK_MARGIN) % HUE_BINS
     hi = (peak + PEAK_MARGIN) % HUE_BINS
-    return HueBounds(lo, hi, wraps=lo > hi)
+    return HueBounds(lo, hi)
 
 
 @st.composite
@@ -161,7 +163,7 @@ def test_calibrate_hue_bounds_matches_frozen_reference(patch, corner):
 def test_membership_matches_exhaustive_enumeration(peak):
     lo = (peak - 15) % 180
     hi = (peak + 15) % 180
-    bounds = HueBounds(lo, hi, wraps=lo > hi)
+    bounds = HueBounds(lo, hi)
     expected = wrap_membership_oracle(lo, hi)
     member = set(np.flatnonzero(hue_bounds_mask(ALL_HUES, bounds).bits).tolist())
     assert member == expected
@@ -170,22 +172,22 @@ def test_membership_matches_exhaustive_enumeration(peak):
 
 def test_mask_exhaustive_over_hues_and_floors():
     # every hue, with saturation and value each one below and at the floor
-    for bounds in (HueBounds(5, 35), HueBounds(173, 23, wraps=True)):
+    for bounds in (HueBounds(5, 35), HueBounds(173, 23)):
         inside = wrap_membership_oracle(bounds.lo, bounds.hi)
-        floors = [(s, v) for s in (bounds.min_saturation - 1, bounds.min_saturation)
-                  for v in (bounds.min_value - 1, bounds.min_value)]
+        floors = [(s, v) for s in (MIN_SATURATION - 1, MIN_SATURATION)
+                  for v in (MIN_VALUE - 1, MIN_VALUE)]
         hsv = np.array([[(h, s, v) for h in range(180)] for s, v in floors],
                        dtype=np.uint8)
         mask = hue_bounds_mask(hsv, bounds).bits
         for row, (s, v) in enumerate(floors):
-            expected = [h in inside and s >= bounds.min_saturation
-                        and v >= bounds.min_value for h in range(180)]
+            expected = [h in inside and s >= MIN_SATURATION
+                        and v >= MIN_VALUE for h in range(180)]
             assert mask[row].tolist() == expected
 
 
 # ------------------------------------------------------------------ color key
 
-KEY_BOUNDS = (HueBounds(5, 35), HueBounds(165, 15, wraps=True))
+KEY_BOUNDS = (HueBounds(5, 35), HueBounds(165, 15))
 
 
 def test_color_key_exhaustive_over_all_rgb_colors():
@@ -214,14 +216,13 @@ def value_chroma_colors():
     return RgbImage(np.concatenate(colors)[:, None, :])
 
 
-@pytest.mark.parametrize("floors", [(0, 0), (255, 255)])
-def test_color_key_at_extreme_floors(floors):
+def test_color_key_on_every_value_and_chroma():
+    # every (v, delta) pair at many hues, so each side of every floor shows
     img = value_chroma_colors()
     hsv = rgb_to_hsv(img)
-    for hue in KEY_BOUNDS + (HueBounds(0, 179),):
-        bounds = HueBounds(hue.lo, hue.hi, hue.wraps, *floors)
+    for bounds in KEY_BOUNDS + (HueBounds(0, 179),):
         expected = np.flatnonzero(hue_bounds_mask(hsv, bounds).bits)
-        assert expected.size
+        assert 0 < expected.size < img.height
         assert np.array_equal(_keyed_indices(img, bounds), expected), bounds
 
 
@@ -249,7 +250,7 @@ def frozen_color_key(rgb, bounds):
     r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
     v = np.maximum(np.maximum(r, g), b)
     delta = v - np.minimum(np.minimum(r, g), b)
-    table = _floor_thresholds(bounds.min_saturation, bounds.min_value)
+    table = _floor_thresholds()
     keep = delta >= np.take(table, v)
     flat = keep.reshape(-1)
     survivors = np.flatnonzero(flat)
@@ -259,12 +260,10 @@ def frozen_color_key(rgb, bounds):
     return keep
 
 
-any_bounds = st.builds(
-    lambda lo, hi, s, v: HueBounds(lo, hi, lo > hi, s, v),
-    st.integers(0, 179), st.integers(0, 179), st.integers(0, 255), st.integers(0, 255))
+any_bounds = st.builds(HueBounds, st.integers(0, 179), st.integers(0, 179))
 
-# (255, 245, 245) has chroma 10, the smallest entry of the default floor
-# table, but needs 60 at value 255: a candidate that never survives
+# (255, 245, 245) has chroma 10, the smallest entry of the floor table,
+# but needs 60 at value 255: a candidate that never survives
 CANDIDATE_ONLY = (255, 245, 245)
 
 
@@ -285,9 +284,9 @@ CANDIDATE_ONLY = (255, 245, 245)
                          + [[(255, 85, 0), CANDIDATE_ONLY, (90, 90, 90)]], dtype=np.uint8),
          layout="c", band_bytes=18, bounds=HueBounds(5, 35))  # only the last, 1-row band
 @example(pixels=np.arange(1 * 13 * 3, dtype=np.uint8).reshape(1, 13, 3) * 6,
-         layout="c", band_bytes=1, bounds=HueBounds(165, 15, True, 0, 0))
+         layout="c", band_bytes=1, bounds=HueBounds(165, 15))
 @example(pixels=np.arange(13 * 1 * 3, dtype=np.uint8).reshape(13, 1, 3) * 6,
-         layout="strided", band_bytes=1, bounds=HueBounds(0, 179, False, 255, 255))
+         layout="strided", band_bytes=1, bounds=HueBounds(0, 179))
 @example(pixels=np.array([[(90, 90, 90)] * 3 + [(255, 85, 0)]] * 3, dtype=np.uint8),
          layout="c", band_bytes=12, bounds=HueBounds(5, 35))  # v read at the buffer's end
 def test_color_key_matches_frozen_reference(pixels, layout, band_bytes, bounds):
@@ -351,41 +350,28 @@ def test_color_key_concurrent_calls_match_serial():
         assert all(np.array_equal(keyed, expected) for keyed in results)
 
 
-def reference_floor_passes(min_saturation, min_value):
-    """passes[v, delta]: does the color (v, v - delta, v - delta) reach both
-    floors under the reference conversion? False where delta > v."""
+def test_floor_table_is_the_start_of_a_suffix():
+    # passes[v, delta], over every (v, delta) pair: does the color
+    # (v, v - delta, v - delta) reach both floors under the reference
+    # conversion? False where delta > v. The passing deltas of each v are
+    # exactly those from table[v] up.
     v, delta = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
     low = np.clip(v - delta, 0, 255)
     hsv = rgb_to_hsv(RgbImage(np.stack([v, low, low], axis=2)))
-    passes = (hsv[..., 1] >= min_saturation) & (hsv[..., 2] >= min_value)
-    return passes & (delta <= v)
-
-
-@settings(max_examples=40, deadline=None)
-@given(min_saturation=st.integers(0, 255), min_value=st.integers(0, 255))
-@example(min_saturation=0, min_value=0)
-@example(min_saturation=255, min_value=255)
-@example(min_saturation=60, min_value=40)
-@example(min_saturation=1, min_value=0)
-def test_floor_table_is_the_start_of_a_suffix(min_saturation, min_value):
-    passes = reference_floor_passes(min_saturation, min_value)
-    valid = np.arange(256)[None, :] <= np.arange(256)[:, None]
-    # the passing deltas of each v form a suffix of 0..v ...
-    for v in range(256):
-        row = passes[v, :v + 1]
-        assert not (row[:-1] & ~row[1:]).any(), v
-    # ... and the table holds exactly where that suffix starts
-    table = _floor_thresholds(min_saturation, min_value)
+    passes = (hsv[..., 1] >= MIN_SATURATION) & (hsv[..., 2] >= MIN_VALUE) & (delta <= v)
+    table = _floor_thresholds()
     assert table.shape == (256,) and table.dtype == np.uint16
-    assert np.array_equal(passes, (np.arange(256)[None, :] >= table[:, None]) & valid)
+    assert np.array_equal(passes, (delta >= table[:, None]) & (delta <= v))
 
 
 def test_floor_table_extremes_and_cache():
-    assert not _floor_thresholds(0, 0).any()
-    top = _floor_thresholds(255, 255)
-    assert top[255] == 255 and (top[:255] == 256).all()
-    assert _floor_thresholds(60, 40) is _floor_thresholds(60, 40)
-    assert not _floor_thresholds(60, 40).flags.writeable
+    table = _floor_thresholds()
+    # no delta lifts a value below the value floor; at the top value the
+    # saturation rint(255 * delta / 255) is delta itself
+    assert (table[:MIN_VALUE] == 256).all() and table[MIN_VALUE] < 256
+    assert table[255] == MIN_SATURATION
+    assert _floor_thresholds() is table
+    assert not table.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)
@@ -393,46 +379,38 @@ def test_floor_table_extremes_and_cache():
        bounds=any_bounds)
 @example(colors=np.array([(0, 0, 0), (255, 255, 255), (255, 0, 0), (0, 255, 255),
                           (255, 0, 1), (255, 1, 0), (7, 3, 200)], dtype=np.uint8),
-         bounds=HueBounds(165, 15, wraps=True))
+         bounds=HueBounds(165, 15))
 # keys of (r - g, 255) and (r - g + 1, -255) sit side by side in the table
 @example(colors=np.array([(254, 255, 0), (0, 0, 255), (255, 255, 0), (1, 0, 255)],
                          dtype=np.uint8),
          bounds=HueBounds(15, 45))
 def test_hue_table_matches_the_reference_on_any_color(colors, bounds):
-    # floors 0: the table decides the hue interval alone, for every color,
-    # not only the zero-channel colors it was built from
-    interval = HueBounds(bounds.lo, bounds.hi, bounds.wraps, 0, 0)
-    expected = hue_bounds_mask(rgb_to_hsv(RgbImage(colors[:, None, :])), interval).bits[:, 0]
-    table = _hue_passes(bounds.lo, bounds.hi, bounds.wraps)
+    # the table decides the hue interval alone, for every color, not only
+    # the zero-channel colors it was built from
+    hue = rgb_to_hsv(RgbImage(colors[:, None, :]))[:, 0, 0]
+    expected = np.isin(hue, list(wrap_membership_oracle(bounds.lo, bounds.hi)))
+    table = _hue_passes(bounds.lo, bounds.hi)
     assert np.array_equal(table[_hue_key(*colors.T.astype(np.int32))], expected)
 
 
-def test_hue_table_is_cached_read_only_and_shared_across_floors():
-    table = _hue_passes(5, 35, False)
+def test_hue_table_is_cached_and_read_only():
+    table = _hue_passes(5, 35)
     assert table.shape == (511 * 511,) and table.dtype == bool
     assert not table.flags.writeable
-    assert _hue_passes(5, 35, False) is table
-    fetched = []
+    assert _hue_passes(5, 35) is table
 
-    def fetch(*interval):
-        fetched.append((interval, _hue_passes(*interval)))
-        return fetched[-1][1]
 
-    img = value_chroma_colors()
-    with mock.patch.object(color_calibration, "_hue_passes", fetch):
-        for floors in ((0, 0), (60, 40), (255, 255)):
-            _keyed_indices(img, HueBounds(5, 35, False, *floors))
-    assert [interval for interval, _ in fetched] == [(5, 35, False)] * 3
-    assert all(result is table for _, result in fetched)
+def test_wraps_is_lo_above_hi():
+    for lo in range(HUE_BINS):
+        for hi in range(HUE_BINS):
+            assert HueBounds(lo, hi).wraps == (lo > hi)
 
 
 def test_bounds_invariant_validation():
-    with pytest.raises(ValueError):
-        HueBounds(35, 5)  # lo > hi needs wraps
-    with pytest.raises(ValueError):
-        HueBounds(5, 35, wraps=True)
-    with pytest.raises(ValueError):
-        HueBounds(5, 200)
+    assert [f.name for f in fields(HueBounds)] == ["lo", "hi"]
+    for lo, hi in ((5, 200), (-1, 35), (180, 0)):
+        with pytest.raises(ValueError):
+            HueBounds(lo, hi)
 
 
 def test_illumination_robustness():

@@ -106,6 +106,8 @@ def test_mutated_profiles_exit_5_or_track(sequence_dir, sequence_profile_path):
 
         @settings(max_examples=150, deadline=None)
         @given(st.lists(MUTATIONS, min_size=1, max_size=3))
+        # a depth_to_rgb shear that maps box pixels beyond int64
+        @example([("item", False, 1, 3.2137184797403404e16)])
         def check(mutations):
             doc = copy.deepcopy(valid)
             for mutation in mutations:

@@ -283,8 +283,7 @@ def test_profile_json_schema(default_summary):
                          "camera_height_mm", "principal_point", "raw_to_mm"]
     assert len(doc["depth_to_rgb"]) == 6
     assert len(doc["t_rv"]) == 9
-    assert list(doc["hue_bounds"]) == ["lo", "hi", "wraps",
-                                       "min_saturation", "min_value"]
+    assert list(doc["hue_bounds"]) == ["lo", "hi"]
     assert json.dumps(doc)  # JSON-serializable as-is
     clone = profile_from_dict(doc)
     assert isinstance(clone, CalibrationProfile)
@@ -299,25 +298,24 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @settings(max_examples=150, deadline=None)
 @given(affine=st.lists(_FINITE, min_size=6, max_size=6),
        lo=st.integers(0, 179), hi=st.integers(0, 179),
-       floors=st.tuples(st.integers(0, 255), st.integers(0, 255)),
        # normalized as the profile stores it: h33 is 1, or 0 when it cannot be
        matrix=st.tuples(*[_FINITE] * 8, st.sampled_from([0.0, 1.0])),
        rho_z=_POSITIVE, height=_POSITIVE, raw_to_mm=_POSITIVE,
        principal=st.tuples(_FINITE, _FINITE))
 # subnormal entries, whose numpy determinant warns as it returns 0
-@example(affine=[-0.0, -1.0, 0.0, -5e-324, 3.0, 0.0], lo=5, hi=35, floors=(60, 40),
+@example(affine=[-0.0, -1.0, 0.0, -5e-324, 3.0, 0.0], lo=5, hi=35,
          matrix=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), rho_z=0.002,
          height=600.0, raw_to_mm=1.0, principal=(319.5, 239.5))
-@example(affine=[1.0, 0.0, 4.0, 0.0, 1.0, 2.0], lo=5, hi=35, floors=(60, 40),
+@example(affine=[1.0, 0.0, 4.0, 0.0, 1.0, 2.0], lo=5, hi=35,
          matrix=(0.0, 0.0, 1e6, 0.5, 1e-150, 1e-150, 2.2250738585072014e-308, -5e-324, 1.0),
          rho_z=0.002, height=600.0, raw_to_mm=1.0, principal=(319.5, 239.5))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_profile_dict_round_trip_property(affine, lo, hi, floors, matrix, rho_z,
+def test_profile_dict_round_trip_property(affine, lo, hi, matrix, rho_z,
                                           height, raw_to_mm, principal):
     try:
         profile = CalibrationProfile(
             depth_to_rgb=AffineTransform(np.reshape(affine, (2, 3))),
-            hue_bounds=HueBounds(lo, hi, lo > hi, *floors),
+            hue_bounds=HueBounds(lo, hi),
             t_rv=Homography(np.reshape(matrix, (3, 3)), rho_z),
             camera_height_mm=height,
             principal_point=principal,

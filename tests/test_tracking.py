@@ -114,7 +114,7 @@ UNKEYED = [
     (30, 24, 7),      # hue 22 but value 30, under the floor
 ]
 KEY = KEYED[0]
-DETECT_BOUNDS = [HueBounds(5, 35), HueBounds(170, 25, wraps=True)]
+DETECT_BOUNDS = [HueBounds(5, 35), HueBounds(170, 25)]
 
 
 def paint_rects(height, width, background, rects) -> RgbImage:
@@ -296,6 +296,16 @@ def test_box_depth_on_file_order_pixels_equals_the_native_path(
     assert got == want
 
 
+@pytest.mark.parametrize("shear", [3.2e16, 1e300])
+def test_box_depth_under_a_huge_shear_samples_the_one_row_in_frame(shear):
+    # inv maps x to x - shear * (y - 2): beyond int64 on every row but y = 2,
+    # and no such value may be cast, warn or land in the frame
+    depth = DepthImage(np.arange(100, 164, dtype=np.uint16).reshape(8, 8))
+    t = AffineTransform(np.array([[1.0, shear, 4.0], [0.0, 1.0, 2.0]]))
+    samples = _box_depth_samples(depth, t, (5, 0, 3, 5))
+    assert samples.tolist() == depth.pixels[0, 1:4].tolist()
+
+
 def test_depth_bbox_bounds_checked():
     depth = DepthImage(np.full((8, 8), 100, dtype=np.uint16), 1.0)
     with pytest.raises(ValueError):
@@ -427,6 +437,16 @@ def test_track_frame_monotone_in_height(default_spec, profile):
         if last_dist is not None:
             assert dist < last_dist
         last_dist = dist
+
+
+def test_track_frame_scales_depth_by_the_profile(default_spec):
+    # a frame read from disk carries no depth scale: the profile's applies
+    spec = dataclasses.replace(default_spec, raw_to_mm=0.5)
+    profile = calibrate_spec(spec).profile
+    rgb, depth, _ = render_scene(spec)
+    fix = track_frame(FramePair(rgb, DepthImage(depth.pixels)), profile)
+    assert fix == track_frame(FramePair(rgb, depth), profile)
+    assert abs(fix.real[2] - spec.ball_height_mm) < 10.0
 
 
 def test_track_frame_stateless_across_order(default_spec, profile):
