@@ -29,7 +29,6 @@ from .imaging import (
 from .mask_extraction import MaskRequest, extract_mask
 from .registration import (
     CalibrationProfile,
-    Homography,
     VirtualMarker,
     calibrate_scene,
     estimate_homography,
@@ -58,7 +57,6 @@ __all__ = [
     "DepthImage",
     "FramePair",
     "GroundTruth",
-    "Homography",
     "HueBounds",
     "MaskRequest",
     "PipelineError",

@@ -126,9 +126,6 @@ class BinaryMask:
         return int(self.bits.sum())
 
 
-_IDENTITY = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-
-
 @dataclass(frozen=True, eq=False)
 class AffineTransform:
     """2x3 matrix mapping depth-image pixel coordinates into RGB pixels."""
@@ -143,10 +140,6 @@ class AffineTransform:
             raise ValueError("transform must be finite")
         if _is_singular(self.matrix[:, :2]):
             raise ValueError("singular transform")
-
-    @staticmethod
-    def identity() -> "AffineTransform":
-        return AffineTransform(_IDENTITY.copy())
 
 
 def rgb_to_hsv(img: RgbImage) -> np.ndarray:

@@ -3,7 +3,9 @@
 The detected marker corners are ordered, paired with the fixed virtual
 corner constants, and a projective matrix is fit by normalized direct
 linear transform over the four corners plus the marker centroid. The
-resulting profile is immutable and shared by the whole tracking loop.
+profile stores that matrix as ``t_rv`` beside the depth factor ``rho_z``,
+field for field as its JSON file does; it is immutable and shared by the
+whole tracking loop.
 """
 
 from __future__ import annotations
@@ -50,14 +52,24 @@ CORNER_TARGETS = (
 
 
 @dataclass(frozen=True, eq=False)
-class Homography:
-    """3x3 real-to-virtual planar map plus the scalar depth factor."""
+class CalibrationProfile:
+    """Frozen output of initialization, consumed by every tracked frame.
 
-    matrix: np.ndarray
+    The fields are the profile file's keys in its order. ``t_rv`` is the
+    3x3 real-to-virtual planar map, stored divided by its h33 unless h33
+    is 0, and ``rho_z`` the factor from height in mm to virtual z.
+    """
+
+    depth_to_rgb: AffineTransform
+    hue_bounds: HueBounds
+    t_rv: np.ndarray
     rho_z: float
+    camera_height_mm: float
+    principal_point: Point2
+    raw_to_mm: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.asarray(self.t_rv, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError("Homography expects a 3x3 matrix")
         if m[2, 2] != 0.0:
@@ -66,23 +78,9 @@ class Homography:
             raise ValueError("homography matrix must be finite")
         if _is_singular(m):
             raise ValueError("homography matrix must be invertible")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "t_rv", m)
         if not 0 < self.rho_z < math.inf:
             raise ValueError("rho_z must be positive and finite")
-
-
-@dataclass(frozen=True, eq=False)
-class CalibrationProfile:
-    """Frozen output of initialization, consumed by every tracked frame."""
-
-    depth_to_rgb: AffineTransform
-    hue_bounds: HueBounds
-    t_rv: Homography
-    camera_height_mm: float
-    principal_point: Point2
-    raw_to_mm: float = 1.0
-
-    def __post_init__(self):
         if not 0 < self.camera_height_mm < math.inf:
             raise ValueError("camera_height_mm must be positive and finite")
         if not 0 < self.raw_to_mm < math.inf:
@@ -261,8 +259,6 @@ def calibrate_scene(
     shows fewer than 4 corners, and ResidualTooHighError when the mean
     reprojection residual of the five points exceeds 0.02 virtual units.
     """
-    if not camera_height_mm > 0:
-        raise ValueError("camera_height_mm must be positive")
     px, py = float(principal_point[0]), float(principal_point[1])
     check_principal_point((px, py), background.width, background.height)
 
@@ -287,7 +283,8 @@ def calibrate_scene(
     profile = CalibrationProfile(
         depth_to_rgb=depth_to_rgb,
         hue_bounds=bounds,
-        t_rv=Homography(matrix, rho_z),
+        t_rv=matrix,
+        rho_z=rho_z,
         camera_height_mm=float(camera_height_mm),
         principal_point=(px, py),
         raw_to_mm=float(raw_to_mm),
@@ -300,8 +297,8 @@ def profile_to_dict(profile: CalibrationProfile) -> dict:
     return {
         "depth_to_rgb": [float(v) for v in profile.depth_to_rgb.matrix.ravel()],
         "hue_bounds": {"lo": b.lo, "hi": b.hi},
-        "t_rv": [float(v) for v in profile.t_rv.matrix.ravel()],
-        "rho_z": float(profile.t_rv.rho_z),
+        "t_rv": [float(v) for v in profile.t_rv.ravel()],
+        "rho_z": float(profile.rho_z),
         "camera_height_mm": float(profile.camera_height_mm),
         "principal_point": [float(profile.principal_point[0]),
                             float(profile.principal_point[1])],
@@ -375,7 +372,8 @@ def profile_from_dict(data: dict) -> CalibrationProfile:
     return CalibrationProfile(
         depth_to_rgb=AffineTransform(np.reshape(fields["depth_to_rgb"], (2, 3))),
         hue_bounds=HueBounds(**fields["hue_bounds"]),
-        t_rv=Homography(np.reshape(fields["t_rv"], (3, 3)), fields["rho_z"]),
+        t_rv=np.reshape(fields["t_rv"], (3, 3)),
+        rho_z=fields["rho_z"],
         camera_height_mm=fields["camera_height_mm"],
         principal_point=fields["principal_point"],
         raw_to_mm=fields["raw_to_mm"],

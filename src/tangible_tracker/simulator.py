@@ -124,6 +124,14 @@ class SceneSpec:
             raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} through "
                              "scene field marker_to_image puts the ball's footprint, "
                              "centre or radius beyond float range")
+        # the truth file holds the ball's virtual coordinates too
+        if _beyond_float_range(lambda: virtual_of_plane(self, self.ball_plane_mm)):
+            raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} through "
+                             "scene field marker_size_mm puts the ball's virtual x, y "
+                             "beyond float range")
+        if _beyond_float_range(lambda: [self.rho_z * self.ball_height_mm]):
+            raise ValueError(f"scene field rho_z {self.rho_z!r} puts the ball's virtual z, "
+                             "rho_z * ball_height_mm, beyond float range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +204,7 @@ def true_t_rv(spec: SceneSpec) -> np.ndarray:
                            [0.0, 1.5 / mh, 0.0],
                            [0.0, 0.0, 1.0]])
     t = to_virtual @ np.linalg.inv(spec.marker_to_image)
-    return t / t[2, 2] if t[2, 2] != 0.0 else t  # normalized as a Homography is
+    return t / t[2, 2] if t[2, 2] != 0.0 else t  # normalized as the profile stores t_rv
 
 
 def _local_scale(h: np.ndarray, p) -> float:
@@ -397,13 +405,8 @@ def render_sequence(spec: SceneSpec, trajectory, out_dir) -> str:
     """
     trajectory = [(float(x), float(y), float(h)) for x, y, h in trajectory]
     scenes = []
+    # each point's scene checks the point before any file is written
     for idx, (x, y, h) in enumerate(trajectory):
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(h)):
-            raise ValueError("trajectory points must be finite")
-        if not 0 <= h < spec.camera_height_mm:
-            raise ValueError(
-                f"trajectory height {h} outside [0, {spec.camera_height_mm})"
-            )
         try:
             scenes.append(dataclasses.replace(spec, ball_plane_mm=(x, y), ball_height_mm=h,
                                               seed=spec.seed + idx))

@@ -18,7 +18,6 @@ import numpy as np
 from .color_calibration import HueBounds, _keyed_indices
 from .errors import InvalidHeightError, NoDepthError, NonFiniteError, NoPointerError
 from .imaging import (
-    _IDENTITY,
     AffineTransform,
     DepthImage,
     Point2,
@@ -34,7 +33,7 @@ HEIGHT_SLACK = 0.02  # fraction of camera height forgiven below the plane
 
 BBox = tuple[int, int, int, int]  # x, y, w, h
 
-_IDENTITY_LINEAR = _IDENTITY[:, :2].tolist()
+_IDENTITY_LINEAR = [[1.0, 0.0], [0.0, 1.0]]
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,8 @@ def _filtered_depth_mm(samples: np.ndarray, raw_to_mm: float) -> float:
     first_mean = nonzero.mean()
     # the smallest sample is at most the mean, so kept is never empty
     kept = nonzero[nonzero <= BACKGROUND_FACTOR * first_mean]
-    return float(kept.mean() * raw_to_mm)
+    # the float product overflows to inf quietly where numpy's would warn
+    return float(kept.mean()) * raw_to_mm
 
 
 def estimate_pointer_depth(depth: DepthImage, bbox: BBox) -> float:
@@ -181,8 +181,11 @@ def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
 
     plane_pt = correct_parallax(center, cal.principal_point, height, cam_h)
 
-    (xv, yv), = apply_homography(cal.t_rv.matrix, [plane_pt])
-    zv = cal.t_rv.rho_z * height
+    # quietly: a finite profile can still map past float range, and the
+    # non-finite check below decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        (xv, yv), = apply_homography(cal.t_rv, [plane_pt])
+    zv = cal.rho_z * height
 
     real = (plane_pt[0], plane_pt[1], height)
     virtual = (xv, yv, zv)

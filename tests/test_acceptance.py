@@ -113,11 +113,11 @@ def test_4_registration_fidelity():
                                       [0.0, 0.0, 1.0]]))
         summary = calibrate_spec(spec)
         truth = scene_truth(spec)
-        mapped = apply_homography(summary.profile.t_rv.matrix,
+        mapped = apply_homography(summary.profile.t_rv,
                                   truth.marker_corners_px)
         worst_corner = max(worst_corner, float(
             np.hypot(*(mapped - np.array(CORNER_TARGETS)).T).max()))
-        centroid_v = apply_homography(summary.profile.t_rv.matrix,
+        centroid_v = apply_homography(summary.profile.t_rv,
                                       [truth.marker_centroid_px])[0]
         worst_centroid = max(worst_centroid, float(np.hypot(*centroid_v)))
 

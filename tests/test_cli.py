@@ -83,7 +83,7 @@ def test_calibrate_writes_profile_matching_truth(sequence_dir, tmp_path, capsys)
     truth = json.loads((sequence_dir / "truth.json").read_text())
     t_true = np.array(truth["t_rv"]).reshape(3, 3)
     corners = np.array(truth["frames"][0]["marker_corners"])
-    got = apply_homography(profile.t_rv.matrix, corners)
+    got = apply_homography(profile.t_rv, corners)
     want = apply_homography(t_true, corners)
     assert np.abs(got - want).max() < 0.02
 
@@ -150,6 +150,26 @@ def test_calibrate_bad_flags_exit_5(sequence_dir, tmp_path):
                "--rho-z", "0.002",
                "--out", str(tmp_path / "x.json")])
     assert rc == 5
+
+
+@pytest.mark.parametrize("height", ["0", "-600", "inf"])
+def test_calibrate_camera_height_out_of_range_exits_5(sequence_dir, tmp_path, capsys,
+                                                      height):
+    # the profile's own check refuses it, after the fit and before any write
+    out = tmp_path / "never.json"
+    rc = main(["calibrate",
+               "--background", str(sequence_dir / "background.ppm"),
+               "--with-marker", str(sequence_dir / "with_marker.ppm"),
+               "--with-pointer", str(sequence_dir / "with_pointer.ppm"),
+               "--depth-to-rgb", "1,0,4,0,1,2",
+               "--camera-height", height,
+               "--principal-point", "319.5,239.5",
+               "--rho-z", "0.002",
+               "--out", str(out)])
+    assert rc == 5
+    assert capsys.readouterr().err == \
+        "Validation: camera_height_mm must be positive and finite\n"
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------------ track
@@ -346,6 +366,29 @@ def test_track_non_finite_fix_is_a_status_not_infinity(
         assert r["px"] is r["depth_mm"] is r["real"] is r["virtual"] is None
 
 
+@pytest.mark.parametrize("key, value, status", [
+    ("raw_to_mm", 1e308, "InvalidHeight"),
+    ("t_rv", [1e308, 0, 0, 0, 1e308, 0, 0, 0, 1], "NonFinite"),
+], ids=["raw_to_mm", "t_rv"])
+def test_track_overflowing_profile_warns_nothing(
+        sequence_dir, sequence_profile_path, tmp_path, capsys, key, value, status):
+    # finite, so the profile loads; the depth or the planar map overflows
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for kind in ("rgb_0000.ppm", "depth_0000.pgm"):
+        (frames / kind).write_bytes((sequence_dir / kind).read_bytes())
+    doc = json.loads(sequence_profile_path.read_text())
+    doc[key] = value
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    rc = main(["track", "--calib", str(profile), "--frames", str(frames)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    record = json.loads(captured.out, parse_constant=_reject_constant)
+    assert record["status"] == status and record["virtual"] is None
+
+
 # the names perfbench/tracer.py patches onto the cli module; a missing one
 # would be created silently there and read as zero work
 CLI_SEAMS = ("pnm", "json", "load_profile", "track_frame",
@@ -386,7 +429,7 @@ def full_warp_records(frames, profile):
     """Records of the pipeline that warped each whole depth frame with the
     frozen full-frame warp, then tracked it with nothing left to align."""
     aligned_profile = dataclasses.replace(profile,
-                                          depth_to_rgb=AffineTransform.identity())
+                                          depth_to_rgb=AffineTransform(np.eye(2, 3)))
     lines = []
     for seq, (idx, rgb_path, depth_path) in enumerate(cli._scan_frames(str(frames))):
         try:
@@ -700,7 +743,8 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
 # of another JSON kind, null, 8-bit fields out of range, a plane depth
 # beyond 16 bits; a file that is not UTF-8 and one nested too deep for the
 # parser; finite marker sizes or entries whose corners or convexity turns
-# overflow, and entries that put the ball beyond float range
+# overflow, entries that put the ball beyond float range, and entries
+# whose expected virtual z, or x, truth.json would hold as Infinity
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
                                  {"ball_saturation": True}, [1], [["width", 64]], 7,
@@ -720,7 +764,9 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
                                  {"marker_size_mm": [1e308, 1e308]},
                                  {"marker_size_mm": [1e200, 1e200]},
                                  {"marker_to_image": [1e308, 0, 320, 0, 1e308, 240, 0, 0, 1]},
-                                 {"marker_to_image": [0, 0, 1, 0, 1.5e41, 0, 2.2e156, 0, 9.9e173]}])
+                                 {"marker_to_image": [0, 0, 1, 0, 1.5e41, 0, 2.2e156, 0, 9.9e173]},
+                                 {"rho_z": 1e308},
+                                 {"marker_size_mm": [1e-5, 1e-5], "ball_plane_mm": [1e304, 0]}])
 def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     spec = tmp_path / "spec.json"
     spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())

@@ -108,6 +108,9 @@ def test_mutated_profiles_exit_5_or_track(sequence_dir, sequence_profile_path):
         @given(st.lists(MUTATIONS, min_size=1, max_size=3))
         # a depth_to_rgb shear that maps box pixels beyond int64
         @example([("item", False, 1, 3.2137184797403404e16)])
+        # finite scales whose depth or virtual x, y overflow as they are applied
+        @example([("set", False, 4, 1e308)])  # raw_to_mm
+        @example([("item", False, 6, 1e308)])  # t_rv's h31
         def check(mutations):
             doc = copy.deepcopy(valid)
             for mutation in mutations:
@@ -260,6 +263,7 @@ SCENE_VALUES = {name: kind_values(*shape) for name, shape in simulator._SHAPES.i
 @example({"marker_to_image": [0, 0, 1, 0, 1.1125369292536007e-308, 21172647, -112,
                                1914666122873048.0, 1]})  # its inverse beyond float range
 @example({"marker_to_image": [0, 0, 1, 0, 1, 1355049407, 1, 1386304027877517.0, 0]})  # centre
+@example({"rho_z": 1e308})  # a virtual z beyond float range
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_well_kinded_specs_simulate_or_exit_5(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -269,4 +273,7 @@ def test_well_kinded_specs_simulate_or_exit_5(doc):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["simulate", "--out", str(Path(tmp) / "seq"), "--frames", "1",
                        "--spec", str(spec)])
+        if rc == 0:  # the truth holds strict JSON only
+            truth = (Path(tmp) / "seq" / simulator.TRUTH_NAME).read_text()
+            json.loads(truth, parse_constant=_reject_constant)
     assert rc == 0 or (rc == 5 and err.getvalue().startswith("Validation:")), err.getvalue()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -16,7 +17,6 @@ from tangible_tracker.imaging import AffineTransform
 from tangible_tracker.registration import (
     CORNER_TARGETS,
     CalibrationProfile,
-    Homography,
     VirtualMarker,
     apply_homography,
     calibrate_scene,
@@ -167,7 +167,7 @@ def test_identity_scene_yields_pure_scale_map():
                                                [0.0, s, h // 2],
                                                [0.0, 0.0, 1.0]]))
     summary = calibrate_spec(spec)
-    matrix = summary.profile.t_rv.matrix
+    matrix = summary.profile.t_rv
     mw_px = spec.marker_size_mm[0] * s
     mh_px = spec.marker_size_mm[1] * s
     closed_form = np.array([[1.0 / mw_px, 0.0, -(w // 2) / mw_px],
@@ -188,7 +188,7 @@ def test_fit_residual_small_on_mild_perspective_scene():
     summary = calibrate_spec(spec)
     assert summary.fit_residual < 1e-2
     truth = scene_truth(spec)
-    mapped = apply_homography(summary.profile.t_rv.matrix,
+    mapped = apply_homography(summary.profile.t_rv,
                               truth.marker_corners_px)
     assert np.abs(mapped - np.array(CORNER_TARGETS)).max() < 2e-2
     assert base.marker_size_mm == spec.marker_size_mm
@@ -262,11 +262,11 @@ def test_virtual_marker_constants():
     assert set(CORNER_TARGETS) == set(vm.corners)
 
 
-def test_homography_normalizes_h33():
+def test_homography_normalizes_h33(default_summary):
     m = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-    h = Homography(m, rho_z=0.5)
-    assert h.matrix[2, 2] == 1.0
-    assert h.matrix[0, 0] == 1.0
+    profile = dataclasses.replace(default_summary.profile, t_rv=m)
+    assert profile.t_rv[2, 2] == 1.0
+    assert profile.t_rv[0, 0] == 1.0
 
 
 def test_profile_round_trip_is_byte_identical(tmp_path, default_summary):
@@ -316,7 +316,8 @@ def test_profile_dict_round_trip_property(affine, lo, hi, matrix, rho_z,
         profile = CalibrationProfile(
             depth_to_rgb=AffineTransform(np.reshape(affine, (2, 3))),
             hue_bounds=HueBounds(lo, hi),
-            t_rv=Homography(np.reshape(matrix, (3, 3)), rho_z),
+            t_rv=np.reshape(matrix, (3, 3)),
+            rho_z=rho_z,
             camera_height_mm=height,
             principal_point=principal,
             raw_to_mm=raw_to_mm,

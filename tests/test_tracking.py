@@ -23,7 +23,7 @@ from tangible_tracker.imaging import (
     RgbImage,
     rgb_to_hsv,
 )
-from tangible_tracker.registration import Homography, apply_homography
+from tangible_tracker.registration import apply_homography
 from tangible_tracker.simulator import (
     SceneSpec,
     ball_geometry,
@@ -249,7 +249,7 @@ def native_box_depth(pixels: np.ndarray, t: AffineTransform, box, raw_to_mm: flo
     pixels, before depth kept the file's byte order; frozen."""
     h, w = pixels.shape
     x, y, bw, bh = box
-    if np.array_equal(t.matrix, AffineTransform.identity().matrix):
+    if np.array_equal(t.matrix, np.eye(2, 3)):
         crop = pixels[y:y + bh, x:x + bw]
     else:
         inv = np.linalg.inv(t.matrix[:, :2])
@@ -278,7 +278,7 @@ def test_box_depth_on_file_order_pixels_equals_the_native_path(
         case, identity, shadow, raw_to_mm, top):
     h, w, box, seed, t = case
     if identity:
-        t = AffineTransform.identity()
+        t = AffineTransform(np.eye(2, 3))
     rng = np.random.default_rng(seed)
     native = rng.integers(0, top + 1, size=(h, w), dtype=np.uint16)
     native[rng.random((h, w)) < shadow] = 0
@@ -413,8 +413,7 @@ def test_track_frame_plane_point_at_infinity(profile):
     (px, _), _ = detect_pointer_2d(rgb, profile.hue_bounds)
     # at height 0 the plane point is the pixel itself, and this t_rv sends
     # the column x = px to infinity
-    t_rv = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -px]]),
-                      profile.t_rv.rho_z)
+    t_rv = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -px]])
     with pytest.raises(DegenerateError):
         track_frame(FramePair(rgb, on_plane), dataclasses.replace(profile, t_rv=t_rv))
 
@@ -422,7 +421,7 @@ def test_track_frame_plane_point_at_infinity(profile):
 def test_track_frame_monotone_in_height(default_spec, profile):
     rgb = paint_disc(solid_rgb(default_spec.height, default_spec.width,
                                (190, 190, 190)), 420, 300, 14, (230, 180, 50))
-    o_virtual = apply_homography(profile.t_rv.matrix,
+    o_virtual = apply_homography(profile.t_rv,
                                  [profile.principal_point])[0]
     last_z = -1.0
     last_dist = None
