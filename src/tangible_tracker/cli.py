@@ -40,7 +40,6 @@ from .tracking import FramePair, error_record, frame_record, track_frame
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CALIBRATION = 3
 EXIT_IO = 4
 EXIT_VALIDATION = 5
@@ -210,14 +209,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return _fail(EXIT_VALIDATION, f"Validation: bad scene json: {exc}")
         if not isinstance(overrides, dict):
             raise ValueError("scene json must be an object")
-    if args.size:
-        sizes = _parse_sizes(args.size)
-        if len(sizes) != 1:
-            raise ValueError(f"--size takes one WIDTHxHEIGHT, got {args.size!r}")
-        (overrides["width"], overrides["height"]), = sizes
-    for name in ("seed", "hue_jitter", "depth_jitter", "ball_hue"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
 
     spec = spec_from_dict(overrides)
     if args.trajectory:
@@ -284,13 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="render a synthetic scene sequence")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--frames", type=int, default=10, help="trajectory length")
-    sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--spec", help="scene spec JSON (fields override defaults)")
     sim.add_argument("--trajectory", help="JSON list of [x_mm, y_mm, h_mm] points")
-    sim.add_argument("--size", help="image size WIDTHxHEIGHT")
-    sim.add_argument("--hue-jitter", type=int, default=None, help="ball hue noise, bins")
-    sim.add_argument("--depth-jitter", type=int, default=None, help="depth noise, raw units")
-    sim.add_argument("--ball-hue", type=int, default=None, help="ball hue, 0..179")
     sim.set_defaults(func=cmd_simulate)
 
     ben = sub.add_parser("bench", help="compare corner detector timings")

@@ -124,14 +124,6 @@ class SceneSpec:
             raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} through "
                              "scene field marker_to_image puts the ball's footprint, "
                              "centre or radius beyond float range")
-        # the truth file holds the ball's virtual coordinates too
-        if _beyond_float_range(lambda: virtual_of_plane(self, self.ball_plane_mm)):
-            raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} through "
-                             "scene field marker_size_mm puts the ball's virtual x, y "
-                             "beyond float range")
-        if _beyond_float_range(lambda: [self.rho_z * self.ball_height_mm]):
-            raise ValueError(f"scene field rho_z {self.rho_z!r} puts the ball's virtual z, "
-                             "rho_z * ball_height_mm, beyond float range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,13 +397,22 @@ def render_sequence(spec: SceneSpec, trajectory, out_dir) -> str:
     """
     trajectory = [(float(x), float(y), float(h)) for x, y, h in trajectory]
     scenes = []
-    # each point's scene checks the point before any file is written
+    # each point's scene, and the virtual coordinates truth.json holds for
+    # it, are checked before any file is written
     for idx, (x, y, h) in enumerate(trajectory):
         try:
-            scenes.append(dataclasses.replace(spec, ball_plane_mm=(x, y), ball_height_mm=h,
-                                              seed=spec.seed + idx))
+            scene = dataclasses.replace(spec, ball_plane_mm=(x, y), ball_height_mm=h,
+                                        seed=spec.seed + idx)
+            if _beyond_float_range(lambda: virtual_of_plane(spec, (x, y))):
+                raise ValueError(f"scene field ball_plane_mm {(x, y)!r} through scene "
+                                 "field marker_size_mm puts the ball's virtual x, y "
+                                 "beyond float range")
+            if _beyond_float_range(lambda: [spec.rho_z * h]):
+                raise ValueError(f"scene field rho_z {spec.rho_z!r} puts the ball's "
+                                 "virtual z, rho_z * ball_height_mm, beyond float range")
         except ValueError as exc:
             raise ValueError(f"trajectory point {idx}: {exc}") from None
+        scenes.append(scene)
 
     os.makedirs(out_dir, exist_ok=True)
     # background, marker only, pointer only

@@ -100,11 +100,16 @@ def _filtered_depth_mm(samples: np.ndarray, raw_to_mm: float) -> float:
 
 
 def estimate_pointer_depth(depth: DepthImage, bbox: BBox) -> float:
-    """Two-pass filtered depth of the pointer crop, in millimeters.
+    """Two-pass filtered depth of the pointer crop, scaled by
+    ``depth.raw_to_mm``.
 
     The first pass averages nonzero samples; anything more than 10% above
     that average is background and is dropped; the surviving samples'
-    average is the answer.
+    average, times ``depth.raw_to_mm``, is the answer. That is millimeters
+    only when the image carries the rig's scale: ``pnm.read_depth(path)``
+    leaves it at 1.0, so a frame read that way gives raw units.
+    ``track_frame`` does not call this; it scales by the profile's
+    ``raw_to_mm`` instead.
     """
     x, y, w, h = bbox
     if w < 1 or h < 1 or x < 0 or y < 0 or x + w > depth.width or y + h > depth.height:

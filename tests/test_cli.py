@@ -5,13 +5,16 @@ import io
 import json
 import os
 import platform
+import re
 import resource
+import shlex
 import socket
 import subprocess
 import sys
 import time
 import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -717,11 +720,18 @@ def test_track_stream_clients_get_contiguous_suffix(sequence_dir,
 
 # --------------------------------------------------------------------- simulate
 
+def write_json(path, doc):
+    """Write ``doc`` as JSON to ``path`` and return the path as a string."""
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_simulate_writes_files_and_is_deterministic(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
+    spec = write_json(tmp_path / "spec.json", {"seed": 7})
     for out in (out_a, out_b):
-        rc = main(["simulate", "--out", str(out), "--frames", "3", "--seed", "7"])
+        rc = main(["simulate", "--out", str(out), "--frames", "3", "--spec", spec])
         assert rc == 0
     names = ["background.ppm", "with_marker.ppm", "with_pointer.ppm",
              "truth.json", "rgb_0002.ppm", "depth_0002.pgm"]
@@ -743,8 +753,8 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
 # of another JSON kind, null, 8-bit fields out of range, a plane depth
 # beyond 16 bits; a file that is not UTF-8 and one nested too deep for the
 # parser; finite marker sizes or entries whose corners or convexity turns
-# overflow, entries that put the ball beyond float range, and entries
-# whose expected virtual z, or x, truth.json would hold as Infinity
+# overflow, entries that put the ball beyond float range, and a rho_z
+# whose virtual z for the default circle truth.json would hold as Infinity
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
                                  {"ball_saturation": True}, [1], [["width", 64]], 7,
@@ -765,8 +775,7 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
                                  {"marker_size_mm": [1e200, 1e200]},
                                  {"marker_to_image": [1e308, 0, 320, 0, 1e308, 240, 0, 0, 1]},
                                  {"marker_to_image": [0, 0, 1, 0, 1.5e41, 0, 2.2e156, 0, 9.9e173]},
-                                 {"rho_z": 1e308},
-                                 {"marker_size_mm": [1e-5, 1e-5], "ball_plane_mm": [1e304, 0]}])
+                                 {"rho_z": 1e308}])
 def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     spec = tmp_path / "spec.json"
     spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -780,14 +789,11 @@ def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--spec", "--size"])
-def test_simulate_refuses_a_scene_above_the_pixel_budget(tmp_path, capsys, flag):
+def test_simulate_refuses_a_scene_above_the_pixel_budget(tmp_path, capsys):
     # 10^10 pixels: SceneSpec refuses it before any raster is allocated
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"width": 100000, "height": 100000}))
-    value = str(spec) if flag == "--spec" else "100000x100000"
+    spec = write_json(tmp_path / "spec.json", {"width": 100000, "height": 100000})
     out = tmp_path / "seq"
-    rc = main(["simulate", "--out", str(out), "--frames", "1", flag, value])
+    rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", spec])
     assert rc == 5
     err = capsys.readouterr().err
     assert err.startswith("Validation: scene of 100000x100000 pixels"), err
@@ -804,18 +810,6 @@ def test_simulate_negative_frame_count_exits_5(tmp_path, capsys):
     assert main(["simulate", "--out", str(out), "--frames", "0"]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "background.ppm", "truth.json", "with_marker.ppm", "with_pointer.ppm"]
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["--seed", "-1"], "scene field seed must be non-negative, got -1"),
-    (["--size", "64x64,32x32"], "--size takes one WIDTHxHEIGHT, got '64x64,32x32'"),
-])
-def test_simulate_bad_flag_exits_5_naming_it(tmp_path, capsys, argv, message):
-    out = tmp_path / "seq"
-    rc = main(["simulate", "--out", str(out), "--frames", "1", *argv])
-    assert rc == 5
-    assert capsys.readouterr().err == f"Validation: {message}\n"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", [[["1", "2", "3"]], [[True, 0, 100]],
@@ -905,13 +899,51 @@ def test_simulate_ball_beyond_float_range_exits_5(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+# truth.json holds the virtual coordinates of each trajectory point, so
+# each point is checked for them; the spec's own ball, which only
+# with_pointer.ppm shows, is not
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc, point, message", [
+    ({"marker_size_mm": [1e-5, 1e-5]}, [1e304, 0, 120],
+     "scene field ball_plane_mm (1e+304, 0.0) through scene field marker_size_mm "
+     "puts the ball's virtual x, y beyond float range"),
+    ({"rho_z": 1e307}, [0, 0, 120],
+     "scene field rho_z 1e+307 puts the ball's virtual z, rho_z * ball_height_mm, "
+     "beyond float range"),
+], ids=["virtual-x", "virtual-z"])
+def test_simulate_point_with_virtual_truth_beyond_float_range_exits_5(tmp_path, capsys,
+                                                                      doc, point, message):
+    spec = write_json(tmp_path / "spec.json", doc)
+    trajectory = write_json(tmp_path / "trajectory.json", [[0, 0, 0], point])
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--spec", spec, "--trajectory", trajectory])
+    assert rc == 5
+    assert capsys.readouterr().err == f"Validation: trajectory point 1: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_replaced_ball_needs_no_finite_virtual_truth(tmp_path, capsys):
+    # the spec's ball would sit at virtual z 1e307 * 120, beyond float
+    # range; the trajectory's only point sits at z 0
+    spec = write_json(tmp_path / "spec.json", {"rho_z": 1e307})
+    trajectory = write_json(tmp_path / "trajectory.json", [[0, 0, 0]])
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--spec", spec, "--trajectory", trajectory])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    truth = json.loads((out / "truth.json").read_text(), parse_constant=_reject_constant)
+    assert truth["rho_z"] == 1e307
+    assert truth["frames"][0]["virtual"] == [0.0, 0.0, 0.0]
+
+
 def test_simulate_seeds_differ_only_in_noise(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for seed, out in ((1, out_a), (2, out_b)):
-        rc = main(["simulate", "--out", str(out), "--frames", "2",
-                   "--seed", str(seed), "--hue-jitter", "4",
-                   "--depth-jitter", "4"])
+        spec = write_json(tmp_path / f"spec_{seed}.json",
+                          {"seed": seed, "hue_jitter": 4, "depth_jitter": 4})
+        rc = main(["simulate", "--out", str(out), "--frames", "2", "--spec", spec])
         assert rc == 0
     assert (out_a / "rgb_0000.ppm").read_bytes() \
         != (out_b / "rgb_0000.ppm").read_bytes()
@@ -997,6 +1029,37 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_simulate_takes_its_scene_only_from_spec(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--out", "--frames", "--spec", "--trajectory"}
+    # scene fields have no flags of their own: argparse refuses each
+    for flag, value in [("--seed", "7"), ("--hue-jitter", "3"), ("--depth-jitter", "3"),
+                        ("--ball-hue", "30"), ("--size", "320x240")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(tmp_path / "seq"), flag, value])
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "seq").exists()
+
+
+# every tangible-tracker command of README's sh blocks, its continuation
+# lines joined and its [...] optional parts dropped, parses
+def test_readme_commands_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("tangible-tracker "):
+                commands.append(shlex.split(re.sub(r"\[[^\]]*\]", "", line))[1:])
+    assert sorted({argv[0] for argv in commands}) == ["bench", "calibrate", "simulate",
+                                                      "track"]
+    for argv in commands:
+        cli._build_parser().parse_args(argv)
+
+
 # ------------------------------------------------------------- failure table
 
 def command_argv(name, sequence_dir, sequence_profile_path, tmp_path):
@@ -1012,7 +1075,8 @@ def command_argv(name, sequence_dir, sequence_profile_path, tmp_path):
                       "--principal-point", "319.5,239.5", "--rho-z", "0.002",
                       "--out", str(tmp_path / "profile.json")],
         "simulate": ["simulate", "--out", str(tmp_path / "seq"), "--frames", "1",
-                     "--size", "32x32"],
+                     "--spec", write_json(tmp_path / "spec.json",
+                                          {"width": 32, "height": 32})],
         "bench": ["bench", "--sizes", "80x80", "--iterations", "1"],
     }[name]
 

@@ -251,28 +251,38 @@ SCENE_VALUES = {name: kind_values(*shape) for name, shape in simulator._SHAPES.i
                 if name not in ("width", "height")}
 
 
-# every spec is 32x32, so that a value let through renders at most that frame
+# every spec is 32x32, so that a value let through renders at most that
+# frame; without a trajectory the default circle's one point is drawn
 @settings(max_examples=200, deadline=None)
-@given(st.fixed_dictionaries({}, optional=SCENE_VALUES))
-@example({"raw_to_mm": 1e-38})  # a plane depth beyond any integer numpy holds
-@example({"marker_size_mm": [1e308, 1e308]})  # corners beyond float range
-@example({"marker_size_mm": [1e200, 1e200]})  # convexity products beyond it
-@example({"marker_to_image": [0, 0, 1, 0, 1.5e41, 0, 2.2e156, 0, 9.9e173]})  # w * w
-@example({"ball_plane_mm": [-1e200, 0], "ball_radius_mm": 1e200})  # disc squares
-@example({"marker_to_image": [0, 0, 1, 1, 0, 0, 0, 1, 76]})  # t_rv with h33 = 0
+@given(st.fixed_dictionaries({}, optional=SCENE_VALUES),
+       st.none() | kind_values("number", 3).map(lambda point: [point]))
+@example({"raw_to_mm": 1e-38}, None)  # a plane depth beyond any integer numpy holds
+@example({"marker_size_mm": [1e308, 1e308]}, None)  # corners beyond float range
+@example({"marker_size_mm": [1e200, 1e200]}, None)  # convexity products beyond it
+@example({"marker_to_image": [0, 0, 1, 0, 1.5e41, 0, 2.2e156, 0, 9.9e173]}, None)  # w * w
+@example({"ball_plane_mm": [-1e200, 0], "ball_radius_mm": 1e200}, None)  # disc squares
+@example({"marker_to_image": [0, 0, 1, 1, 0, 0, 0, 1, 76]}, None)  # t_rv with h33 = 0
 @example({"marker_to_image": [0, 0, 1, 0, 1.1125369292536007e-308, 21172647, -112,
-                               1914666122873048.0, 1]})  # its inverse beyond float range
-@example({"marker_to_image": [0, 0, 1, 0, 1, 1355049407, 1, 1386304027877517.0, 0]})  # centre
-@example({"rho_z": 1e308})  # a virtual z beyond float range
+                               1914666122873048.0, 1]}, None)  # its inverse beyond float range
+@example({"marker_to_image": [0, 0, 1, 0, 1, 1355049407, 1, 1386304027877517.0, 0]},
+         None)  # centre
+@example({"rho_z": 1e308}, None)  # a virtual z beyond float range
+@example({"rho_z": 1e307}, [[0, 0, 0]])  # beyond it only for the replaced ball
+@example({"marker_size_mm": [1e-5, 1e-5]}, [[1e304, 0, 120]])  # a point's virtual x
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_well_kinded_specs_simulate_or_exit_5(doc):
+def test_well_kinded_specs_simulate_or_exit_5(doc, trajectory):
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "spec.json"
         spec.write_text(json.dumps({"width": 32, "height": 32, **doc}))
+        argv = ["simulate", "--out", str(Path(tmp) / "seq"), "--frames", "1",
+                "--spec", str(spec)]
+        if trajectory is not None:
+            path = Path(tmp) / "trajectory.json"
+            path.write_text(json.dumps(trajectory))
+            argv += ["--trajectory", str(path)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["simulate", "--out", str(Path(tmp) / "seq"), "--frames", "1",
-                       "--spec", str(spec)])
+            rc = main(argv)
         if rc == 0:  # the truth holds strict JSON only
             truth = (Path(tmp) / "seq" / simulator.TRUTH_NAME).read_text()
             json.loads(truth, parse_constant=_reject_constant)
