@@ -125,7 +125,7 @@ def _scan_frames(frames_dir: str) -> list[tuple[int, str, str]]:
                 os.path.join(frames_dir, name),
                 os.path.join(frames_dir, f"depth_{m.group(1)}.pgm"),
             ))
-    entries.sort(key=lambda e: e[0])
+    entries.sort()  # by index, then path: rgb_1 and rgb_01 in a fixed order
     return entries
 
 

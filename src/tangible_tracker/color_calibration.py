@@ -139,6 +139,21 @@ def _hue_passes(lo: int, hi: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _window_starts(size: int) -> np.ndarray:
+    """``size`` bytes, ``0xFF`` at every byte ``3k`` and 0 at the others.
+
+    ANDed with a band's window chroma, it keeps the window at byte ``3k``,
+    which is pixel k's own, and zeroes the two windows after it, which
+    straddle two pixels. A prefix of it is the mask of any shorter band.
+    Shared between callers and marked read-only.
+    """
+    mask = np.zeros(size, dtype=np.uint8)
+    mask[::3] = 0xFF
+    mask.flags.writeable = False
+    return mask
+
+
 def _hue_key(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flat index of (r - g, g - b), each in -255..255, into ``_hue_passes``."""
     return (r - g + 255) * 511 + (g - b + 255)
@@ -153,20 +168,26 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
     run ``b``: ``max(b[i], b[i+1], b[i+2])`` and the matching min, taken over
     every byte, hold at byte ``3k`` pixel k's value ``v = max(r, g, b)`` and,
-    as their difference, its chroma ``delta``. A strided compare gets no
-    SIMD loop in numpy, so each band's chroma ``lo[::3]`` is copied once
-    into a contiguous pixel-aligned buffer, where the compare runs. Pixels
-    with ``delta`` below the smallest entry of ``_floor_thresholds`` cannot
-    reach the floors and are dropped without a lookup; the rest are looked
-    up at their value, read back as ``hi[3 * candidates]``, and a band with
-    no candidate skips its lookup. The survivors' channels are gathered
-    once, as int32, and their hue is tested by one lookup each in
-    ``_hue_passes``, keyed on their channel differences.
+    as their difference, its chroma ``delta``. The two windows between, at
+    bytes ``3k + 1`` and ``3k + 2``, straddle two pixels and read a chroma
+    no pixel has, so the chroma is ANDed with ``_window_starts``, which
+    zeroes them. A band whose masked max is below the smallest entry of
+    ``_floor_thresholds`` holds no pixel that can reach the floors, and is
+    done after that AND and one max. In any other band, a strided compare
+    gets no SIMD loop in numpy, so the chroma ``lo[::3]`` is copied once
+    into a contiguous pixel-aligned buffer, where the compare finds the
+    candidates: pixels whose ``delta`` reaches that smallest entry. Only
+    they are looked up at their value, read back as ``hi[3 * candidates]``.
+    The survivors' channels are gathered once, as int32, and their hue is
+    tested by one lookup each in ``_hue_passes``, keyed on their channel
+    differences.
 
     A mostly gray frame costs a few passes over its bytes, each band in
-    cache, plus work in proportion to its few candidates; its bands with
-    none make no lookup at all. A frame saturated everywhere adds a gather,
-    a few integer passes and a lookup per pixel.
+    cache; its bands with no candidate pay the AND and the max and make no
+    copy, compare or lookup. A band with a candidate pays the AND and the
+    max on top of the copy, the compare and a lookup per candidate. A frame
+    saturated everywhere adds a gather, a few integer passes and a lookup
+    per pixel.
     """
     pixels = rgb.pixels
     height, width, _ = pixels.shape
@@ -180,6 +201,7 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     hi_buf = np.empty(band_rows * width * 3 - 2, dtype=np.uint8)
     lo_buf = np.empty_like(hi_buf)
     delta_buf = np.empty(band_rows * width, dtype=np.uint8)
+    starts = _window_starts(hi_buf.size)
     parts = [np.empty(0, dtype=np.intp)]  # a frame with no candidate keys nothing
     for row in range(0, height, band_rows):
         b = pixels[row:row + band_rows].reshape(-1)  # a copy only if strided
@@ -189,11 +211,12 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
         np.minimum(b[:-2], b[1:-1], out=lo)
         np.minimum(lo, b[2:], out=lo)
         np.subtract(hi, lo, out=lo)
+        np.bitwise_and(lo, starts[:lo.size], out=lo)  # pixel windows only
+        if lo.max() < floor:
+            continue  # a gray band: no copy, compare or lookup
         delta = delta_buf[:b.size // 3]
         np.copyto(delta, lo[::3])  # pixel k's window starts at byte 3k
         candidates = np.flatnonzero(delta >= floor)
-        if candidates.size == 0:
-            continue  # a gray band: no lookup
         passes = delta[candidates] >= np.take(floor_table, hi[3 * candidates])
         parts.append(candidates[passes] + row * width)
     survivors = np.concatenate(parts)

@@ -224,6 +224,17 @@ def test_track_depth_at_maxval_255_is_a_bad_frame(sequence_dir, sequence_profile
     assert records[0]["depth_mm"] is None
 
 
+def test_track_orders_frames_of_one_index_by_path(monkeypatch):
+    # rgb_1 and rgb_01 are both frame 1: their order must not follow the
+    # directory listing's
+    names = ["rgb_2.ppm", "rgb_01.ppm", "depth_1.pgm", "rgb_1.ppm", "rgb_0.ppm"]
+    orders = []
+    for listing in (names, names[::-1]):
+        monkeypatch.setattr(cli.os, "listdir", lambda _dir, listing=listing: list(listing))
+        orders.append([os.path.basename(rgb) for _, rgb, _ in cli._scan_frames("frames")])
+    assert orders[0] == orders[1] == ["rgb_0.ppm", "rgb_01.ppm", "rgb_1.ppm", "rgb_2.ppm"]
+
+
 def test_track_missing_profile_exits_4(tmp_path):
     rc = main(["track", "--calib", str(tmp_path / "no.json"),
                "--frames", str(tmp_path)])

@@ -20,6 +20,7 @@ from tangible_tracker.color_calibration import (
     _hue_key,
     _hue_passes,
     _keyed_indices,
+    _window_starts,
     calibrate_hue_bounds,
     hue_bounds_mask,
 )
@@ -265,10 +266,39 @@ any_bounds = st.builds(HueBounds, st.integers(0, 179), st.integers(0, 179))
 # (255, 245, 245) has chroma 10, the smallest entry of the floor table,
 # but needs 60 at value 255: a candidate that never survives
 CANDIDATE_ONLY = (255, 245, 245)
+GRAY = (90, 90, 90)
+HIT = (255, 85, 0)  # hue 10: inside HueBounds(5, 35)
+# (42, 37, 32) has chroma 10 and keys under HueBounds(5, 35): a survivor
+# at the smallest chroma that can pass
+FLOOR_HIT = (42, 37, 32)
+
+
+@st.composite
+def gray_step_frames(draw):
+    """Gray rows whose level steps along the row, with channel noise of at
+    most 4, so that no gray pixel's chroma reaches 10, plus a few other
+    pixels. Uniform random frames almost never leave a band without a
+    candidate; these mostly do, while the windows that straddle a step read
+    a chroma that does reach it."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 11))
+    start = draw(arrays(np.int16, (height, 1), elements=st.integers(0, 255)))
+    steps = draw(arrays(np.int16, (height, width),
+                        elements=st.sampled_from((0, 0, -60, -10, 10, 60))))
+    noise = draw(arrays(np.int16, (height, width, 3), elements=st.integers(-4, 4)))
+    gray = np.clip(start + np.cumsum(steps, axis=1), 0, 255)
+    pixels = np.clip(gray[..., None] + noise, 0, 255).astype(np.uint8)
+    others = st.one_of(st.sampled_from((HIT, FLOOR_HIT, CANDIDATE_ONLY, (0, 0, 255))),
+                       arrays(np.uint8, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        y, x = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        pixels[y, x] = draw(others)
+    return pixels
 
 
 @settings(max_examples=300, deadline=None)
-@given(pixels=arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 11), st.just(3))),
+@given(pixels=st.one_of(
+           arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 11), st.just(3))),
+           gray_step_frames()),
        layout=st.sampled_from(sorted(LAYOUTS)),
        band_bytes=st.integers(1, 3 * 11 * 4),
        bounds=any_bounds)
@@ -289,6 +319,18 @@ CANDIDATE_ONLY = (255, 245, 245)
          layout="strided", band_bytes=1, bounds=HueBounds(0, 179))
 @example(pixels=np.array([[(90, 90, 90)] * 3 + [(255, 85, 0)]] * 3, dtype=np.uint8),
          layout="c", band_bytes=12, bounds=HueBounds(5, 35))  # v read at the buffer's end
+@example(pixels=np.array([[GRAY, (100, 100, 100)] * 4] * 3, dtype=np.uint8),
+         layout="c", band_bytes=24, bounds=HueBounds(0, 179))  # every straddle reaches 10
+@example(pixels=np.array([[HIT] + [GRAY] * 4, [GRAY] * 5], dtype=np.uint8),
+         layout="c", band_bytes=15, bounds=HueBounds(5, 35))  # only the band's first pixel
+@example(pixels=np.array([[GRAY] * 4 + [HIT], [GRAY] * 5], dtype=np.uint8),
+         layout="c", band_bytes=15, bounds=HueBounds(5, 35))  # only the band's last pixel
+@example(pixels=np.array([[HIT]], dtype=np.uint8),
+         layout="c", band_bytes=3, bounds=HueBounds(5, 35))  # a 1x1 frame
+@example(pixels=np.array([[GRAY, FLOOR_HIT, GRAY]], dtype=np.uint8),
+         layout="c", band_bytes=9, bounds=HueBounds(5, 35))  # max exactly at the floor
+@example(pixels=np.array([[GRAY], [(100, 100, 100)], [HIT], [GRAY]], dtype=np.uint8),
+         layout="c", band_bytes=6, bounds=HueBounds(5, 35))  # a 1-pixel-wide column
 def test_color_key_matches_frozen_reference(pixels, layout, band_bytes, bounds):
     img = RgbImage(LAYOUTS[layout](pixels))
     # a budget of a few bytes makes every row, or every few rows, a band
@@ -319,18 +361,23 @@ def test_color_key_on_uniform_random_hd_frame():
                               np.flatnonzero(hue_bounds_mask(hsv, bounds).bits))
 
 
-def test_color_key_concurrent_calls_match_serial():
+def test_color_key_concurrent_calls_match_serial(monkeypatch):
     # gray frames with chroma noise and a few saturated patches: many
-    # candidates, some survivors, and a different answer per frame
+    # candidates, some survivors, and a different answer per frame; a few
+    # rows of gray in luminance steps, one band each, have no candidate
     rng = np.random.default_rng(5)
-    frames = []
+    frames, step_rows = [], []
     for _ in range(4):
         gray = rng.integers(40, 216, (240, 320, 1))
         pixels = gray + rng.integers(-40, 41, (240, 320, 3))
         for y, x in rng.integers(0, 200, (6, 2)):
             pixels[y:y + 40, x:x + 40] = rng.integers(0, 256, 3)
+        step_rows.append(rng.choice(240, 4, replace=False))
+        for y in step_rows[-1]:
+            pixels[y] = np.repeat(rng.integers(40, 216, 8), 40)[:, None]
         frames.append(RgbImage(np.clip(pixels, 0, 255).astype(np.uint8)))
     bounds = KEY_BOUNDS[1]
+    monkeypatch.setattr(color_calibration, "_BAND_BYTES", 3 * 320)  # a row a band
     serial = [_keyed_indices(frame, bounds) for frame in frames]
     start = Barrier(4, timeout=60)
 
@@ -345,8 +392,9 @@ def test_color_key_concurrent_calls_match_serial():
             concurrent = list(pool.map(key_repeatedly, frames, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    for expected, results in zip(serial, concurrent):
+    for expected, rows, results in zip(serial, step_rows, concurrent):
         assert 0 < expected.size < 240 * 320
+        assert not np.isin(expected // 320, rows).any()
         assert all(np.array_equal(keyed, expected) for keyed in results)
 
 
@@ -398,6 +446,13 @@ def test_hue_table_is_cached_and_read_only():
     assert table.shape == (511 * 511,) and table.dtype == bool
     assert not table.flags.writeable
     assert _hue_passes(5, 35) is table
+
+
+def test_window_mask_is_cached_read_only_and_keeps_pixel_windows():
+    mask = _window_starts(3 * 5 - 2)
+    assert mask.tolist() == [0xFF, 0, 0] * 4 + [0xFF]
+    assert not mask.flags.writeable
+    assert _window_starts(3 * 5 - 2) is mask
 
 
 def test_wraps_is_lo_above_hi():
