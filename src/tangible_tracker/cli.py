@@ -21,7 +21,6 @@ from collections import Counter
 import numpy as np
 
 from . import pnm
-from .bench import format_table, run_benchmark
 from .color_calibration import MIN_SATURATION, MIN_VALUE
 from .errors import PipelineError
 from .imaging import AffineTransform
@@ -33,7 +32,6 @@ from .registration import (
     load_profile,
     save_profile,
 )
-from .simulator import circular_trajectory, render_sequence, spec_from_dict
 from .stream import StreamServer
 from .tracking import FramePair, error_record, frame_record, track_frame
 
@@ -51,7 +49,7 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-_FRAME_RE = re.compile(r"^rgb_(\d+)\.ppm$")
+_FRAME_RE = re.compile(r"rgb_([0-9]+)\.ppm")
 
 
 def _fail(code: int, message: str) -> int:
@@ -118,14 +116,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def _scan_frames(frames_dir: str) -> list[tuple[int, str, str]]:
     entries = []
     for name in os.listdir(frames_dir):
-        m = _FRAME_RE.match(name)
+        m = _FRAME_RE.fullmatch(name)
         if m:
             entries.append((
                 int(m.group(1)),
                 os.path.join(frames_dir, name),
                 os.path.join(frames_dir, f"depth_{m.group(1)}.pgm"),
             ))
-    entries.sort()  # by index, then path: rgb_1 and rgb_01 in a fixed order
+    entries.sort()
+    for (idx, rgb_path, _), (other, other_path, _) in zip(entries, entries[1:]):
+        if idx == other:
+            raise ValueError(f"{rgb_path} and {other_path} are both frame {idx}")
     return entries
 
 
@@ -200,6 +201,9 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # imported here, as bench is in cmd_bench, so track and calibrate start without it
+    from .simulator import circular_trajectory, render_sequence, spec_from_dict
+
     overrides: dict = {}
     if args.spec:
         try:
@@ -228,6 +232,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import format_table, run_benchmark
+
     rows = run_benchmark(_parse_sizes(args.sizes), args.iterations, args.seed)
     if args.json:
         print(json.dumps(rows, indent=2))

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import errno
+import importlib
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tangible_tracker import cli, color_calibration, imaging, pnm, tracking
+from tangible_tracker import bench, cli, color_calibration, imaging, pnm, simulator, tracking
 from tangible_tracker.cli import main
 from tangible_tracker.errors import DegenerateError, PipelineError
 from tangible_tracker.imaging import AffineTransform
@@ -224,15 +225,34 @@ def test_track_depth_at_maxval_255_is_a_bad_frame(sequence_dir, sequence_profile
     assert records[0]["depth_mm"] is None
 
 
-def test_track_orders_frames_of_one_index_by_path(monkeypatch):
-    # rgb_1 and rgb_01 are both frame 1: their order must not follow the
-    # directory listing's
+def test_track_refuses_two_files_of_one_index(sequence_profile_path, monkeypatch, capsys):
+    # rgb_1 and rgb_01 are both frame 1: which one is meant cannot be told,
+    # whatever order the directory lists them in
     names = ["rgb_2.ppm", "rgb_01.ppm", "depth_1.pgm", "rgb_1.ppm", "rgb_0.ppm"]
-    orders = []
+    frames = os.path.join("frames", "")
     for listing in (names, names[::-1]):
         monkeypatch.setattr(cli.os, "listdir", lambda _dir, listing=listing: list(listing))
-        orders.append([os.path.basename(rgb) for _, rgb, _ in cli._scan_frames("frames")])
-    assert orders[0] == orders[1] == ["rgb_0.ppm", "rgb_01.ppm", "rgb_1.ppm", "rgb_2.ppm"]
+        rc = main(["track", "--calib", str(sequence_profile_path), "--frames", "frames"])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.err == (f"Validation: {frames}rgb_01.ppm and {frames}rgb_1.ppm "
+                                "are both frame 1\n")
+        assert captured.out == ""
+
+
+def test_track_frame_names_take_only_ascii_digits(sequence_dir, sequence_profile_path,
+                                                  tmp_path, capsys):
+    # a non-ASCII digit and a trailing newline make no frame 1 of their own;
+    # the newline name would otherwise pair with depth_1.pgm
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for name in ("rgb_1.ppm", "rgb_1.ppm\n", "rgb_\u0661.ppm"):
+        (frames / name).write_bytes((sequence_dir / "rgb_0000.ppm").read_bytes())
+    (frames / "depth_1.pgm").write_bytes((sequence_dir / "depth_0000.pgm").read_bytes())
+    rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    assert [(r["seq"], r["frame"], r["status"]) for r in records] == [(0, 1, "ok")]
 
 
 def test_track_missing_profile_exits_4(tmp_path):
@@ -1000,35 +1020,33 @@ def test_bench_unusable_input_exits_5(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-# simulate, calibrate and track through cli.main in a fresh interpreter,
-# then bench, which is the one command that needs scipy
+# every command through cli.main in a fresh interpreter, and what the import
+# and each command leave loaded of the simulator, bench and scipy; bench, the
+# one command that needs scipy, runs last
 _RUN_WITHOUT_SCIPY = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, sys
 from tangible_tracker.cli import main
-seq, profile = os.path.join(sys.argv[1], "seq"), os.path.join(sys.argv[1], "p.json")
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
+                  or m in ("tangible_tracker.simulator", "tangible_tracker.bench"))
+loads = [["import", 0, loaded()]]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        main(["simulate", "--out", seq, "--frames", "2"]),
-        main(["calibrate", "--background", os.path.join(seq, "background.ppm"),
-              "--with-marker", os.path.join(seq, "with_marker.ppm"),
-              "--with-pointer", os.path.join(seq, "with_pointer.ppm"),
-              "--depth-to-rgb", "1,0,4,0,1,2", "--camera-height", "600",
-              "--principal-point", "319.5,239.5", "--rho-z", "0.002",
-              "--out", profile]),
-        main(["track", "--calib", profile, "--frames", seq]),
-    ]
-    scipy = sorted(name for name in sys.modules if name.startswith("scipy"))
-    bench = main(["bench", "--sizes", "80x80", "--iterations", "2"])
-print(json.dumps({"codes": codes, "scipy": scipy, "bench": bench}))
+    for argv in json.loads(sys.argv[1]):
+        loads.append([argv[0], main(argv), loaded()])
+print(json.dumps(loads))
 """
 
 
-def test_pipeline_commands_import_no_scipy(tmp_path):
-    done = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
-                          capture_output=True, text=True)
+def test_pipeline_commands_import_no_scipy(sequence_dir, sequence_profile_path, tmp_path):
+    runs = [command_argv(name, sequence_dir, sequence_profile_path, tmp_path)
+            for name in ("calibrate", "track", "simulate", "bench")]
+    done = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
-    assert result == {"codes": [0, 0, 0], "scipy": [], "bench": 0}
+    loads = json.loads(done.stdout)
+    assert loads[:4] == [["import", 0, []], ["calibrate", 0, []], ["track", 0, []],
+                         ["simulate", 0, ["tangible_tracker.simulator"]]]
+    assert loads[4][:2] == ["bench", 0]
 
 
 def test_usage_errors_exit_2():
@@ -1069,6 +1087,16 @@ def test_readme_commands_parse():
                                                       "track"]
     for argv in commands:
         cli._build_parser().parse_args(argv)
+
+
+# every tangible_tracker.<module>.<name> that README names imports and resolves
+def test_readme_module_paths_resolve():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    paths = sorted(set(re.findall(r"\btangible_tracker\.(\w+)\.(\w+)", readme)))
+    assert len(paths) > 20
+    for module, name in paths:
+        assert hasattr(importlib.import_module(f"tangible_tracker.{module}"), name), \
+            f"tangible_tracker.{module}.{name}"
 
 
 # ------------------------------------------------------------- failure table
@@ -1125,7 +1153,9 @@ def test_main_maps_every_command_failure(sequence_dir, sequence_profile_path, tm
     def fail(*args, **kwargs):
         raise failure
 
-    monkeypatch.setattr(cli, callee, fail)
+    # simulate and bench import their callee's module when they run
+    owner = {"render_sequence": simulator, "run_benchmark": bench}.get(callee, cli)
+    monkeypatch.setattr(owner, callee, fail)
     rc = main(command_argv(command, sequence_dir, sequence_profile_path, tmp_path))
     captured = capsys.readouterr()
     assert rc == code
