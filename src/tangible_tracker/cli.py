@@ -174,8 +174,8 @@ def cmd_track(args: argparse.Namespace) -> int:
                     record = error_record(idx, exc.name)
                 kernel_seconds += time.perf_counter() - t0
                 kernel_frames += 1
-            # free this frame's rasters before the next read, which then
-            # reuses their heap blocks instead of faulting in new pages
+            # drop this frame's images before the next read: that unmaps
+            # their files and closes the descriptor each mapping holds
             rgb = frame = None
             status_counts[record["status"]] += 1
             line = json.dumps({"seq": seq, **record}, allow_nan=False)

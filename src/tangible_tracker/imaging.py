@@ -1,9 +1,10 @@
 """Raster value types and the pixel-level primitives built on them.
 
 Images are thin wrappers around numpy arrays, which they may share with the
-caller. No package function writes to an image's pixels: every operation is
-a pure function returning new values, so all of them are safe to call
-concurrently.
+caller. An image read by ``pnm`` holds a read-only view of its mapped file,
+so its pixels are paged in only where they are read. No package function
+writes to an image's pixels: every operation is a pure function returning
+new values, so all of them are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class DepthImage:
 
     ``pixels`` is always big-endian uint16 (``DEPTH_SAMPLE``), the sample
     order of the P5 files depth is read from, so a raster read from a file
-    is a view of its bytes and is never converted as a whole. Integer or
-    boolean pixels of any other dtype are converted to it by value when
-    every value lies in 0..65535; other pixels raise ValueError.
+    is a view of its mapped bytes and is never converted as a whole.
+    Integer or boolean pixels of any other dtype are converted to it by
+    value when every value lies in 0..65535; other pixels raise ValueError.
     """
 
     pixels: np.ndarray

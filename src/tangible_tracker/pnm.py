@@ -4,14 +4,25 @@ Color frames are P6 PPM with maxval 255. Depth frames are P5 PGM with
 maxval 65535 and big-endian samples. Any other magic or maxval, a
 malformed header or a short raster raises ValueError.
 
-Readers return read-only views of the bytes they read: no raster is
-copied or converted. Depth keeps the file's big-endian sample order, the
-one ``DepthImage.pixels`` always holds.
+Readers map the file read-only and return views of the mapping: no raster
+is copied or converted, and a raster's pages are read from the page cache
+only when something reads their pixels. Depth keeps the file's big-endian
+sample order, the one ``DepthImage.pixels`` always holds.
+
+Each image a reader returns holds its mapping, and with it one open file
+descriptor, until the image is freed. A mapped file must not shrink while
+an image of it lives: a read past the new end kills the process with
+SIGBUS. The writers therefore never rewrite a file in place; they write a
+new file beside it and rename it over the path, so images of the old file
+keep its bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
 import re
 
 import numpy as np
@@ -28,8 +39,9 @@ _DEPTH = (b"P5", 65535, DEPTH_SAMPLE, ())
 _HEADER = re.compile(rb"(?:\s|#[^\n]*\n)*(\d+)(?!\d)" * 3 + rb"\s")
 
 
-def _parse_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
-    if not data.startswith(magic):
+def _parse_header(data, magic: bytes, path) -> tuple[int, int, int, int]:
+    """Parse the header of data, any bytes-like object."""
+    if data[:len(magic)] != magic:
         raise ValueError(f"{path}: expected {magic.decode()} netpbm data")
     m = _HEADER.match(data, len(magic))
     if m is None:
@@ -39,27 +51,44 @@ def _parse_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
 
 
 def _read_raster(path, fmt: tuple) -> np.ndarray:
-    """The raster of one file in format fmt, shaped (height, width, *channels)."""
+    """The raster of one file in format fmt, shaped (height, width, *channels):
+    a read-only view of the mapped file."""
     magic, maxval, sample, channels = fmt
     with open(path, "rb") as f:
-        data = f.read()
-    width, height, found, start = _parse_header(data, magic, path)
-    if found != maxval:
-        raise ValueError(f"{path}: {magic.decode()} maxval must be {maxval}, got {found}")
-    shape = (height, width) + channels
-    count = math.prod(shape)
-    if len(data) - start < count * sample.itemsize:
-        raise ValueError(f"{path}: truncated raster")
+        if os.fstat(f.fileno()).st_size == 0:  # mmap refuses an empty file
+            raise ValueError(f"{path}: expected {magic.decode()} netpbm data")
+        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        width, height, found, start = _parse_header(data, magic, path)
+        if found != maxval:
+            raise ValueError(f"{path}: {magic.decode()} maxval must be {maxval}, got {found}")
+        shape = (height, width) + channels
+        count = math.prod(shape)
+        if len(data) - start < count * sample.itemsize:
+            raise ValueError(f"{path}: truncated raster")
+    except ValueError:
+        # unmap now: the exception may outlive this call, in a log record
+        data.close()
+        raise
     return np.frombuffer(data, dtype=sample, count=count, offset=start).reshape(shape)
 
 
 def _write_raster(path, fmt: tuple, pixels: np.ndarray) -> None:
     """Write pixels already in the format's sample type, as the image
-    types hold them."""
+    types hold them, to a new file renamed over path: a file that a reader
+    has mapped is never truncated."""
     magic, maxval, _, _ = fmt
-    with open(path, "wb") as f:
-        f.write(b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], maxval))
-        f.write(pixels.tobytes())
+    path = os.fsdecode(path)
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "wb") as f:
+            f.write(b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], maxval))
+            f.write(pixels.tobytes())
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def read_ppm(path) -> RgbImage:

@@ -40,6 +40,7 @@ from tangible_tracker.tracking import (
 )
 from tests.conftest import calibrate_spec
 from tests.test_imaging import full_warp_oracle
+from tests.test_pnm import open_fd_count
 
 
 def run_cli(*args, env=None):
@@ -626,10 +627,29 @@ def test_tracked_frames_make_no_depth_image_but_the_read(sequence_dir, sequence_
     assert len(calls) == len(statuses)
 
 
+@pytest.mark.parametrize("empty", ["rgb_0000.ppm", "depth_0000.pgm"])
+def test_track_empty_frame_file_is_a_bad_frame(sequence_dir, sequence_profile_path,
+                                               tmp_path, capsys, caplog, empty):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(2):
+        for name in (f"rgb_{i:04d}.ppm", f"depth_{i:04d}.pgm"):
+            (frames / name).write_bytes((sequence_dir / name).read_bytes())
+    (frames / empty).write_bytes(b"")
+    rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    assert [r["status"] for r in records] == ["BadFrame", "ok"]
+    magic = "P6" if empty.endswith(".ppm") else "P5"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"frame 0 invalid: {frames / empty}: expected {magic} netpbm data"]
+
+
 def test_track_frees_each_frame_before_the_next_read(sequence_dir, sequence_profile_path,
                                                     tmp_path, capsys, monkeypatch):
-    # once the loop drops a frame's images, the next frame's reads reuse
-    # their heap blocks; refcounting frees them at once, no collector needed
+    # once the loop drops a frame's images, their mappings are gone before
+    # the next read: refcounting frees them at once, no collector needed,
+    # and each mapping's file descriptor closes with it
     frames = tmp_path / "frames"
     frames.mkdir()
     sources = [("rgb_0000.ppm", "depth_0000.pgm"),    # ok
@@ -645,9 +665,11 @@ def test_track_frees_each_frame_before_the_next_read(sequence_dir, sequence_prof
             (frames / f"depth_{i:04d}.pgm").write_bytes((sequence_dir / depth).read_bytes())
     images = []
     alive_at_read = []
+    fds_at_read = []
 
     def read_ppm(path):
         alive_at_read.append(sum(ref() is not None for ref in images))
+        fds_at_read.append(open_fd_count())
         img = pnm.read_ppm(path)
         images.append(weakref.ref(img))
         return img
@@ -659,12 +681,17 @@ def test_track_frees_each_frame_before_the_next_read(sequence_dir, sequence_prof
 
     monkeypatch.setattr(cli, "pnm", types.SimpleNamespace(read_ppm=read_ppm,
                                                           read_depth=read_depth))
+    fds_before = open_fd_count()
     rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames)])
+    fds_after = open_fd_count()
     statuses = [json.loads(line)["status"] for line in capsys.readouterr().out.splitlines()]
     assert rc == 0
     assert statuses == ["ok", "NoPointer", "BadFrame", "IOError", "ok"]
     assert len(images) == 8  # every frame read its colour image, three their depth
     assert alive_at_read == [0] * 5
+    # each live image holds its mapping's descriptor; none outlives its frame
+    assert fds_at_read == [fds_before] * 5
+    assert fds_after == fds_before
 
 
 # two track calls in one fresh interpreter, as a host program that tracks
@@ -687,9 +714,11 @@ print(json.dumps({"codes": [first, second], "statuses": statuses, "faults": faul
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="counts the page faults of glibc's malloc")
 def test_repeated_track_calls_reuse_the_heap(tmp_path):
-    # with each frame freed before the next read, the second call's frames
-    # reuse the first call's heap blocks: about 2,000 faults per call on
-    # these frames when two frames were alive at once
+    # with each frame freed before the next read, the second call reuses
+    # the first call's heap blocks: about 2,000 faults per call on these
+    # frames when two frames were alive at once. The frames are mapped, so
+    # each call pays the faults of the pages it reads from them: 50-55 per
+    # call here, where copying reads took 7-10
     spec = SceneSpec(width=1280, height=720, depth_frame_offset=(0, 0), seed=3)
     frames = tmp_path / "frames"
     render_sequence(spec, circular_trajectory(4), frames)

@@ -1,3 +1,6 @@
+import mmap
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +55,27 @@ def test_truncated_raster_rejected(tmp_path):
         pnm.read_ppm(path)
 
 
+def open_fd_count() -> int:
+    """The number of file descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+@pytest.mark.parametrize("data", [b"P6\n4 4\n255\n" + bytes(10),  # short raster
+                                  b"P6\n4 4\n65535\n" + bytes(96),  # wrong maxval
+                                  b"P6\n4 4",  # truncated header
+                                  b"P5\n4 4\n255\n" + bytes(16)],  # wrong magic
+                         ids=["short", "maxval", "header", "magic"])
+def test_rejected_file_is_unmapped_at_once(tmp_path, data):
+    # the exception holds the reader's frame, but no mapping or descriptor
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(data)
+    before = open_fd_count()
+    with pytest.raises(ValueError) as info:
+        pnm.read_ppm(path)
+    assert info.value.__traceback__ is not None
+    assert open_fd_count() == before
+
+
 def test_wrong_magic_rejected(tmp_path):
     path = tmp_path / "bad.ppm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
@@ -59,19 +83,82 @@ def test_wrong_magic_rejected(tmp_path):
         pnm.read_ppm(path)
 
 
-def test_read_depth_views_the_bytes_it_read(tmp_path):
-    values = np.arange(12 * 7, dtype=np.uint16).reshape(7, 12) * 771
-    path = tmp_path / "depth.pgm"
-    pnm.write_depth(path, DepthImage(values))
-    pixels = pnm.read_depth(path).pixels
-    assert pixels.dtype == DEPTH_SAMPLE == np.dtype(">u2")
+def _write_gradient(reader, path):
+    """Write a small gradient image of reader's format to path; return it."""
+    values = np.arange(12 * 7 * 3, dtype=np.uint16).reshape(7, 12, 3)
+    if reader is pnm.read_ppm:
+        img = RgbImage((values % 256).astype(np.uint8))
+        pnm.write_ppm(path, img)
+    else:
+        img = DepthImage(values[..., 0] * 771)
+        pnm.write_depth(path, img)
+    return img
+
+
+def _innermost_base(array):
+    """The object under array's chain of views and buffers."""
+    base = array
+    while isinstance(base, (np.ndarray, memoryview)):
+        base = base.base if isinstance(base, np.ndarray) else base.obj
+    return base
+
+
+@pytest.mark.parametrize("reader", [pnm.read_ppm, pnm.read_depth],
+                         ids=["read_ppm", "read_depth"])
+def test_readers_view_the_mapped_file(tmp_path, reader):
+    path = tmp_path / "img.pnm"
+    img = _write_gradient(reader, path)
+    pixels = reader(path).pixels
+    assert pixels.dtype == (np.dtype(np.uint8) if reader is pnm.read_ppm else DEPTH_SAMPLE)
+    assert DEPTH_SAMPLE == np.dtype(">u2")
     assert not pixels.flags.writeable
-    assert (pixels == values).all()
-    # the raster is a view of the file's bytes: no frame-sized copy was made
-    base = pixels
-    while isinstance(base, np.ndarray):
-        base = base.base
-    assert isinstance(base, bytes) and base == path.read_bytes()
+    assert (pixels == img.pixels).all()
+    # the raster is a view of the mapped file: no frame-sized copy was made
+    base = _innermost_base(pixels)
+    assert isinstance(base, mmap.mmap) and base[:] == path.read_bytes()
+
+
+@pytest.mark.parametrize("reader", [pnm.read_ppm, pnm.read_depth],
+                         ids=["read_ppm", "read_depth"])
+@pytest.mark.parametrize("change", ["unlink", "os.replace", "rewrite"])
+def test_image_keeps_its_bytes_when_the_file_goes(tmp_path, reader, change):
+    path = tmp_path / "img.pnm"
+    img = _write_gradient(reader, path)
+    raw = path.read_bytes()
+    read = reader(path)
+    if change == "unlink":
+        path.unlink()
+    elif change == "os.replace":
+        other = tmp_path / "other.pnm"
+        other.write_bytes(raw[:20])
+        os.replace(other, path)
+    else:
+        # the package's own writer replaces the file, never truncates it
+        # (a truncated mapping would end this process with SIGBUS)
+        inode = path.stat().st_ino
+        blank = type(img)(np.zeros((1, 1) + img.pixels.shape[2:], dtype=img.pixels.dtype))
+        (pnm.write_ppm if reader is pnm.read_ppm else pnm.write_depth)(path, blank)
+        assert path.stat().st_ino != inode
+        assert (reader(path).pixels == 0).all()
+    assert (read.pixels == img.pixels).all()
+    assert _innermost_base(read.pixels)[:] == raw
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if change == "unlink"
+                                                         else ["img.pnm"])
+
+
+def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "img.ppm"
+    _write_gradient(pnm.read_ppm, path)
+    raw = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pnm.os, "replace", refuse)
+    with pytest.raises(OSError, match="No space"):
+        pnm.write_ppm(path, RgbImage(np.zeros((2, 2, 3), dtype=np.uint8)))
+    assert path.read_bytes() == raw
+    assert [p.name for p in tmp_path.iterdir()] == ["img.ppm"]
 
 
 def loop_parse_header(data, magic):
