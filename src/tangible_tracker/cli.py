@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 
 from . import pnm
-from .color_calibration import MIN_SATURATION, MIN_VALUE
+from .color_calibration import MIN_SATURATION, MIN_VALUE, key_tables
 from .errors import PipelineError
 from .imaging import AffineTransform
 from .mask_extraction import DEFAULT_MIN_AREA
@@ -144,6 +144,8 @@ def cmd_track(args: argparse.Namespace) -> int:
         server = StreamServer(*_parse_hostport(args.listen))
         log.info("streaming on %s:%d", *server.address)
 
+    # build the key's tables now, so that no frame's kernel time holds them
+    key_tables(profile.hue_bounds)
     checked_principal = False
     status_counts: Counter[str] = Counter()
     kernel_seconds = 0.0

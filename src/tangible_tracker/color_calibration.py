@@ -5,8 +5,9 @@ peaked, and the calibrated interval is the peak widened by 15 bins on each
 side (wrapping through 0 when needed), so the same object keys reliably as
 room lighting drifts. The interval is all that is calibrated: the key's
 saturation and value floors are the constants ``MIN_SATURATION`` and
-``MIN_VALUE``. ``_keyed_indices`` applies the key to a frame;
-``hue_bounds_mask`` of ``rgb_to_hsv`` is its reference.
+``MIN_VALUE``. ``_keyed_indices`` applies the key to a frame through the
+tables of ``key_tables``; ``hue_bounds_mask`` of ``rgb_to_hsv`` is its
+reference.
 """
 
 from __future__ import annotations
@@ -159,11 +160,19 @@ def _hue_key(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (r - g + 255) * 511 + (g - b + 255)
 
 
+def key_tables(bounds: HueBounds) -> tuple[np.ndarray, np.ndarray]:
+    """The key's two tables for ``bounds``: ``_floor_thresholds()`` and
+    ``_hue_passes(bounds.lo, bounds.hi)``. Each is built by its first call
+    and cached, so a caller that times frames calls this before the first
+    one to keep the build out of the frame's time."""
+    return _floor_thresholds(), _hue_passes(bounds.lo, bounds.hi)
+
+
 def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     """The color key of a frame: the sorted row-major flat indices
     ``np.flatnonzero(hue_bounds_mask(rgb_to_hsv(rgb), bounds).bits)``,
-    computed from row bands of the frame's bytes and two tables built once
-    from that reference, without converting any pixel to HSV.
+    computed from row bands of the frame's bytes and the two tables of
+    ``key_tables``, without converting any pixel to HSV.
 
     Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
     run ``b``: ``max(b[i], b[i+1], b[i+2])`` and the matching min, taken over
@@ -176,25 +185,25 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     done after that AND and one max. In any other band, a strided compare
     gets no SIMD loop in numpy, so the chroma ``lo[::3]`` is copied once
     into a contiguous pixel-aligned buffer, where the compare finds the
-    candidates: pixels whose ``delta`` reaches that smallest entry. Only
-    they are looked up at their value, read back as ``hi[3 * candidates]``.
-    The survivors' channels are gathered once, as int32, and their hue is
-    tested by one lookup each in ``_hue_passes``, keyed on their channel
-    differences.
+    band's candidates: pixels whose ``delta`` reaches that smallest entry.
+    That is all a band does.
+
+    After the last band, the channels of every candidate of the frame are
+    gathered once, as int32, and the floors and the hue are decided
+    together: ``v`` and ``delta`` from the channels, the floor test
+    ``delta >= floor_table[v]`` and the hue test, one lookup in
+    ``_hue_passes`` keyed on the channel differences.
 
     A mostly gray frame costs a few passes over its bytes, each band in
     cache; its bands with no candidate pay the AND and the max and make no
-    copy, compare or lookup. A band with a candidate pays the AND and the
-    max on top of the copy, the compare and a lookup per candidate. A frame
-    saturated everywhere adds a gather, a few integer passes and a lookup
-    per pixel.
+    copy or compare, and a frame with no candidate makes no gather. A band
+    with a candidate pays the copy and the compare on top; the frame then
+    pays one gather and a few integer passes over its candidates. A frame
+    saturated everywhere pays those passes over every pixel.
     """
     pixels = rgb.pixels
     height, width, _ = pixels.shape
-    floor_table = _floor_thresholds()
-    # fetched on every call, so a cold build lands in the first frame,
-    # hit or miss, never in a later one
-    hue_table = _hue_passes(bounds.lo, bounds.hi)
+    floor_table, hue_table = key_tables(bounds)
     floor = int(floor_table.min())  # no pixel below it reaches floor_table[v]
     band_rows = min(height, max(1, _BAND_BYTES // (3 * width)))
     # per call, not per module: concurrent calls share nothing writable
@@ -202,7 +211,7 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     lo_buf = np.empty_like(hi_buf)
     delta_buf = np.empty(band_rows * width, dtype=np.uint8)
     starts = _window_starts(hi_buf.size)
-    parts = [np.empty(0, dtype=np.intp)]  # a frame with no candidate keys nothing
+    parts = []
     for row in range(0, height, band_rows):
         b = pixels[row:row + band_rows].reshape(-1)  # a copy only if strided
         hi, lo = hi_buf[:b.size - 2], lo_buf[:b.size - 2]
@@ -213,13 +222,19 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
         np.subtract(hi, lo, out=lo)
         np.bitwise_and(lo, starts[:lo.size], out=lo)  # pixel windows only
         if lo.max() < floor:
-            continue  # a gray band: no copy, compare or lookup
+            continue  # a gray band: no copy or compare
         delta = delta_buf[:b.size // 3]
         np.copyto(delta, lo[::3])  # pixel k's window starts at byte 3k
         candidates = np.flatnonzero(delta >= floor)
-        passes = delta[candidates] >= np.take(floor_table, hi[3 * candidates])
-        parts.append(candidates[passes] + row * width)
-    survivors = np.concatenate(parts)
-    kept = np.take(pixels.reshape(-1, 3), survivors, axis=0)
-    key = _hue_key(*kept.T.astype(np.int32, order="C"))
-    return survivors[np.take(hue_table, key)]
+        candidates += row * width
+        parts.append(candidates)
+    if not parts:
+        return np.empty(0, dtype=np.intp)
+    candidates = np.concatenate(parts)
+    kept = np.take(pixels.reshape(-1, 3), candidates, axis=0)
+    r, g, b = kept.T.astype(np.int32, order="C")
+    v = np.maximum(np.maximum(r, g), b)
+    delta = v - np.minimum(np.minimum(r, g), b)
+    passes = delta >= np.take(floor_table, v)
+    passes &= np.take(hue_table, _hue_key(r, g, b))
+    return candidates[passes]

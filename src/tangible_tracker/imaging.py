@@ -240,12 +240,20 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 def _runs(flat: np.ndarray, width: int):
     """Maximal horizontal runs of the set pixels at sorted row-major flat
     indices, in row-major order of their first pixel: (row, first column,
-    last column), each an array with one entry per run."""
-    ends = np.flatnonzero((np.diff(flat) != 1) | (flat[1:] % width == 0))
-    first = flat[np.concatenate(([0], ends + 1))]
-    last = flat[np.append(ends, flat.size - 1)]
-    row = first // width
-    return row, first - row * width, last - row * width
+    last column), each an array with one entry per run.
+
+    Each index's row comes from one integer division. Adding it to the
+    index gives the pixel's index in a frame one column wider, where the
+    end of one row is never next to the start of the next, so a run ends
+    wherever that index does not step by 1.
+    """
+    rows = flat // width
+    ends = np.flatnonzero(np.diff(flat + rows) != 1)
+    first = np.concatenate(([0], ends + 1))
+    last = np.append(ends, flat.size - 1)
+    row = rows[first]
+    offset = row * width
+    return row, flat[first] - offset, flat[last] - offset
 
 
 def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
@@ -254,11 +262,15 @@ def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
     component.
 
     Each round hooks every root onto the smallest root it touches, then
-    jumps pointers until every node points at a root; a root only ever
-    hooks onto a smaller index, so the component's smallest node stays its
-    root.
+    jumps pointers ``count.bit_length()`` times. A root only ever hooks
+    onto a smaller index, so the pointers form a forest of ``count`` nodes
+    in which the component's smallest node stays its root, and every path
+    has fewer than ``count`` edges. Each jump doubles the distance a
+    pointer spans, and ``count < 2**count.bit_length()``, so that many
+    jumps bring every node to its root without a test for convergence.
     """
     root = np.arange(count)
+    jumps = count.bit_length()
     while True:
         ra, rb = root[a], root[b]
         split = ra != rb
@@ -266,11 +278,8 @@ def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
             return root
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+        for _ in range(jumps):
+            root = root[root]
 
 
 def _run_roots(row, c0, c1, width: int, diagonal: bool) -> np.ndarray:

@@ -200,19 +200,32 @@ def estimate_homography(src, dst) -> np.ndarray:
     return h
 
 
+def projective_map(m, x, y):
+    """The image ``(x', y')`` of points ``(x, y)`` under the 3x3 projective
+    matrix ``m``, given as nested lists of Python floats (``t.tolist()``).
+
+    ``x`` and ``y`` are Python floats or float64 arrays of one shape, and
+    the result is of the same kind: each point's three sums are the same
+    float operations in the same order either way, so a point maps to the
+    same bits as a float or inside an array. Raises DegenerateError when a
+    point's ``|w|`` is below 1e-12, before either numerator is formed.
+    """
+    w = m[2][0] * x + m[2][1] * y + m[2][2]
+    degenerate = abs(w) < 1e-12
+    if degenerate.any() if isinstance(degenerate, np.ndarray) else degenerate:
+        raise DegenerateError("point maps to infinity under the homography")
+    return ((m[0][0] * x + m[0][1] * y + m[0][2]) / w,
+            (m[1][0] * x + m[1][1] * y + m[1][2]) / w)
+
+
 def apply_homography(h: np.ndarray, pts) -> np.ndarray:
     """Map (N, 2) points through a 3x3 projective matrix.
 
     Raises DegenerateError when a point maps to infinity.
     """
-    m = np.asarray(h, dtype=np.float64)
     p = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    x, y = p[:, 0], p[:, 1]
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if (np.abs(w) < 1e-12).any():
-        raise DegenerateError("point maps to infinity under the homography")
-    return np.stack([(m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w,
-                     (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w], axis=1)
+    m = np.asarray(h, dtype=np.float64).tolist()
+    return np.stack(projective_map(m, p[:, 0], p[:, 1]), axis=1)
 
 
 def mean_reprojection_error(h: np.ndarray, src, dst) -> float:

@@ -11,6 +11,7 @@ is pure with respect to an immutable calibration profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .imaging import (
     RgbImage,
     _largest_run_component,
 )
-from .registration import CalibrationProfile, apply_homography
+from .registration import CalibrationProfile, projective_map
 
 MIN_POINTER_PIXELS = 20
 BACKGROUND_FACTOR = 1.10  # depth samples above this multiple of the mean are background
@@ -67,7 +68,7 @@ class FramePair:
 def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
     """Locate the pointer as the largest in-bounds color blob.
 
-    Returns the blob's bounding rectangle and its center. Raises
+    Returns the blob's center and its bounding rectangle. Raises
     NoPointerError when nothing passes the color key or the largest blob
     is below MIN_POINTER_PIXELS.
     """
@@ -88,15 +89,23 @@ def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
 
 def _filtered_depth_mm(samples: np.ndarray, raw_to_mm: float) -> float:
     """``estimate_pointer_depth``'s two-pass filter over raw samples of any
-    shape."""
-    nonzero = samples[samples > 0].astype(np.float64)
-    if nonzero.size == 0:
+    shape.
+
+    Both passes count and sum integers over one native uint16 copy of the
+    samples, taken as Python ints. The sums stay below 2**53, where float
+    addition is exact in any order, so each ``sum / count`` is the float
+    numpy's mean of the same samples gives, and the result is a Python
+    float, which overflows to inf quietly where numpy's would warn.
+    """
+    values = samples.astype(np.uint16)
+    count = int(np.count_nonzero(values))
+    if count == 0:
         raise NoDepthError("pointer region is entirely in IR shadow")
-    first_mean = nonzero.mean()
-    # the smallest sample is at most the mean, so kept is never empty
-    kept = nonzero[nonzero <= BACKGROUND_FACTOR * first_mean]
-    # the float product overflows to inf quietly where numpy's would warn
-    return float(kept.mean()) * raw_to_mm
+    keep = values <= BACKGROUND_FACTOR * (int(values.sum()) / count)
+    # zeros are kept too, adding nothing to the sum; the smallest nonzero
+    # sample is at most the mean, so at least one nonzero sample is kept
+    kept = int(np.count_nonzero(keep)) - (values.size - count)
+    return int(values.sum(where=keep)) / kept * raw_to_mm
 
 
 def estimate_pointer_depth(depth: DepthImage, bbox: BBox) -> float:
@@ -186,15 +195,14 @@ def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
 
     plane_pt = correct_parallax(center, cal.principal_point, height, cam_h)
 
-    # quietly: a finite profile can still map past float range, and the
-    # non-finite check below decides
-    with np.errstate(over="ignore", invalid="ignore"):
-        (xv, yv), = apply_homography(cal.t_rv, [plane_pt])
+    # in Python floats, which overflow to inf and nan without a warning;
+    # the finiteness test below decides
+    xv, yv = projective_map(cal.t_rv.tolist(), *plane_pt)
     zv = cal.rho_z * height
 
     real = (plane_pt[0], plane_pt[1], height)
     virtual = (xv, yv, zv)
-    if not np.isfinite([depth_mm, *real, *virtual]).all():
+    if not all(map(math.isfinite, (depth_mm, *real, *virtual))):
         raise NonFiniteError(f"non-finite fix: real {real}, virtual {virtual}")
     return PointerFix(
         pixel=center,

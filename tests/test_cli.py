@@ -587,6 +587,49 @@ def test_fps_report_rates_only_the_tracked_frames(sequence_dir, sequence_profile
         assert report["fps"] == 0.0 and report["kernel_seconds"] == 0.0
 
 
+def test_fps_report_leaves_out_the_key_table_build(sequence_dir, sequence_profile_path,
+                                                  tmp_path, capsys, monkeypatch):
+    # a fresh process builds the key's tables once; track builds them before
+    # its first frame, so kernel_seconds holds none of that build
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(3):
+        for kind in ("rgb_%04d.ppm", "depth_%04d.pgm"):
+            (frames / (kind % i)).write_bytes((sequence_dir / (kind % i)).read_bytes())
+    build_seconds = []
+    in_kernel = []
+    kernel_builds = []
+
+    def slow_rgb_to_hsv(img):
+        t0 = time.perf_counter()
+        time.sleep(0.05)
+        out = imaging.rgb_to_hsv(img)
+        build_seconds.append(time.perf_counter() - t0)
+        if in_kernel:
+            kernel_builds.append(img.pixels.shape)
+        return out
+
+    def marked_track_frame(frame, profile):
+        in_kernel.append(True)
+        try:
+            return track_frame(frame, profile)
+        finally:
+            in_kernel.pop()
+
+    color_calibration._floor_thresholds.cache_clear()
+    color_calibration._hue_passes.cache_clear()
+    monkeypatch.setattr(color_calibration, "rgb_to_hsv", slow_rgb_to_hsv)
+    monkeypatch.setattr(cli, "track_frame", marked_track_frame)
+    rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames),
+               "--fps-report"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    report = json.loads(lines[-1])
+    assert report["status_counts"] == {"ok": 3}
+    assert len(build_seconds) > 1 and kernel_builds == []  # both tables, before the loop
+    assert report["kernel_seconds"] < sum(build_seconds)
+
+
 def test_tracked_frames_make_no_hsv_conversion(sequence_dir, sequence_profile_path,
                                                 capsys, monkeypatch):
     # the reference conversion only builds the key's tables: once they are

@@ -17,6 +17,7 @@ from tangible_tracker.imaging import (
     DepthImage,
     RgbImage,
     _components,
+    _runs,
     abs_diff,
     largest_component,
     otsu_threshold,
@@ -377,6 +378,52 @@ def frozen_largest_component(bits):
     return comp | holes
 
 
+def runs_oracle(bits):
+    """(row, first column, last column) of every maximal horizontal run of
+    set pixels, row by row, read off the dense mask."""
+    out = []
+    for y, line in enumerate(bits.tolist()):
+        x = 0
+        while x < len(line):
+            if line[x]:
+                start = x
+                while x + 1 < len(line) and line[x + 1]:
+                    x += 1
+                out.append((y, start, x))
+            x += 1
+    return out
+
+
+@st.composite
+def run_masks(draw):
+    """Masks with at least one set pixel: width-1 frames, single pixels and
+    runs that touch column 0 or the last column all come up often."""
+    height = draw(st.integers(1, 12))
+    width = draw(st.one_of(st.just(1), st.integers(1, 16)))
+    density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.random((height, width)) < density
+    if draw(st.booleans()):
+        bits[:, 0] = draw(st.booleans())
+    if draw(st.booleans()):
+        bits[:, -1] = draw(st.booleans())
+    y, x = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+    bits[y, x] = True
+    return bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_masks())
+@example(np.ones((1, 1), dtype=bool))
+@example(np.ones((5, 1), dtype=bool))
+@example(np.eye(4, dtype=bool))
+@example(np.array([[0, 0, 1], [1, 0, 0]], dtype=bool))  # last column, then column 0
+@example(np.array([[1, 1, 1], [1, 1, 1]], dtype=bool))  # a full row runs into the next
+def test_runs_match_the_dense_mask(bits):
+    row, c0, c1 = _runs(np.flatnonzero(bits), bits.shape[1])
+    assert list(zip(row.tolist(), c0.tolist(), c1.tolist())) == runs_oracle(bits)
+
+
 def components_oracle(a, b, count):
     """Each node's smallest fellow member, from scipy's component labels."""
     graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(count, count))
@@ -409,6 +456,34 @@ def test_components_are_scipys_with_the_smallest_node_as_root(graph):
     a, b, count = graph
     root = _components(a, b, count)
     assert root.tolist() == components_oracle(a, b, count).tolist()
+
+
+class MaskCountingEdges(np.ndarray):
+    """An edge array that counts the boolean masks it is indexed with:
+    ``_components`` masks its edges once in every round that hooks."""
+
+    masks = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.dtype == bool:
+            MaskCountingEdges.masks += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("count", [2 ** k + d for k in range(1, 11) for d in (-1, 0, 1)])
+def test_components_of_a_chain_at_the_jump_bound(count):
+    # one round hooks each node onto its neighbour below: a single path of
+    # count - 1 edges, the longest one count nodes allow, and the round's
+    # count.bit_length() pointer jumps must bring every node to node 0, so
+    # that no second round hooks; the edges are listed from either end of
+    # the chain and written either way round
+    lower = np.arange(count - 1)
+    for first in (lower, lower[::-1]):
+        for a, b in ((first + 1, first), (first, first + 1)):
+            MaskCountingEdges.masks = 0
+            root = _components(a.view(MaskCountingEdges), b, count)
+            assert MaskCountingEdges.masks == (count > 1)  # one node: no edge
+            assert root.tolist() == components_oracle(a, b, count).tolist() == [0] * count
 
 
 def spiral_bits(n):

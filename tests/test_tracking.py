@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
@@ -12,6 +13,7 @@ from tangible_tracker.errors import (
     DegenerateError,
     InvalidHeightError,
     NoDepthError,
+    NonFiniteError,
     NoPointerError,
 )
 from tangible_tracker.color_calibration import HueBounds, hue_bounds_mask
@@ -416,6 +418,87 @@ def test_track_frame_plane_point_at_infinity(profile):
     t_rv = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -px]])
     with pytest.raises(DegenerateError):
         track_frame(FramePair(rgb, on_plane), dataclasses.replace(profile, t_rv=t_rv))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# |w| at the plane point that the third row is built to give: both sides
+# of the 1e-12 edge, 0, and an ordinary value
+W_TARGETS = st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12,
+                             np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0), 0.5])
+
+
+@st.composite
+def planar_maps(draw):
+    """(top two rows, how to build the third row, entries for it, a target
+    for w, a nudge): finite 3x3 maps with h33 == 0, with the third row
+    tuned to put w on either side of 1e-12 at the plane point,
+    near-singular ones, and ones whose entries overflow the map."""
+    entries = st.one_of(st.floats(-1e3, 1e3), FINITE,
+                        st.sampled_from([1e306, -1e307, 1.7e308]))
+    top = draw(st.lists(entries, min_size=6, max_size=6))
+    third = draw(st.sampled_from(["free", "zero_h33", "tuned_w_h33_0", "tuned_w_h33_1",
+                                  "near_singular"]))
+    return top, third, draw(st.lists(entries, min_size=3, max_size=3)), \
+        draw(W_TARGETS), draw(st.sampled_from([1e-300, 1e-15, 1e-9]))
+
+
+@pytest.fixture(scope="module")
+def raised_pointer(profile):
+    """A frame whose pointer stands 150 mm over the plane, and its
+    parallax-corrected plane point, which no planar map changes."""
+    rgb = paint_disc(solid_rgb(100, 100, (190, 190, 190)), 37, 61, 10,
+                     (230, 180, 50))
+    frame = FramePair(rgb, DepthImage(np.full((100, 100), 450, dtype=np.uint16)))
+    return frame, track_frame(frame, profile).real[:2]
+
+
+@settings(max_examples=400, deadline=None)
+@given(planar_maps())
+@example(([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], "zero_h33", [1.0, 0.0, 0.0], 0.0, 1e-9))
+@example(([1e308, 0.0, 0.0, 0.0, 1e308, 0.0], "free", [0.0, 0.0, 1.0], 0.0, 1e-9))
+@example(([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], "tuned_w_h33_1", [0.0, 0.0, 0.0], 1e-12, 1e-9))
+def test_track_frame_maps_the_plane_point_as_apply_homography(
+        profile, raised_pointer, planar_map):
+    # bit for bit the same virtual x and y, DegenerateError at exactly the
+    # same points, and a NonFinite fix, never a warning, where the map
+    # overflows
+    frame, (x, y) = raised_pointer
+    top, third, row, w_target, scale = planar_map
+    if third == "zero_h33":
+        row = [row[0], row[1], 0.0]
+    elif third.startswith("tuned_w"):
+        # h31 * x + h33 lands on or next to w_target; an h33 of 0 or 1 is
+        # left as it is by the profile's division by h33
+        h33 = float(third[-1])
+        row = [(w_target - h33) / x, 0.0, h33]
+    elif third == "near_singular":
+        # a multiple of the first row, nudged
+        row = [top[0] * 2.0 + scale, top[1] * 2.0, top[2] * 2.0 - scale]
+    try:
+        # quietly: an entry built above may be inf, dividing by a tiny h33
+        # can overflow, and the profile refuses what is not finite
+        with np.errstate(all="ignore"):
+            cal = dataclasses.replace(profile, t_rv=np.array(top + row).reshape(3, 3))
+    except ValueError:
+        assume(False)  # not finite after dividing by h33, or singular
+    with np.errstate(all="ignore"):
+        try:
+            want = apply_homography(cal.t_rv, [(x, y)])[0].tolist()
+        except DegenerateError:
+            want = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(DegenerateError):
+                track_frame(frame, cal)
+        elif all(map(math.isfinite, want)):
+            fix = track_frame(frame, cal)
+            assert fix.real[:2] == (x, y)
+            assert [v.hex() for v in fix.virtual[:2]] == [v.hex() for v in want]
+        else:
+            with pytest.raises(NonFiniteError) as caught:
+                track_frame(frame, cal)
+            assert error_record(0, caught.value.name)["status"] == "NonFinite"
 
 
 def test_track_frame_monotone_in_height(default_spec, profile):
