@@ -160,33 +160,104 @@ def _hue_key(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (r - g + 255) * 511 + (g - b + 255)
 
 
-def key_tables(bounds: HueBounds) -> tuple[np.ndarray, np.ndarray]:
-    """The key's two tables for ``bounds``: ``_floor_thresholds()`` and
-    ``_hue_passes(bounds.lo, bounds.hi)``. Each is built by its first call
-    and cached, so a caller that times frames calls this before the first
-    one to keep the build out of the frame's time."""
-    return _floor_thresholds(), _hue_passes(bounds.lo, bounds.hi)
+@functools.lru_cache(maxsize=8)
+def _channel_sets(lo: int, hi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The channels, as byte offsets in a pixel (0 = r, 1 = g, 2 = b), that
+    ``_keyed_indices`` takes a pixel's max and its min over under the
+    interval [lo, hi]: ``(peaks, bottoms)``.
+
+    A keyed key is a key of ``_hue_passes(lo, hi)`` that passes the hue test
+    and whose chroma reaches ``_floor_thresholds().min()``; only such keys
+    belong to pixels the key can keep. Its channel differences (r - g,
+    g - b) fix both the chroma and the order of the channels, read with
+    sign tests on r - g, g - b and r - b. ``peaks`` holds every channel that
+    is a largest channel of some keyed key, ``bottoms`` every channel that
+    is a smallest one. So over a keyed pixel's channels, the max over
+    ``peaks`` minus the min over ``bottoms`` is its chroma. If the two sets
+    share no channel, the first channel of ``peaks`` joins ``bottoms``: a
+    channel in both keeps that max at or above that min at every pixel, so
+    the difference lies between 0 and the pixel's chroma. Built once per
+    interval and cached; the sets are tuples, which no caller can change.
+    """
+    keys = np.flatnonzero(_hue_passes(lo, hi))
+    rg, gb = np.divmod(keys, 511)
+    rg -= 255
+    gb -= 255
+    rb = rg + gb
+    chroma = np.maximum(np.maximum(np.abs(rg), np.abs(gb)), np.abs(rb))
+    keyed = chroma >= int(_floor_thresholds().min())
+    rg, gb, rb = rg[keyed], gb[keyed], rb[keyed]
+
+    def largest(rg, gb, rb):
+        return tuple(c for c, peak in enumerate(((rg >= 0) & (rb >= 0),
+                                                 (rg <= 0) & (gb >= 0),
+                                                 (gb <= 0) & (rb <= 0)))
+                     if peak.any())
+
+    # a smallest channel is a largest one of the negated color
+    peaks, bottoms = largest(rg, gb, rb), largest(-rg, -gb, -rb)
+    if not set(peaks) & set(bottoms):
+        bottoms = tuple(sorted(bottoms + peaks[:1]))
+    return peaks, bottoms
+
+
+def key_tables(bounds: HueBounds) -> tuple[np.ndarray, np.ndarray,
+                                           tuple[int, ...], tuple[int, ...]]:
+    """The key's tables for ``bounds``: ``_floor_thresholds()``,
+    ``_hue_passes(bounds.lo, bounds.hi)`` and the two channel sets of
+    ``_channel_sets(bounds.lo, bounds.hi)``, on which each band is keyed.
+    Each is built by its first call and cached, so a caller that times
+    frames calls this before the first one to keep the builds out of the
+    frame's time."""
+    return (_floor_thresholds(), _hue_passes(bounds.lo, bounds.hi),
+            *_channel_sets(bounds.lo, bounds.hi))
+
+
+def _window_extreme(ufunc, b: np.ndarray, offsets: tuple[int, ...],
+                    out: np.ndarray) -> np.ndarray:
+    """``ufunc`` (``np.maximum`` or ``np.minimum``) over the ``out.size``
+    byte windows of ``b`` at each of ``offsets``: byte i of the result reads
+    ``b[i + offset]`` for every offset. One offset is a view of ``b``;
+    more are written to ``out``, one pass per further offset."""
+    first, *rest = offsets
+    acc = b[first:first + out.size]
+    for offset in rest:
+        acc = ufunc(acc, b[offset:offset + out.size], out=out)
+    return acc
 
 
 def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     """The color key of a frame: the sorted row-major flat indices
     ``np.flatnonzero(hue_bounds_mask(rgb_to_hsv(rgb), bounds).bits)``,
-    computed from row bands of the frame's bytes and the two tables of
+    computed from row bands of the frame's bytes and the tables of
     ``key_tables``, without converting any pixel to HSV.
 
     Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
-    run ``b``: ``max(b[i], b[i+1], b[i+2])`` and the matching min, taken over
-    every byte, hold at byte ``3k`` pixel k's value ``v = max(r, g, b)`` and,
-    as their difference, its chroma ``delta``. The two windows between, at
-    bytes ``3k + 1`` and ``3k + 2``, straddle two pixels and read a chroma
-    no pixel has, so the chroma is ANDed with ``_window_starts``, which
-    zeroes them. A band whose masked max is below the smallest entry of
+    run ``b``, and read at byte ``3k`` it holds pixel k's channels at
+    ``b[3k]``, ``b[3k + 1]`` and ``b[3k + 2]``. The band's pass takes, at
+    every byte i, ``A``, the max of ``b[i + c]`` over the channels c of the
+    interval's ``peaks``, and ``B``, the min over its ``bottoms`` (see
+    ``_channel_sets``), and reads ``A - B``. At byte ``3k`` that is, for
+    every pixel that can be keyed, its chroma ``delta = max - min``, and
+    for any pixel a value from 0 to its chroma, so it never wraps. A
+    calibrated interval of 31 bins meets at most two of the hue sectors in
+    which one channel is the largest, and two in which one is the smallest,
+    so its sets hold four channels between them: one max and one min pass,
+    or two mins and no max, five byte passes with the subtract, the AND and
+    the max below. The full interval (0, 179) takes all three channels in
+    both sets, and seven. The two windows between,
+    at bytes ``3k + 1`` and ``3k + 2``, straddle two pixels and read a value
+    no pixel has, so ``A - B`` is ANDed with ``_window_starts``, which zeroes
+    them. A band whose masked max is below the smallest entry of
     ``_floor_thresholds`` holds no pixel that can reach the floors, and is
     done after that AND and one max. In any other band, a strided compare
-    gets no SIMD loop in numpy, so the chroma ``lo[::3]`` is copied once
-    into a contiguous pixel-aligned buffer, where the compare finds the
-    band's candidates: pixels whose ``delta`` reaches that smallest entry.
-    That is all a band does.
+    gets no SIMD loop in numpy, so ``A - B`` at the pixel windows is copied
+    once into a contiguous pixel-aligned buffer, where the compare finds
+    the band's candidates: pixels whose ``A - B`` reaches that smallest
+    entry. That is all a band does. Since ``A - B`` is at most the chroma,
+    and equal to it at every pixel that can be keyed, the skipped bands
+    and the candidates are those of the full max and min over all three
+    channels, less pixels that cannot be keyed.
 
     After the last band, the channels of every candidate of the frame are
     gathered once, as int32, and the floors and the hue are decided
@@ -194,16 +265,17 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     ``delta >= floor_table[v]`` and the hue test, one lookup in
     ``_hue_passes`` keyed on the channel differences.
 
-    A mostly gray frame costs a few passes over its bytes, each band in
-    cache; its bands with no candidate pay the AND and the max and make no
+    A band with no candidate pays the passes, each in cache, and makes no
     copy or compare, and a frame with no candidate makes no gather. A band
     with a candidate pays the copy and the compare on top; the frame then
     pays one gather and a few integer passes over its candidates. A frame
-    saturated everywhere pays those passes over every pixel.
+    saturated everywhere pays those passes over every pixel, and so does,
+    nearly, a gray frame whose sensor noise reaches the smallest floor
+    chroma in every band.
     """
     pixels = rgb.pixels
     height, width, _ = pixels.shape
-    floor_table, hue_table = key_tables(bounds)
+    floor_table, hue_table, peaks, bottoms = key_tables(bounds)
     floor = int(floor_table.min())  # no pixel below it reaches floor_table[v]
     band_rows = min(height, max(1, _BAND_BYTES // (3 * width)))
     # per call, not per module: concurrent calls share nothing writable
@@ -215,11 +287,9 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     for row in range(0, height, band_rows):
         b = pixels[row:row + band_rows].reshape(-1)  # a copy only if strided
         hi, lo = hi_buf[:b.size - 2], lo_buf[:b.size - 2]
-        np.maximum(b[:-2], b[1:-1], out=hi)
-        np.maximum(hi, b[2:], out=hi)
-        np.minimum(b[:-2], b[1:-1], out=lo)
-        np.minimum(lo, b[2:], out=lo)
-        np.subtract(hi, lo, out=lo)
+        # A - B: no wrap, as peaks and bottoms share a channel
+        np.subtract(_window_extreme(np.maximum, b, peaks, hi),
+                    _window_extreme(np.minimum, b, bottoms, lo), out=lo)
         np.bitwise_and(lo, starts[:lo.size], out=lo)  # pixel windows only
         if lo.max() < floor:
             continue  # a gray band: no copy or compare

@@ -73,7 +73,8 @@ class CalibrationProfile:
         if m.shape != (3, 3):
             raise ValueError("Homography expects a 3x3 matrix")
         if m[2, 2] != 0.0:
-            m = m / m[2, 2]
+            with np.errstate(all="ignore"):  # what overflows is refused below
+                m = m / m[2, 2]
         if not np.isfinite(m).all():
             raise ValueError("homography matrix must be finite")
         if _is_singular(m):

@@ -345,6 +345,18 @@ def test_track_malformed_profile_exits_5(sequence_dir, sequence_profile_path,
     assert "Traceback" not in captured.err
 
 
+def test_track_profile_whose_h33_division_overflows_exits_5_quietly(
+        sequence_dir, sequence_profile_path, tmp_path):
+    # every entry is finite, but 1e300 / 1e-300 is not: the profile refuses
+    # the map, and numpy prints no warning on the way
+    profile = _profile_with(sequence_profile_path, tmp_path / "profile.json",
+                            t_rv=[1, 0, 0, 0, 1, 1e300, 0, 0, 1e-300])
+    proc = run_cli("track", "--calib", str(profile), "--frames", str(sequence_dir))
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["BadProfile: homography matrix must be finite"]
+
+
 @pytest.mark.parametrize("key, value", [("wraps", False), ("min_saturation", 60),
                                         ("min_value", 40)])
 def test_track_profile_with_a_dropped_hue_key_exits_5(
@@ -611,13 +623,17 @@ def test_fps_report_leaves_out_the_key_table_build(sequence_dir, sequence_profil
 
     def marked_track_frame(frame, profile):
         in_kernel.append(True)
+        sets_built = color_calibration._channel_sets.cache_info().misses
         try:
             return track_frame(frame, profile)
         finally:
             in_kernel.pop()
+            if color_calibration._channel_sets.cache_info().misses != sets_built:
+                kernel_builds.append("channel sets")
 
     color_calibration._floor_thresholds.cache_clear()
     color_calibration._hue_passes.cache_clear()
+    color_calibration._channel_sets.cache_clear()
     monkeypatch.setattr(color_calibration, "rgb_to_hsv", slow_rgb_to_hsv)
     monkeypatch.setattr(cli, "track_frame", marked_track_frame)
     rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames),
@@ -626,7 +642,8 @@ def test_fps_report_leaves_out_the_key_table_build(sequence_dir, sequence_profil
     assert rc == 0
     report = json.loads(lines[-1])
     assert report["status_counts"] == {"ok": 3}
-    assert len(build_seconds) > 1 and kernel_builds == []  # both tables, before the loop
+    assert len(build_seconds) > 1 and kernel_builds == []  # every table, before the loop
+    assert color_calibration._channel_sets.cache_info().misses == 1
     assert report["kernel_seconds"] < sum(build_seconds)
 
 

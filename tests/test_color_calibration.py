@@ -16,6 +16,7 @@ from tangible_tracker.color_calibration import (
     MIN_VALUE,
     PEAK_MARGIN,
     HueBounds,
+    _channel_sets,
     _floor_thresholds,
     _hue_key,
     _hue_passes,
@@ -188,7 +189,9 @@ def test_mask_exhaustive_over_hues_and_floors():
 
 # ------------------------------------------------------------------ color key
 
-KEY_BOUNDS = (HueBounds(5, 35), HueBounds(165, 15))
+# the key's channel sets (see _channel_sets) differ between these: (r, g)
+# over (r, b); r alone, g alone and b alone over all three channels
+KEY_BOUNDS = (HueBounds(5, 35), HueBounds(165, 15), HueBounds(45, 75), HueBounds(105, 135))
 
 
 def test_color_key_exhaustive_over_all_rgb_colors():
@@ -446,6 +449,56 @@ def test_hue_table_is_cached_and_read_only():
     assert table.shape == (511 * 511,) and table.dtype == bool
     assert not table.flags.writeable
     assert _hue_passes(5, 35) is table
+
+
+def key_grid_colors():
+    """One int32 color per key of the 511x511 key grid, (r - g, 0, -(g - b)):
+    the key's channel differences with g at 0, so a channel may be
+    negative. Max minus min over any channels, and the hue, depend on the
+    differences alone. Also whether an 8-bit color has the key."""
+    rg, gb = np.divmod(np.arange(511 * 511), 511)
+    rg, gb = rg - 255, gb - 255
+    colors = np.stack([rg, np.zeros_like(rg), -gb], axis=1).astype(np.int32)
+    return colors, np.abs(rg + gb) <= 255
+
+
+CHANNEL_SET_BOUNDS = {
+    "calibrated": [((p - PEAK_MARGIN) % HUE_BINS, (p + PEAK_MARGIN) % HUE_BINS)
+                   for p in range(HUE_BINS)],
+    "one-bin": [(h, h) for h in range(HUE_BINS)],
+    "every-hue": [(0, HUE_BINS - 1)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHANNEL_SET_BOUNDS))
+def test_channel_sets_read_the_chroma_of_every_keyed_key(kind):
+    # over every key: max over peaks minus min over bottoms is the chroma
+    # wherever the key can be keyed, and from 0 to the chroma wherever an
+    # 8-bit color has the key, so no uint8 difference wraps
+    colors, reachable = key_grid_colors()
+    chroma = colors.max(axis=1) - colors.min(axis=1)
+    floor = int(_floor_thresholds().min())
+    for lo, hi in CHANNEL_SET_BOUNDS[kind]:
+        peaks, bottoms = _channel_sets(lo, hi)
+        assert peaks and bottoms and set(peaks) & set(bottoms), (lo, hi)
+        read = colors[:, list(peaks)].max(axis=1) - colors[:, list(bottoms)].min(axis=1)
+        keyed = _hue_passes(lo, hi) & (chroma >= floor)
+        assert keyed.any() and not (keyed & ~reachable).any(), (lo, hi)
+        assert np.array_equal(read[keyed], chroma[keyed]), (lo, hi)
+        assert (read[reachable] >= 0).all(), (lo, hi)
+        assert (read[reachable] <= chroma[reachable]).all(), (lo, hi)
+
+
+def test_channel_sets_of_calibrated_bounds_take_five_passes():
+    # one max and one min, or no max and two mins, for every calibrated
+    # interval; all three channels twice for the whole hue circle
+    for lo, hi in CHANNEL_SET_BOUNDS["calibrated"]:
+        peaks, bottoms = _channel_sets(lo, hi)
+        assert len(peaks) + len(bottoms) == 4, (lo, hi)
+    assert _channel_sets(5, 35) == ((0, 1), (0, 2))
+    assert _channel_sets(167, 17) == ((0,), (0, 1, 2))
+    assert _channel_sets(0, HUE_BINS - 1) == ((0, 1, 2), (0, 1, 2))
+    assert _channel_sets(5, 35) is _channel_sets(5, 35)
 
 
 def test_window_mask_is_cached_read_only_and_keeps_pixel_windows():

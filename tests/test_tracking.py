@@ -475,10 +475,9 @@ def test_track_frame_maps_the_plane_point_as_apply_homography(
         # a multiple of the first row, nudged
         row = [top[0] * 2.0 + scale, top[1] * 2.0, top[2] * 2.0 - scale]
     try:
-        # quietly: an entry built above may be inf, dividing by a tiny h33
-        # can overflow, and the profile refuses what is not finite
-        with np.errstate(all="ignore"):
-            cal = dataclasses.replace(profile, t_rv=np.array(top + row).reshape(3, 3))
+        # an entry built above may be inf and dividing by a tiny h33 can
+        # overflow: the profile refuses what is not finite, without a warning
+        cal = dataclasses.replace(profile, t_rv=np.array(top + row).reshape(3, 3))
     except ValueError:
         assume(False)  # not finite after dividing by h33, or singular
     with np.errstate(all="ignore"):
