@@ -98,7 +98,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         principal_point=tuple(_parse_floats(args.principal_point, 2, "--principal-point")),
         rho_z=args.rho_z,
         raw_to_mm=args.raw_to_mm,
-        min_area=args.min_area,
+        min_area=DEFAULT_MIN_AREA,  # by keyword: perfbench/tracer.py reads kwargs["min_area"]
     )
     save_profile(summary.profile, args.out)
 
@@ -266,8 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="virtual units per millimeter of pointer height")
     cal.add_argument("--raw-to-mm", type=float, default=1.0,
                      help="depth raw unit size in millimeters")
-    cal.add_argument("--min-area", type=int, default=DEFAULT_MIN_AREA,
-                     help="minimum believable object mask area, px")
     cal.add_argument("--out", required=True, help="profile JSON output path")
     cal.set_defaults(func=cmd_calibrate)
 

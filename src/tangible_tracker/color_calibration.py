@@ -49,6 +49,9 @@ class HueBounds:
         return self.lo > self.hi
 
 
+_ANY_HUE = HueBounds(0, HUE_BINS - 1)  # under it, hue_bounds_mask tests the floors alone
+
+
 def calibrate_hue_bounds(
     background: RgbImage,
     with_pointer: RgbImage,
@@ -57,18 +60,20 @@ def calibrate_hue_bounds(
 ) -> HueBounds:
     """Histogram the masked pointer's hue and take the peak +- 15 bins.
 
-    Only the masked pixels are converted to HSV, and only those at or above
-    the saturation floor vote; if fewer than half of them qualify the
-    object is too gray to color-key and LowSaturationError is raised. Peak
-    ties break toward the smallest bin.
+    Only the masked pixels are converted to HSV, and only those that pass
+    both of the key's floors vote, as ``hue_bounds_mask`` over the whole hue
+    circle decides: a pixel the key can never keep does not shape the
+    interval. If fewer than half of them pass, the object is too gray or
+    too dark to color-key and LowSaturationError is raised. Peak ties break
+    toward the smallest bin.
     """
     mask = extract_mask(MaskRequest(background, with_pointer, min_area))
-    hsv = rgb_to_hsv(RgbImage(with_pointer.pixels[mask.bits][:, None, :]))[:, 0]
-    kept = hsv[hsv[:, 1] >= MIN_SATURATION, 0]
+    hsv = rgb_to_hsv(RgbImage(with_pointer.pixels[mask.bits][:, None, :]))
+    kept = hsv[..., 0][hue_bounds_mask(hsv, _ANY_HUE).bits]
     if 2 * kept.size < mask.area:
         raise LowSaturationError(
             f"only {kept.size} of {mask.area} masked pixels reach "
-            f"saturation {MIN_SATURATION}"
+            f"saturation {MIN_SATURATION} and value {MIN_VALUE}"
         )
     peak = int(np.argmax(np.bincount(kept, minlength=HUE_BINS)))
     lo = (peak - PEAK_MARGIN) % HUE_BINS
@@ -106,8 +111,7 @@ def _floor_thresholds() -> np.ndarray:
     delta = np.arange(256)[None, :]
     low = np.clip(v - delta, 0, 255)
     grid = RgbImage(np.stack(np.broadcast_arrays(v, low, low), axis=2))
-    any_hue = HueBounds(0, HUE_BINS - 1)
-    passes = hue_bounds_mask(rgb_to_hsv(grid), any_hue).bits & (delta <= v)
+    passes = hue_bounds_mask(rgb_to_hsv(grid), _ANY_HUE).bits & (delta <= v)
     table = np.where(passes.any(axis=1), passes.argmax(axis=1), 256).astype(np.uint16)
     table.flags.writeable = False
     return table

@@ -32,7 +32,8 @@ class LowSaturationError(PipelineError):
 
 class DegenerateMaskError(PipelineError):
     """Mask has too few set pixels, or they are collinear, or a marker mask
-    shows fewer than 4 corners; corners undefined."""
+    shows fewer than 4 corners or corners that its centroid does not lie
+    inside; corners undefined."""
 
 
 class DegenerateError(PipelineError):

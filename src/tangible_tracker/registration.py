@@ -71,7 +71,7 @@ class CalibrationProfile:
     def __post_init__(self):
         m = np.asarray(self.t_rv, dtype=np.float64)
         if m.shape != (3, 3):
-            raise ValueError("Homography expects a 3x3 matrix")
+            raise ValueError("t_rv must be a 3x3 matrix")
         if m[2, 2] != 0.0:
             with np.errstate(all="ignore"):  # what overflows is refused below
                 m = m / m[2, 2]
@@ -270,8 +270,10 @@ def calibrate_scene(
     The marker mask yields 4 ordered corners plus the centroid; those five
     points are fit against the virtual marker constants. The pointer pair
     yields the hue bounds. Raises DegenerateMaskError when the marker mask
-    shows fewer than 4 corners, and ResidualTooHighError when the mean
-    reprojection residual of the five points exceeds 0.02 virtual units.
+    shows fewer than 4 corners or its corners cannot be ordered about its
+    centroid (the centroid lies outside them), and ResidualTooHighError when
+    the mean reprojection residual of the five points exceeds 0.02 virtual
+    units.
     """
     px, py = float(principal_point[0]), float(principal_point[1])
     check_principal_point((px, py), background.width, background.height)
@@ -282,7 +284,10 @@ def calibrate_scene(
         raise DegenerateMaskError(
             f"marker mask shows {len(detected.corners)} corners, need 4")
     centroid = mask_centroid(marker_mask)
-    ordered = order_corners(detected.corners, centroid)
+    try:
+        ordered = order_corners(detected.corners, centroid)
+    except ValueError as exc:
+        raise DegenerateMaskError(f"marker corners cannot be ordered: {exc}") from None
 
     src = np.array(ordered + (centroid,))
     dst = np.array(CORNER_TARGETS + (_VIRTUAL.centroid,))

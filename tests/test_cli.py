@@ -24,6 +24,7 @@ from tangible_tracker import bench, cli, color_calibration, imaging, pnm, simula
 from tangible_tracker.cli import main
 from tangible_tracker.errors import DegenerateError, PipelineError
 from tangible_tracker.imaging import AffineTransform
+from tangible_tracker.mask_extraction import DEFAULT_MIN_AREA
 from tangible_tracker.registration import apply_homography, load_profile, save_profile
 from tangible_tracker.simulator import (
     SceneSpec,
@@ -128,6 +129,54 @@ def test_calibrate_three_corner_marker_exits_3(sequence_dir, tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err.startswith("DegenerateMask: marker mask shows 3 corners")
     assert not out.exists()
+
+
+def test_calibrate_marker_whose_corners_cannot_be_ordered_exits_3(tmp_path, capsys):
+    # a staircase whose four extreme corners leave its centroid outside them
+    background = np.full((240, 320, 3), 190, dtype=np.uint8)
+    marker = background.copy()
+    for (top, bottom), (left, right) in [((103, 108), (19, 95)), ((109, 113), (19, 160)),
+                                         ((114, 114), (19, 209)), ((115, 131), (85, 209)),
+                                         ((132, 152), (85, 160))]:
+        marker[top:bottom + 1, left:right + 1] = 45
+    pointer = background.copy()
+    yy, xx = np.mgrid[:240, :320]
+    pointer[(yy - 60) ** 2 + (xx - 260) ** 2 <= 15 ** 2] = (255, 128, 0)
+    for name, pixels in [("background", background), ("marker", marker),
+                         ("pointer", pointer)]:
+        pnm.write_ppm(tmp_path / f"{name}.ppm", imaging.RgbImage(pixels))
+    out = tmp_path / "never.json"
+    rc = main(["calibrate",
+               "--background", str(tmp_path / "background.ppm"),
+               "--with-marker", str(tmp_path / "marker.ppm"),
+               "--with-pointer", str(tmp_path / "pointer.ppm"),
+               "--camera-height", "600",
+               "--principal-point", "160,120",
+               "--rho-z", "0.002",
+               "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("DegenerateMask: marker corners cannot be ordered")
+    assert not out.exists()
+
+
+def test_calibrate_passes_min_area_by_keyword(sequence_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs)
+        raise DegenerateError("recorded")
+
+    monkeypatch.setattr(cli, "calibrate_scene", record)
+    rc = main(["calibrate",
+               "--background", str(sequence_dir / "background.ppm"),
+               "--with-marker", str(sequence_dir / "with_marker.ppm"),
+               "--with-pointer", str(sequence_dir / "with_pointer.ppm"),
+               "--camera-height", "600",
+               "--principal-point", "319.5,239.5",
+               "--rho-z", "0.002",
+               "--out", str(tmp_path / "never.json")])
+    assert rc == 3
+    assert [kwargs["min_area"] for kwargs in calls] == [DEFAULT_MIN_AREA]
 
 
 def test_calibrate_unreadable_path_exits_4(tmp_path, capsys):
@@ -1161,6 +1210,24 @@ def test_simulate_takes_its_scene_only_from_spec(tmp_path, capsys):
         assert exc.value.code == 2, flag
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "seq").exists()
+
+
+def test_calibrate_has_no_min_area_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--background", "--with-marker", "--with-pointer",
+                       "--depth-to-rgb", "--camera-height", "--principal-point", "--rho-z",
+                       "--raw-to-mm", "--out"}
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--background", "b.ppm", "--with-marker", "m.ppm",
+              "--with-pointer", "p.ppm", "--camera-height", "600",
+              "--principal-point", "1,1", "--rho-z", "0.002",
+              "--out", str(tmp_path / "never.json"), "--min-area", "50"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --min-area 50" in capsys.readouterr().err
+    assert not (tmp_path / "never.json").exists()
 
 
 # every tangible-tracker command of README's sh blocks, its continuation

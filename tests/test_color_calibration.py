@@ -86,6 +86,27 @@ def test_low_saturation_ball_rejected():
         calibrate_hue_bounds(bg, wp)
 
 
+def test_dark_saturated_pointer_rejected():
+    bg, wp = pointer_pair(sat=200, val=30)
+    assert rgb_to_hsv(wp)[..., 1].max() >= MIN_SATURATION
+    with pytest.raises(LowSaturationError, match=f"value {MIN_VALUE}"):
+        calibrate_hue_bounds(bg, wp)
+
+
+def test_only_pixels_the_key_can_keep_vote():
+    # the dark half is saturated but below the value floor, and outnumbers
+    # every single hue of the lit half's stripes
+    background = np.full((120, 160, 3), 190, dtype=np.uint8)
+    pixels = background.copy()
+    pixels[40:80, 40:58] = hsv_to_rgb_bins(50, 200, 30)
+    columns = np.arange(58, 80)
+    pixels[40:80, 58:80] = hsv_to_rgb_bins(20 + (columns - 58) % 5, 200, 230)
+    bounds = calibrate_hue_bounds(RgbImage(background), RgbImage(pixels))
+    kept = hue_bounds_mask(rgb_to_hsv(RgbImage(pixels)), bounds).bits
+    assert kept[40:80, 58:80].all()
+    assert kept.sum() == 40 * 22
+
+
 def test_peak_tie_breaks_to_smaller_bin():
     bg = solid_rgb(60, 60, (50, 50, 50))
     pixels = bg.pixels.copy()

@@ -269,6 +269,11 @@ def test_homography_normalizes_h33(default_summary):
     assert profile.t_rv[0, 0] == 1.0
 
 
+def test_profile_refuses_a_t_rv_that_is_not_3x3(default_summary):
+    with pytest.raises(ValueError, match=r"^t_rv must be a 3x3 matrix$"):
+        dataclasses.replace(default_summary.profile, t_rv=np.eye(2))
+
+
 def test_profile_round_trip_is_byte_identical(tmp_path, default_summary):
     path_a = tmp_path / "a.json"
     path_b = tmp_path / "b.json"
