@@ -27,9 +27,8 @@ from .imaging import (
     Point2,
     Point3,
     RgbImage,
-    _is_singular,
 )
-from .registration import checked_value
+from .registration import check_principal_point, checked_value
 
 RGB_NAME = "rgb_%04d.ppm"
 DEPTH_NAME = "depth_%04d.pgm"
@@ -42,16 +41,37 @@ CALIBRATION_IMAGES = ("background.ppm", "with_marker.ppm", "with_pointer.ppm")
 MAX_SCENE_PIXELS = 3840 * 2160
 
 
+# The desk rigs the simulator renders, one (field, lo, hi) row per field:
+# the field, or each entry of a tuple field, lies in lo..hi. A comparison
+# with nan is false, so a non-finite value is refused too. The rules that
+# span fields are SceneSpec.__post_init__'s.
+SCENE_DOMAIN = (
+    ("width", 16, math.inf), ("height", 16, math.inf), ("seed", 0, math.inf),
+    ("camera_height_mm", 1.0, 1e4), ("marker_size_mm", 1.0, 1e4),
+    ("ball_radius_mm", 0.1, 1e4), ("ball_height_mm", 0.0, 1e4),
+    ("ball_plane_mm", -1e4, 1e4), ("shadow_offset_px", -1e4, 1e4),
+    ("rho_z", 1e-4, 1e4), ("raw_to_mm", 1e-4, 1e4),
+    ("ball_hue", 0, 179), ("hue_jitter", 0, 179), ("depth_jitter", 0, 65535),
+    ("marker_color", 0, 255), ("background_color", 0, 255),
+    ("ball_saturation", 0, 255), ("ball_value", 0, 255),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
-    """Complete description of one synthetic capture rig and scene."""
+    """Complete description of one synthetic capture rig and scene.
+
+    A scene outside the desk-scale domain, ``SCENE_DOMAIN`` and the rules of
+    ``__post_init__``, is refused before anything is derived from it. Inside
+    it nothing rendering derives from the scene leaves float range.
+    """
 
     width: int = 640
     height: int = 480
     camera_height_mm: float = 600.0
     principal_point: Point2 | None = None  # image center when omitted
     marker_size_mm: tuple[float, float] = (100.0, 150.0)
-    marker_to_image: np.ndarray | None = None  # plane mm -> image px; default 2 px/mm centered
+    marker_to_image: np.ndarray | None = None  # plane mm -> image px, m33 = 1; default 2 px/mm
     marker_color: tuple[int, int, int] = (45, 45, 45)
     background_color: tuple[int, int, int] = (190, 190, 190)
     ball_plane_mm: Point2 = (30.0, 40.0)
@@ -69,61 +89,58 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
+        for name, lo, hi in SCENE_DOMAIN:
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value).all():
-                raise ValueError(f"scene field {name} must be finite, got {value!r}")
-        if self.width < 16 or self.height < 16:
-            raise ValueError("scene must be at least 16x16")
+            if not all(lo <= v <= hi for v in np.ravel(value)):
+                raise ValueError(f"scene field {name} must lie in {lo:g}..{hi:g}, "
+                                 f"got {value!r}")
         if self.width * self.height > MAX_SCENE_PIXELS:
             raise ValueError(f"scene of {self.width}x{self.height} pixels is above "
                              f"the budget of {MAX_SCENE_PIXELS} pixels")
-        if not self.camera_height_mm > 0:
-            raise ValueError("camera_height_mm must be positive")
-        if not 0 <= self.ball_height_mm < self.camera_height_mm:
-            raise ValueError("ball height must satisfy 0 <= h < camera height")
-        if not self.ball_radius_mm > 0:
-            raise ValueError("ball radius must be positive")
-        if not (0 <= self.ball_hue < 180):
-            raise ValueError("ball hue must be < 180")
-        for name in ("marker_color", "background_color", "ball_saturation", "ball_value"):
-            if not all(0 <= c <= 255 for c in np.ravel(getattr(self, name))):
-                raise ValueError(f"scene field {name} must lie in 0..255, "
-                                 f"got {getattr(self, name)!r}")
-        if not self.rho_z > 0:
-            raise ValueError("rho_z must be positive")
-        if not self.raw_to_mm > 0:
-            raise ValueError("raw_to_mm must be positive")
+        if not self.ball_height_mm < self.camera_height_mm:
+            raise ValueError(f"scene field ball_height_mm {self.ball_height_mm!r} must "
+                             f"lie below camera_height_mm {self.camera_height_mm!r}")
         if not self.camera_height_mm / self.raw_to_mm < 65535.5:
             raise ValueError("the plane's raw depth, camera_height_mm / raw_to_mm, "
                              "must fit 16 bits")
-        if self.hue_jitter < 0 or self.depth_jitter < 0:
-            raise ValueError("jitter amplitudes must be non-negative")
-        if self.seed < 0:
-            raise ValueError(f"scene field seed must be non-negative, got {self.seed}")
         if self.principal_point is None:
             object.__setattr__(
                 self, "principal_point",
                 ((self.width - 1) / 2.0, (self.height - 1) / 2.0),
             )
+        check_principal_point(self.principal_point, self.width, self.height)
         if self.marker_to_image is None:
             m = np.array([[2.0, 0.0, self.principal_point[0]],
                           [0.0, 2.0, self.principal_point[1]],
                           [0.0, 0.0, 1.0]])
         else:
             m = np.asarray(self.marker_to_image, dtype=np.float64).reshape(3, 3)
-        if _is_singular(m):
-            raise ValueError("marker homography must be invertible")
         object.__setattr__(self, "marker_to_image", m)
-        # finite fields can still put what rendering derives from them
-        # beyond float range, or overflow on the way, where it would warn
-        if _beyond_float_range(lambda: _marker_geometry(self)):
-            raise ValueError("scene fields marker_size_mm and marker_to_image put the "
-                             "marker's corners, centre or virtual map beyond float range")
-        if _beyond_float_range(lambda: ball_geometry(self)):
-            raise ValueError(f"scene field ball_plane_mm {self.ball_plane_mm!r} through "
-                             "scene field marker_to_image puts the ball's footprint, "
-                             "centre or radius beyond float range")
+        # the marker's rules compare Python floats, and divide by none of them
+        entries = m.ravel().tolist()
+        if not (entries[8] == 1.0 and all(abs(v) <= 1e6 for v in entries)):
+            raise ValueError("scene field marker_to_image must have m33 = 1 and entries "
+                             f"within +-1e6, got {entries}")
+        a, b, c, d, e, f, g, h, _ = entries
+        # |det| is the area scale of the marker at its centre: 0.01..100 px per mm
+        det = (a - c * g) * (e - f * h) - (b - c * h) * (d - f * g)
+        if not 1e-4 <= abs(det) <= 1e4:
+            raise ValueError("scene field marker_to_image must scale the marker's area "
+                             f"by 1e-4..1e4 at its centre, got {abs(det)!r}")
+        points = [*marker_plane_corners(self).tolist(), self.ball_plane_mm]
+        if not all(0.25 <= g * x + h * y + 1.0 <= 4.0 for x, y in points):
+            raise ValueError("scene field marker_to_image must put the marker's corners "
+                             "and ball_plane_mm in front of the camera, w in 0.25..4")
+        # the inverse's third row is (d h - e g, b g - a h, a e - b d) / det
+        sign, size = math.copysign(1.0, det), abs(det)
+        if not all(0.25 * size <= sign * ((d * h - e * g) * u + (b * g - a * h) * v
+                                          + a * e - b * d) <= 4.0 * size
+                   for u in (0, self.width - 1) for v in (0, self.height - 1)):
+            raise ValueError("scene field marker_to_image must keep the horizon out of "
+                             "the frame, the inverse's w in 0.25..4 at its corners")
+        if not _is_strictly_convex(apply_projective(m, marker_plane_corners(self))):
+            raise ValueError("scene field marker_to_image must map the marker's corners "
+                             "to convex position")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,27 +153,6 @@ class GroundTruth:
     ball_plane_px: Point2   # plane footprint A
     ball_real_mm: Point3
     expected_virtual: Point3
-
-
-def _beyond_float_range(compute) -> bool:
-    """Does ``compute()`` overflow, divide by zero or make a nan on the way,
-    which numpy would warn of, or return a number that is not finite?"""
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            return not np.isfinite(np.hstack(compute())).all()
-    except FloatingPointError:
-        return True
-
-
-def _marker_geometry(spec: SceneSpec) -> list:
-    """The numbers rendering derives from the marker: its corners, the sum
-    of their turns that orients the fill, its centre and the virtual map.
-    Raises ValueError when the corners are not in convex position."""
-    corners = apply_projective(spec.marker_to_image, marker_plane_corners(spec))
-    if not _is_strictly_convex(corners):
-        raise ValueError("marker corners must be in convex position")
-    centre = apply_projective(spec.marker_to_image, [(0.0, 0.0)])
-    return [corners.ravel(), _turns(corners).sum(), centre.ravel(), true_t_rv(spec).ravel()]
 
 
 def marker_plane_corners(spec: SceneSpec) -> np.ndarray:
@@ -184,19 +180,13 @@ def _is_strictly_convex(corners: np.ndarray) -> bool:
     return bool((turns > 0).all() or (turns < 0).all())
 
 
-def virtual_of_plane(spec: SceneSpec, plane_pt) -> Point2:
-    """Map a plane point (mm) into virtual units off the marker size."""
-    mw, mh = spec.marker_size_mm
-    return (float(plane_pt[0]) / mw, 1.5 * float(plane_pt[1]) / mh)
-
-
 def true_t_rv(spec: SceneSpec) -> np.ndarray:
     mw, mh = spec.marker_size_mm
     to_virtual = np.array([[1.0 / mw, 0.0, 0.0],
                            [0.0, 1.5 / mh, 0.0],
                            [0.0, 0.0, 1.0]])
     t = to_virtual @ np.linalg.inv(spec.marker_to_image)
-    return t / t[2, 2] if t[2, 2] != 0.0 else t  # normalized as the profile stores t_rv
+    return t / t[2, 2]  # normalized as the profile stores t_rv
 
 
 def _local_scale(h: np.ndarray, p) -> float:
@@ -244,25 +234,19 @@ def fill_convex_polygon(width: int, height: int, corners) -> BinaryMask:
 
 
 def _fill_disc(width: int, height: int, center, radius: float) -> np.ndarray:
-    """Pixels whose centres lie within ``radius`` of ``center``.
+    """Pixels whose centres lie within ``radius`` of ``center``, both finite.
 
     Only the disc's bounding box, widened by one pixel and clipped to the
     frame, is tested, so a centre far off the frame squares no huge offset
     and a box that misses the frame sets nothing.
     """
     size = (width, height)
-    # overflows near float range give inf, which clips and compares as the largest float
-    with np.errstate(over="ignore"):
-        lo = np.floor(np.subtract(center, radius)) - 1
-        hi = np.ceil(np.add(center, radius)) + 2
-        # a nan bound (a non-finite centre or radius) leaves the whole axis
-        # to the test, which then decides as it does over the full frame
-        x0, y0 = np.clip(np.nan_to_num(lo, nan=0.0), 0, size).astype(int)
-        x1, y1 = np.clip(np.nan_to_num(hi, nan=np.inf), 0, size).astype(int)
-        xs = np.arange(x0, x1, dtype=np.float64)[None, :]
-        ys = np.arange(y0, y1, dtype=np.float64)[:, None]
-        disc = np.zeros((height, width), dtype=bool)
-        disc[y0:y1, x0:x1] = (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius * radius
+    x0, y0 = np.clip(np.floor(np.subtract(center, radius)) - 1, 0, size).astype(int)
+    x1, y1 = np.clip(np.ceil(np.add(center, radius)) + 2, 0, size).astype(int)
+    xs = np.arange(x0, x1, dtype=np.float64)[None, :]
+    ys = np.arange(y0, y1, dtype=np.float64)[:, None]
+    disc = np.zeros((height, width), dtype=bool)
+    disc[y0:y1, x0:x1] = (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius * radius
     return disc
 
 
@@ -313,8 +297,7 @@ def render_depth_rgb_frame(spec: SceneSpec, rng: np.random.Generator) -> np.ndar
     _, b, radius = ball_geometry(spec)
     ball_raw = max(1, int(round(
         (spec.camera_height_mm - spec.ball_height_mm) / spec.raw_to_mm)))
-    with np.errstate(over="ignore"):  # a centre past float range misses the frame
-        shadow_center = np.add(b, spec.shadow_offset_px)
+    shadow_center = np.add(b, spec.shadow_offset_px)
     canvas[_fill_disc(spec.width, spec.height, shadow_center, radius)] = 0
     canvas[_fill_disc(spec.width, spec.height, b, radius)] = ball_raw
     if spec.depth_jitter > 0:
@@ -349,15 +332,15 @@ def scene_truth(spec: SceneSpec) -> GroundTruth:
     corners = apply_projective(spec.marker_to_image, marker_plane_corners(spec))
     centroid = apply_projective(spec.marker_to_image, [(0.0, 0.0)])[0]
     a, b, _ = ball_geometry(spec)
-    vx, vy = virtual_of_plane(spec, spec.ball_plane_mm)
+    (x, y), (mw, mh) = spec.ball_plane_mm, spec.marker_size_mm
     return GroundTruth(
         marker_corners_px=corners,
         marker_centroid_px=(float(centroid[0]), float(centroid[1])),
         ball_center_px=b,
         ball_plane_px=a,
-        ball_real_mm=(spec.ball_plane_mm[0], spec.ball_plane_mm[1],
-                      spec.ball_height_mm),
-        expected_virtual=(vx, vy, spec.rho_z * spec.ball_height_mm),
+        ball_real_mm=(x, y, spec.ball_height_mm),
+        # virtual units: x and y off the marker size, z through rho_z
+        expected_virtual=(x / mw, 1.5 * y / mh, spec.rho_z * spec.ball_height_mm),
     )
 
 
@@ -397,22 +380,13 @@ def render_sequence(spec: SceneSpec, trajectory, out_dir) -> str:
     """
     trajectory = [(float(x), float(y), float(h)) for x, y, h in trajectory]
     scenes = []
-    # each point's scene, and the virtual coordinates truth.json holds for
-    # it, are checked before any file is written
+    # each point's scene is checked, by SceneSpec, before any file is written
     for idx, (x, y, h) in enumerate(trajectory):
         try:
-            scene = dataclasses.replace(spec, ball_plane_mm=(x, y), ball_height_mm=h,
-                                        seed=spec.seed + idx)
-            if _beyond_float_range(lambda: virtual_of_plane(spec, (x, y))):
-                raise ValueError(f"scene field ball_plane_mm {(x, y)!r} through scene "
-                                 "field marker_size_mm puts the ball's virtual x, y "
-                                 "beyond float range")
-            if _beyond_float_range(lambda: [spec.rho_z * h]):
-                raise ValueError(f"scene field rho_z {spec.rho_z!r} puts the ball's "
-                                 "virtual z, rho_z * ball_height_mm, beyond float range")
+            scenes.append(dataclasses.replace(spec, ball_plane_mm=(x, y), ball_height_mm=h,
+                                              seed=spec.seed + idx))
         except ValueError as exc:
             raise ValueError(f"trajectory point {idx}: {exc}") from None
-        scenes.append(scene)
 
     os.makedirs(out_dir, exist_ok=True)
     # background, marker only, pointer only
@@ -471,13 +445,12 @@ def random_quadrangle_scene(width: int, height: int,
         theta = rng.uniform(-0.5, 0.5)
         cx = width / 2.0 + rng.uniform(-0.08, 0.08) * width
         cy = height / 2.0 + rng.uniform(-0.08, 0.08) * height
+        # perspective mild enough that w stays above 0.85 at every corner
         g = rng.uniform(-1.0, 1.0, size=2) * (0.25 / max(width, height))
         c, s = math.cos(theta), math.sin(theta)
         h = np.array([[c, -s, cx], [s, c, cy], [g[0], g[1], 1.0]])
         base = np.array([[-rw, -rh], [-rw, rh], [rw, rh], [rw, -rh]])
         corners = apply_projective(h, base)
-        if not np.isfinite(corners).all():
-            continue
         if corners[:, 0].min() < 8 or corners[:, 0].max() > width - 9:
             continue
         if corners[:, 1].min() < 8 or corners[:, 1].max() > height - 9:
@@ -525,7 +498,6 @@ def _json_shape(hint) -> tuple:
 
 _SHAPES = {name: _json_shape(hint)
            for name, hint in typing.get_type_hints(SceneSpec).items()}
-_FLOAT_FIELDS = tuple(name for name, (kind, _) in _SHAPES.items() if kind == "number")
 
 
 def spec_from_dict(data: dict) -> SceneSpec:

@@ -4,6 +4,7 @@ import errno
 import importlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -921,9 +922,9 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
 # objects, tuple fields of the wrong length and non-finite numbers; values
 # of another JSON kind, null, 8-bit fields out of range, a plane depth
 # beyond 16 bits; a file that is not UTF-8 and one nested too deep for the
-# parser; finite marker sizes or entries whose corners or convexity turns
-# overflow, entries that put the ball beyond float range, and a rho_z
-# whose virtual z for the default circle truth.json would hold as Infinity
+# parser; marker sizes, marker maps, a rho_z and a depth jitter outside the
+# scene domain (the jitter used to fail only after the calibration captures
+# were written)
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
                                  {"ball_saturation": True}, [1], [["width", 64]], 7,
@@ -944,7 +945,7 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
                                  {"marker_size_mm": [1e200, 1e200]},
                                  {"marker_to_image": [1e308, 0, 320, 0, 1e308, 240, 0, 0, 1]},
                                  {"marker_to_image": [0, 0, 1, 0, 1.5e41, 0, 2.2e156, 0, 9.9e173]},
-                                 {"rho_z": 1e308}])
+                                 {"rho_z": 1e308}, {"depth_jitter": 2 ** 70}])
 def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     spec = tmp_path / "spec.json"
     spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -1025,24 +1026,25 @@ def test_simulate_rejects_every_wrong_kind(tmp_path, capsys, name, value):
 
 @pytest.mark.filterwarnings("error")
 def test_simulate_ball_far_off_the_frame_warns_nothing(tmp_path, capsys):
-    # a finite plane point whose ball lands about 2.5e300 px off the frame
+    # a plane point at the domain's edge, whose ball lands about 25,000 px
+    # off the frame: the pointer capture shows only the background
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"ball_plane_mm": [1e300, 0]}))
+    spec.write_text(json.dumps({"ball_plane_mm": [1e4, -1e4]}))
     out = tmp_path / "seq"
     rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", str(spec)])
     assert rc == 0
     assert capsys.readouterr().err == ""
     assert (out / "rgb_0000.ppm").exists()
+    assert (out / "with_pointer.ppm").read_bytes() == (out / "background.ppm").read_bytes()
 
 
 @pytest.mark.filterwarnings("error")
 def test_simulate_shadow_beyond_float_range_warns_nothing(tmp_path, capsys):
-    # a ball centre near float range plus a shadow offset overflows: the
-    # shadow falls off the frame
+    # a shadow offset at the domain's edge puts the shadow off the frame
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"shadow_offset_px": [1.5e308, 0]}))
+    spec.write_text(json.dumps({"shadow_offset_px": [1e4, 0]}))
     trajectory = tmp_path / "trajectory.json"
-    trajectory.write_text(json.dumps([[7e307, 0, 120]]))
+    trajectory.write_text(json.dumps([[0, 0, 120]]))
     out = tmp_path / "seq"
     rc = main(["simulate", "--out", str(out), "--spec", str(spec),
                "--trajectory", str(trajectory)])
@@ -1054,8 +1056,8 @@ def test_simulate_shadow_beyond_float_range_warns_nothing(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["--spec", "--trajectory"])
 def test_simulate_ball_beyond_float_range_exits_5(tmp_path, capsys, flag):
-    # a finite plane point whose projection overflows: the footprint and
-    # centre are infinite and the radius nan
+    # a finite plane point far outside the scene domain, in the spec or in
+    # a trajectory point
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"ball_plane_mm": [1e308, 0]} if flag == "--spec"
                               else [[0, 0, 120], [1e308, 0, 120]]))
@@ -1064,21 +1066,19 @@ def test_simulate_ball_beyond_float_range_exits_5(tmp_path, capsys, flag):
     assert rc == 5
     err = capsys.readouterr().err
     prefix = "Validation: " + ("trajectory point 1: " if flag == "--trajectory" else "")
-    assert err.startswith(prefix + "scene field ball_plane_mm (1e+308, 0.0) "), err
+    assert err == (prefix + "scene field ball_plane_mm must lie in -10000..10000, "
+                   "got (1e+308, 0.0)\n"), err
     assert not out.exists()
 
 
-# truth.json holds the virtual coordinates of each trajectory point, so
-# each point is checked for them; the spec's own ball, which only
-# with_pointer.ppm shows, is not
+# the spec fields that could put a point's virtual truth beyond float
+# range lie outside the scene domain: the spec is refused before any point
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("doc, point, message", [
     ({"marker_size_mm": [1e-5, 1e-5]}, [1e304, 0, 120],
-     "scene field ball_plane_mm (1e+304, 0.0) through scene field marker_size_mm "
-     "puts the ball's virtual x, y beyond float range"),
+     "scene field marker_size_mm must lie in 1..10000, got (1e-05, 1e-05)"),
     ({"rho_z": 1e307}, [0, 0, 120],
-     "scene field rho_z 1e+307 puts the ball's virtual z, rho_z * ball_height_mm, "
-     "beyond float range"),
+     "scene field rho_z must lie in 0.0001..10000, got 1e+307"),
 ], ids=["virtual-x", "virtual-z"])
 def test_simulate_point_with_virtual_truth_beyond_float_range_exits_5(tmp_path, capsys,
                                                                       doc, point, message):
@@ -1087,23 +1087,24 @@ def test_simulate_point_with_virtual_truth_beyond_float_range_exits_5(tmp_path, 
     out = tmp_path / "seq"
     rc = main(["simulate", "--out", str(out), "--spec", spec, "--trajectory", trajectory])
     assert rc == 5
-    assert capsys.readouterr().err == f"Validation: trajectory point 1: {message}\n"
+    assert capsys.readouterr().err == f"Validation: {message}\n"
     assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
 def test_simulate_replaced_ball_needs_no_finite_virtual_truth(tmp_path, capsys):
-    # the spec's ball would sit at virtual z 1e307 * 120, beyond float
-    # range; the trajectory's only point sits at z 0
-    spec = write_json(tmp_path / "spec.json", {"rho_z": 1e307})
-    trajectory = write_json(tmp_path / "trajectory.json", [[0, 0, 0]])
+    # rho_z and the camera height at the domain's edge, the trajectory's
+    # points at both ends of the heights below it: truth.json is strict JSON
+    top = math.nextafter(1e4, 0)
+    spec = write_json(tmp_path / "spec.json", {"rho_z": 1e4, "camera_height_mm": 1e4})
+    trajectory = write_json(tmp_path / "trajectory.json", [[0, 0, 0], [0, 0, top]])
     out = tmp_path / "seq"
     rc = main(["simulate", "--out", str(out), "--spec", spec, "--trajectory", trajectory])
     assert rc == 0
     assert capsys.readouterr().err == ""
     truth = json.loads((out / "truth.json").read_text(), parse_constant=_reject_constant)
-    assert truth["rho_z"] == 1e307
-    assert truth["frames"][0]["virtual"] == [0.0, 0.0, 0.0]
+    assert truth["rho_z"] == 1e4
+    assert [f["virtual"] for f in truth["frames"]] == [[0.0, 0.0, 0.0], [0.0, 0.0, 1e4 * top]]
 
 
 def test_simulate_seeds_differ_only_in_noise(tmp_path):

@@ -3,8 +3,9 @@
 Profiles, netpbm headers and frame directories are mutated at random. Each
 ``track`` run must exit 0, 4 or 5 with its documented stderr prefix, print
 only strict JSON records with a documented status, and raise nothing.
-Scene specs of the right JSON kinds at any magnitude make ``simulate``
-exit 0 or 5, and raise nothing, not even a numpy ``RuntimeWarning``.
+Scene specs of the right JSON kinds at any magnitude, and specs drawn
+inside the scene domain, make ``simulate`` exit 0 or 5, and raise nothing,
+not even a numpy ``RuntimeWarning``.
 """
 
 import contextlib
@@ -269,8 +270,22 @@ SCENE_VALUES = {name: kind_values(*shape) for name, shape in simulator._SHAPES.i
 @example({"rho_z": 1e308}, None)  # a virtual z beyond float range
 @example({"rho_z": 1e307}, [[0, 0, 0]])  # beyond it only for the replaced ball
 @example({"marker_size_mm": [1e-5, 1e-5]}, [[1e304, 0, 120]])  # a point's virtual x
+# what a check of the marker map itself could warn of: dividing by m33 and
+# bounding the entries by it, numpy's det of subnormal entries, and a
+# reciprocal of w = 0
+@example({"marker_to_image": [0, 0, 0, 0, 0, 0, 0, 1, 5e-324]}, None)
+@example({"marker_to_image": [0, 0, 0, 0, 0, 0, 0, 0, 1.797693134862316e302]}, None)
+@example({"marker_to_image": [0, 1, 0, 5e-324, 0, 0, 0, 0, 1]}, None)
+@example({"marker_to_image": [0, 0, 1, 0, 1, 0, 1, 0, 1]}, None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_well_kinded_specs_simulate_or_exit_5(doc, trajectory):
+    simulate_or_exit_5(doc, trajectory)
+
+
+def simulate_or_exit_5(doc, trajectory):
+    """Run ``simulate`` on a 32x32 ``doc`` and an optional trajectory: it
+    writes strict-JSON truth, or exits 5 with ``Validation:`` on stderr and
+    writes no directory."""
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "spec.json"
         spec.write_text(json.dumps({"width": 32, "height": 32, **doc}))
@@ -286,4 +301,37 @@ def test_well_kinded_specs_simulate_or_exit_5(doc, trajectory):
         if rc == 0:  # the truth holds strict JSON only
             truth = (Path(tmp) / "seq" / simulator.TRUTH_NAME).read_text()
             json.loads(truth, parse_constant=_reject_constant)
+        else:
+            assert not (Path(tmp) / "seq").exists()
     assert rc == 0 or (rc == 5 and err.getvalue().startswith("Validation:")), err.getvalue()
+
+
+def domain_values(name, lo, hi):
+    """JSON values of scene field ``name`` inside its domain row."""
+    kind, length = simulator._SHAPES[name]
+    numbers = st.floats(lo, hi) if kind == "number" else st.integers(lo, min(hi, 2 ** 70))
+    if length == "scalar":
+        return numbers
+    return st.lists(numbers, min_size=length, max_size=length)
+
+
+IN_DOMAIN_VALUES = {name: domain_values(name, lo, hi)
+                    for name, lo, hi in simulator.SCENE_DOMAIN if name not in ("width", "height")}
+IN_DOMAIN_VALUES["principal_point"] = st.lists(st.floats(0, 31), min_size=2, max_size=2)
+# the default 32x32 map, 2 px/mm centred, with each affine entry moved by
+# up to 0.5 and perspective terms up to 1e-3
+IN_DOMAIN_VALUES["marker_to_image"] = st.builds(
+    lambda d, p: [2 + d[0], d[1], 15.5 + d[2], d[3], 2 + d[4], 15.5 + d[5], *p, 1],
+    st.lists(st.floats(-0.5, 0.5), min_size=6, max_size=6),
+    st.lists(st.floats(-1e-3, 1e-3), min_size=2, max_size=2))
+
+
+# the fields inside their rows, so a refusal comes from a rule across
+# fields, and a render from anywhere in the domain
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({}, optional=IN_DOMAIN_VALUES),
+       st.none() | st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+                             st.floats(0, 1e4)).map(lambda point: [list(point)]))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_specs_inside_the_domain_simulate_or_exit_5(doc, trajectory):
+    simulate_or_exit_5(doc, trajectory)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tangible_tracker.cli import main
 from tangible_tracker.simulator import (
     CALIBRATION_IMAGES,
     MAX_SCENE_PIXELS,
+    SCENE_DOMAIN,
     SceneSpec,
     _fill_disc,
     apply_projective,
@@ -23,6 +25,7 @@ from tangible_tracker.simulator import (
     spec_from_dict,
 )
 from tests.test_imaging import full_warp_oracle
+from tests.test_malformed_inputs import _reject_constant
 
 
 def test_ball_at_zero_height_projects_to_footprint():
@@ -197,11 +200,101 @@ def test_fill_disc_matches_the_full_frame_test(size, center, snap, radius):
                           frozen_fill_disc(*size, center, radius))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf is nan
+# centres and radii at magnitudes a scene inside the domain reaches, about
+# 1e27 px for a ball just below the camera
 @pytest.mark.parametrize("center, radius", [
-    ((np.inf, 3.0), 5.0), ((-np.inf, 3.0), 5.0), ((np.nan, 3.0), 5.0),
-    ((3.0, 3.0), np.inf), ((3.0, 3.0), np.nan), ((np.inf, np.inf), np.inf),
-    ((2.5e300, 239.5), 50.0)])
+    ((1e27, 3.0), 5.0), ((-1e27, 3.0), 5.0), ((3.0, -1e27), 5.0),
+    ((3.0, 3.0), 1e27), ((1e27, 3.0), 1e27), ((-1e27, -1e27), 1e27),
+    ((1e27, 239.5), 50.0)])
 def test_fill_disc_non_finite_or_far_centre_matches_the_full_frame_test(center, radius):
     assert np.array_equal(_fill_disc(20, 10, center, radius),
                           frozen_fill_disc(20, 10, center, radius))
+
+
+# fields a bound needs beside it: a camera low enough for the smallest raw
+# scale or height, and one high enough for the tallest ball
+COMPANIONS = {("camera_height_mm", 1.0): {"ball_height_mm": 0.0},
+              ("raw_to_mm", 1e-4): {"camera_height_mm": 1.0, "ball_height_mm": 0.0},
+              ("ball_height_mm", 1e4): {"camera_height_mm": 1e4}}
+
+
+def domain_value(name, value):
+    """``value`` as scene field ``name`` takes it: every entry of a tuple."""
+    default = getattr(SceneSpec(), name)
+    return tuple([value] * len(default)) if isinstance(default, tuple) else value
+
+
+def past(bound, direction):
+    """The value just past ``bound``: the next integer or float."""
+    if isinstance(bound, int):
+        return bound + direction
+    return math.nextafter(bound, direction * math.inf)
+
+
+# each finite bound of each domain row renders a 32x32 sequence without a
+# warning and writes strict-JSON truth; the ball stands on the spec's own
+# plane point and height, and the tallest ball just below a camera at the
+# top of its row, as the rule across the two fields asks
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, bound", [
+    (name, bound) for name, lo, hi in SCENE_DOMAIN for bound in (lo, hi) if bound != math.inf])
+def test_each_domain_bound_renders(tmp_path, name, bound):
+    value = math.nextafter(bound, 0) if (name, bound) == ("ball_height_mm", 1e4) else bound
+    doc = {"width": 32, "height": 32, **COMPANIONS.get((name, bound), {}),
+           name: domain_value(name, value)}
+    spec = SceneSpec(**doc)
+    render_sequence(spec, [(*spec.ball_plane_mm, spec.ball_height_mm)], tmp_path)
+    truth = json.loads((tmp_path / "truth.json").read_text(), parse_constant=_reject_constant)
+    assert len(truth["frames"]) == 1
+
+
+# the value just past each finite bound of each domain row exits 5, naming
+# the field and its row, and writes nothing
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, bound, direction", [
+    (name, bound, direction) for name, lo, hi in SCENE_DOMAIN
+    for bound, direction in ((lo, -1), (hi, 1)) if bound != math.inf])
+def test_just_past_each_domain_bound_exits_5(tmp_path, capsys, name, bound, direction):
+    lo, hi = next(row[1:] for row in SCENE_DOMAIN if row[0] == name)
+    value = domain_value(name, past(bound, direction))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 32, "height": 32, name: value}))
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", str(spec)])
+    assert rc == 5
+    assert capsys.readouterr().err == \
+        f"Validation: scene field {name} must lie in {lo:g}..{hi:g}, got {value!r}\n"
+    assert not out.exists()
+
+
+def marker_map(*entries, **fields):
+    """SceneSpec fields with a row-major marker_to_image of ``entries``."""
+    return {"marker_to_image": np.array(entries, dtype=float), **fields}
+
+
+# a marker map inside each of its rules renders; one just outside is
+# refused, naming the field: m33, the entries, the area scale at the
+# centre, w at the marker's corners and at the ball's plane point, and the
+# horizon
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("inside, outside", [
+    (marker_map(2, 0, 320, 0, 2, 240, 0, 0, 1),
+     marker_map(2, 0, 320, 0, 2, 240, 0, 0, math.nextafter(1, 2))),
+    (marker_map(1, 1e6, 320, 0, 1, 240, 0, 0, 1),
+     marker_map(1, math.nextafter(1e6, 2e6), 320, 0, 1, 240, 0, 0, 1)),
+    (marker_map(1e-4, 0, 320, 0, 1, 240, 0, 0, 1),
+     marker_map(math.nextafter(1e-4, 0), 0, 320, 0, 1, 240, 0, 0, 1)),
+    (marker_map(1e4, 0, 320, 0, 1, 240, 0, 0, 1),
+     marker_map(math.nextafter(1e4, 2e4), 0, 320, 0, 1, 240, 0, 0, 1)),
+    (marker_map(2, 0, 16, 0, 2, 16, 0.015, 0, 1, width=32, height=32),
+     marker_map(2, 0, 16, 0, 2, 16, 0.0151, 0, 1, width=32, height=32)),
+    (marker_map(2, 0, 320, 0, 2, 240, 0, 1e-4, 1, ball_plane_mm=(0.0, -7.5e3)),
+     marker_map(2, 0, 320, 0, 2, 240, 0, 1e-4, 1, ball_plane_mm=(0.0, -1e4))),
+    (marker_map(0.5, 0, 320, 0, 0.5, 240, 0.0005, 0, 1),
+     marker_map(0.5, 0, 320, 0, 0.5, 240, 0.0015, 0, 1)),
+], ids=["m33", "entry", "least-scale", "largest-scale", "marker-w", "ball-w", "horizon"])
+def test_marker_map_rules(inside, outside):
+    _, _, truth = render_scene(SceneSpec(**inside))
+    assert np.isfinite(truth.marker_corners_px).all()
+    with pytest.raises(ValueError, match="^scene field marker_to_image must "):
+        SceneSpec(**outside)
