@@ -149,6 +149,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     checked_principal = False
     status_counts: Counter[str] = Counter()
     kernel_seconds = 0.0
+    kernel_cpu_ns = 0  # this thread's CPU time over the same calls
     kernel_frames = 0  # frames that reached track_frame
     wall_start = time.perf_counter()
     try:
@@ -169,11 +170,12 @@ def cmd_track(args: argparse.Namespace) -> int:
                     except ValueError as exc:
                         return _fail(EXIT_VALIDATION, f"BadProfile: {exc}")
                     checked_principal = True
-                t0 = time.perf_counter()
+                t0, cpu0 = time.perf_counter(), time.thread_time_ns()
                 try:
                     record = frame_record(idx, track_frame(frame, profile))
                 except PipelineError as exc:
                     record = error_record(idx, exc.name)
+                kernel_cpu_ns += time.thread_time_ns() - cpu0
                 kernel_seconds += time.perf_counter() - t0
                 kernel_frames += 1
             # drop this frame's images before the next read: that unmaps
@@ -194,6 +196,7 @@ def cmd_track(args: argparse.Namespace) -> int:
             "fps": kernel_frames / kernel_seconds if kernel_seconds > 0 else 0.0,
             "frames": len(frames),
             "kernel_seconds": kernel_seconds,
+            "kernel_cpu_seconds": kernel_cpu_ns / 1e9,
             "wall_seconds": wall,
             "status_counts": status_counts,
             # this process's own high-water mark, in kilobytes on Linux

@@ -6,13 +6,15 @@ side (wrapping through 0 when needed), so the same object keys reliably as
 room lighting drifts. The interval is all that is calibrated: the key's
 saturation and value floors are the constants ``MIN_SATURATION`` and
 ``MIN_VALUE``. ``_keyed_indices`` applies the key to a frame through the
-tables of ``key_tables``; ``hue_bounds_mask`` of ``rgb_to_hsv`` is its
-reference.
+one table of ``key_tables``, which holds, per hue key, the largest value at
+which a color passes both floors; ``hue_bounds_mask`` of ``rgb_to_hsv`` is
+its reference.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,8 @@ import numpy as np
 from .errors import LowSaturationError
 from .imaging import HUE_BINS, BinaryMask, RgbImage, rgb_to_hsv
 from .mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
+
+log = logging.getLogger(__name__)
 
 PEAK_MARGIN = 15  # hue bins kept on each side of the histogram peak
 
@@ -76,6 +80,8 @@ def calibrate_hue_bounds(
             f"saturation {MIN_SATURATION} and value {MIN_VALUE}"
         )
     peak = int(np.argmax(np.bincount(kept, minlength=HUE_BINS)))
+    log.info("pointer mask %d px, %d pass both floors, hue peak bin %d",
+             mask.area, kept.size, peak)
     lo = (peak - PEAK_MARGIN) % HUE_BINS
     hi = (peak + PEAK_MARGIN) % HUE_BINS
     return HueBounds(lo, hi)
@@ -95,53 +101,31 @@ def hue_bounds_mask(hsv: np.ndarray, bounds: HueBounds) -> BinaryMask:
                       & (hsv[..., 1] >= MIN_SATURATION) & (hsv[..., 2] >= MIN_VALUE))
 
 
-@functools.cache
-def _floor_thresholds() -> np.ndarray:
-    """Smallest chroma ``delta = max - min`` that passes both floors, per
-    value ``v = max(r, g, b)``; 256 where no delta passes.
+def _value_ceilings() -> np.ndarray:
+    """Largest value ``v = max(r, g, b)`` at which a color of chroma
+    ``delta = max - min`` passes both floors, per delta; 0 where no value
+    does.
 
     Built by running the reference ``rgb_to_hsv`` and ``hue_bounds_mask``
     (over every hue) on the 256x256 grid of colors (v, v - delta, v - delta).
-    The floors depend on (v, delta) alone, and for a fixed v the saturation
-    ``rint(255 * delta / v)`` never decreases as delta grows, so a pixel
-    passes both floors exactly when ``delta >= table[v]``. Built once,
-    shared between callers and marked read-only.
+    The floors depend on (v, delta) alone, and for a fixed delta the
+    saturation ``rint(255 * delta / v)`` never rises as v grows, so the
+    values that pass are the one run from ``max(MIN_VALUE, delta)`` to
+    ``ceiling[delta]``. Every color has ``v >= delta``, so a color passes
+    both floors exactly when ``MIN_VALUE <= v <= ceiling[delta]``.
     """
     v = np.arange(256)[:, None]
     delta = np.arange(256)[None, :]
     low = np.clip(v - delta, 0, 255)
     grid = RgbImage(np.stack(np.broadcast_arrays(v, low, low), axis=2))
     passes = hue_bounds_mask(rgb_to_hsv(grid), _ANY_HUE).bits & (delta <= v)
-    table = np.where(passes.any(axis=1), passes.argmax(axis=1), 256).astype(np.uint16)
-    table.flags.writeable = False
-    return table
+    last = 255 - passes[::-1].argmax(axis=0)  # the largest passing v of each delta
+    return np.where(passes.any(axis=0), last, 0).astype(np.uint8)
 
 
-@functools.lru_cache(maxsize=8)
-def _hue_passes(lo: int, hi: int) -> np.ndarray:
-    """Flat 511x511 table over ``_hue_key``: is the hue of a color with
-    channel differences (r - g, g - b) inside the interval [lo, hi]?
-
-    ``rgb_to_hsv``'s hue depends on the channel differences alone, so every
-    color has the hue of the color with its smallest channel lowered to 0,
-    which has the same differences. Built by running the reference
-    ``rgb_to_hsv`` and ``_in_interval``, the hue test of ``hue_bounds_mask``,
-    on the three 256x256 faces of colors with a zero channel, a few rows at
-    a time so that no temporary is large. Keys no 8-bit color reaches stay
-    False. The result is shared between callers and marked read-only.
-    """
-    interval = HueBounds(lo, hi)
-    table = np.zeros(511 * 511, dtype=bool)
-    rows = 64  # slices of 16384 colors: no build temporary is large
-    for zero in range(3):
-        for row in range(0, 256, rows):
-            face = np.zeros((rows, 256, 3), dtype=np.uint8)
-            face[..., (zero + 1) % 3] = np.arange(row, row + rows)[:, None]
-            face[..., (zero + 2) % 3] = np.arange(256)
-            passes = _in_interval(rgb_to_hsv(RgbImage(face))[..., 0], interval)
-            table[_hue_key(*np.moveaxis(face.astype(np.int32), 2, 0))] = passes
-    table.flags.writeable = False
-    return table
+def _hue_key(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat index of (r - g, g - b), each in -255..255, into the key's table."""
+    return (r - g + 255) * 511 + (g - b + 255)
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,38 +143,26 @@ def _window_starts(size: int) -> np.ndarray:
     return mask
 
 
-def _hue_key(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat index of (r - g, g - b), each in -255..255, into ``_hue_passes``."""
-    return (r - g + 255) * 511 + (g - b + 255)
-
-
-@functools.lru_cache(maxsize=8)
-def _channel_sets(lo: int, hi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _channel_sets(table: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The channels, as byte offsets in a pixel (0 = r, 1 = g, 2 = b), that
-    ``_keyed_indices`` takes a pixel's max and its min over under the
-    interval [lo, hi]: ``(peaks, bottoms)``.
+    ``_keyed_indices`` takes a pixel's max and its min over under the key
+    ``table`` of ``key_tables``: ``(peaks, bottoms)``.
 
-    A keyed key is a key of ``_hue_passes(lo, hi)`` that passes the hue test
-    and whose chroma reaches ``_floor_thresholds().min()``; only such keys
-    belong to pixels the key can keep. Its channel differences (r - g,
-    g - b) fix both the chroma and the order of the channels, read with
-    sign tests on r - g, g - b and r - b. ``peaks`` holds every channel that
-    is a largest channel of some keyed key, ``bottoms`` every channel that
-    is a smallest one. So over a keyed pixel's channels, the max over
-    ``peaks`` minus the min over ``bottoms`` is its chroma. If the two sets
-    share no channel, the first channel of ``peaks`` joins ``bottoms``: a
-    channel in both keeps that max at or above that min at every pixel, so
-    the difference lies between 0 and the pixel's chroma. Built once per
-    interval and cached; the sets are tuples, which no caller can change.
+    A keyed key is one whose entry is not 0: only such keys belong to
+    pixels the key can keep. Its channel differences (r - g, g - b) fix
+    both the chroma and the order of the channels, read with sign tests on
+    r - g, g - b and r - b. ``peaks`` holds every channel that is a largest
+    channel of some keyed key, ``bottoms`` every channel that is a smallest
+    one. So over a keyed pixel's channels, the max over ``peaks`` minus the
+    min over ``bottoms`` is its chroma. If the two sets share no channel,
+    the first channel of ``peaks`` joins ``bottoms``: a channel in both
+    keeps that max at or above that min at every pixel, so the difference
+    lies between 0 and the pixel's chroma.
     """
-    keys = np.flatnonzero(_hue_passes(lo, hi))
-    rg, gb = np.divmod(keys, 511)
+    rg, gb = np.divmod(np.flatnonzero(table), 511)
     rg -= 255
     gb -= 255
     rb = rg + gb
-    chroma = np.maximum(np.maximum(np.abs(rg), np.abs(gb)), np.abs(rb))
-    keyed = chroma >= int(_floor_thresholds().min())
-    rg, gb, rb = rg[keyed], gb[keyed], rb[keyed]
 
     def largest(rg, gb, rb):
         return tuple(c for c, peak in enumerate(((rg >= 0) & (rb >= 0),
@@ -205,16 +177,42 @@ def _channel_sets(lo: int, hi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return peaks, bottoms
 
 
-def key_tables(bounds: HueBounds) -> tuple[np.ndarray, np.ndarray,
+@functools.lru_cache(maxsize=8)
+def key_tables(bounds: HueBounds) -> tuple[np.ndarray, int,
                                            tuple[int, ...], tuple[int, ...]]:
-    """The key's tables for ``bounds``: ``_floor_thresholds()``,
-    ``_hue_passes(bounds.lo, bounds.hi)`` and the two channel sets of
-    ``_channel_sets(bounds.lo, bounds.hi)``, on which each band is keyed.
-    Each is built by its first call and cached, so a caller that times
-    frames calls this before the first one to keep the builds out of the
-    frame's time."""
-    return (_floor_thresholds(), _hue_passes(bounds.lo, bounds.hi),
-            *_channel_sets(bounds.lo, bounds.hi))
+    """The key for ``bounds``: ``(table, floor, peaks, bottoms)``.
+
+    ``table`` is a flat 511x511 uint8 table over ``_hue_key``. At the
+    channel differences (r - g, g - b) of a color whose hue lies in the
+    interval it holds the ceiling (see ``_value_ceilings``) of the color's
+    chroma, elsewhere 0, so a color is keyed exactly when ``MIN_VALUE <= v
+    <= table[key]``. ``rgb_to_hsv``'s hue and the chroma depend on the
+    channel differences alone, so every color shares both with the color
+    that has its smallest channel lowered to 0, whose value is its chroma.
+    The table is built by running the reference ``rgb_to_hsv`` and
+    ``_in_interval``, the hue test of ``hue_bounds_mask``, on the three
+    256x256 faces of colors with a zero channel, a few rows at a time; keys
+    no 8-bit color has stay 0. ``floor`` is the smallest chroma at which
+    any value passes both floors (10), and ``peaks`` and ``bottoms`` are
+    the channel sets of ``_channel_sets``, on which each band is keyed.
+
+    Built by the first call per interval and cached, so a caller that
+    times frames calls this before the first one. The table is marked
+    read-only; the sets are tuples, which no caller can change.
+    """
+    ceilings = _value_ceilings()
+    table = np.zeros(511 * 511, dtype=np.uint8)
+    rows = 64  # slices of 16384 colors: no build temporary is large
+    for zero in range(3):
+        for row in range(0, 256, rows):
+            face = np.zeros((rows, 256, 3), dtype=np.uint8)
+            face[..., (zero + 1) % 3] = np.arange(row, row + rows)[:, None]
+            face[..., (zero + 2) % 3] = np.arange(256)
+            hsv = rgb_to_hsv(RgbImage(face))
+            table[_hue_key(*np.moveaxis(face.astype(np.int32), 2, 0))] = np.where(
+                _in_interval(hsv[..., 0], bounds), ceilings[hsv[..., 2]], 0)
+    table.flags.writeable = False
+    return (table, int(np.flatnonzero(ceilings)[0]), *_channel_sets(table))
 
 
 def _window_extreme(ufunc, b: np.ndarray, offsets: tuple[int, ...],
@@ -233,7 +231,7 @@ def _window_extreme(ufunc, b: np.ndarray, offsets: tuple[int, ...],
 def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     """The color key of a frame: the sorted row-major flat indices
     ``np.flatnonzero(hue_bounds_mask(rgb_to_hsv(rgb), bounds).bits)``,
-    computed from row bands of the frame's bytes and the tables of
+    computed from row bands of the frame's bytes and the table of
     ``key_tables``, without converting any pixel to HSV.
 
     Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
@@ -252,35 +250,36 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     both sets, and seven. The two windows between,
     at bytes ``3k + 1`` and ``3k + 2``, straddle two pixels and read a value
     no pixel has, so ``A - B`` is ANDed with ``_window_starts``, which zeroes
-    them. A band whose masked max is below the smallest entry of
-    ``_floor_thresholds`` holds no pixel that can reach the floors, and is
-    done after that AND and one max. In any other band, a strided compare
-    gets no SIMD loop in numpy, so ``A - B`` at the pixel windows is copied
-    once into a contiguous pixel-aligned buffer, where the compare finds
-    the band's candidates: pixels whose ``A - B`` reaches that smallest
-    entry. That is all a band does. Since ``A - B`` is at most the chroma,
+    them. A band whose masked max is below ``floor``, the smallest chroma
+    at which any value passes both floors, holds no pixel that can reach
+    the floors, and is done after that AND and one max. In any other
+    band, a strided compare gets no SIMD loop in numpy, so ``A - B`` at
+    the pixel windows is copied once into a contiguous pixel-aligned
+    buffer, where the compare finds the band's candidates: pixels whose
+    ``A - B`` reaches ``floor``. That is all a band does. Since ``A - B`` is at most the chroma,
     and equal to it at every pixel that can be keyed, the skipped bands
     and the candidates are those of the full max and min over all three
     channels, less pixels that cannot be keyed.
 
     After the last band, the channels of every candidate of the frame are
     gathered once, as int32, and the floors and the hue are decided
-    together: ``v`` and ``delta`` from the channels, the floor test
-    ``delta >= floor_table[v]`` and the hue test, one lookup in
-    ``_hue_passes`` keyed on the channel differences.
+    together by one lookup in the table, keyed on the channel differences,
+    and two compares: ``MIN_VALUE <= v <= table[key]``. The entry is the
+    largest value at which the key's chroma passes both floors, or 0 off
+    the interval, and the values that pass at one chroma are one run that
+    starts at ``MIN_VALUE`` or at the chroma (see ``_value_ceilings``).
 
     A band with no candidate pays the passes, each in cache, and makes no
     copy or compare, and a frame with no candidate makes no gather. A band
     with a candidate pays the copy and the compare on top; the frame then
     pays one gather and a few integer passes over its candidates. A frame
     saturated everywhere pays those passes over every pixel, and so does,
-    nearly, a gray frame whose sensor noise reaches the smallest floor
-    chroma in every band.
+    nearly, a gray frame whose sensor noise reaches ``floor`` in every
+    band.
     """
     pixels = rgb.pixels
     height, width, _ = pixels.shape
-    floor_table, hue_table, peaks, bottoms = key_tables(bounds)
-    floor = int(floor_table.min())  # no pixel below it reaches floor_table[v]
+    table, floor, peaks, bottoms = key_tables(bounds)
     band_rows = min(height, max(1, _BAND_BYTES // (3 * width)))
     # per call, not per module: concurrent calls share nothing writable
     hi_buf = np.empty(band_rows * width * 3 - 2, dtype=np.uint8)
@@ -308,7 +307,5 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     kept = np.take(pixels.reshape(-1, 3), candidates, axis=0)
     r, g, b = kept.T.astype(np.int32, order="C")
     v = np.maximum(np.maximum(r, g), b)
-    delta = v - np.minimum(np.minimum(r, g), b)
-    passes = delta >= np.take(floor_table, v)
-    passes &= np.take(hue_table, _hue_key(r, g, b))
-    return candidates[passes]
+    ceiling = np.take(table, _hue_key(r, g, b))
+    return candidates[(v >= MIN_VALUE) & (v <= ceiling)]

@@ -11,6 +11,7 @@ whole tracking loop.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import reprlib
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ from .corner_detection import CMinMaxParams, cminmax_corners, mask_centroid
 from .errors import DegenerateError, DegenerateMaskError, ResidualTooHighError
 from .imaging import AffineTransform, Point2, RgbImage, _is_singular
 from .mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
+
+log = logging.getLogger(__name__)
 
 RESIDUAL_LIMIT = 0.02  # virtual units, mean over the five fit points
 
@@ -279,6 +282,7 @@ def calibrate_scene(
     check_principal_point((px, py), background.width, background.height)
 
     marker_mask = extract_mask(MaskRequest(background, with_marker, min_area))
+    log.info("marker mask %d px", marker_mask.area)
     detected = cminmax_corners(marker_mask, CMinMaxParams(n=4))
     if len(detected.corners) < 4:
         raise DegenerateMaskError(
@@ -293,6 +297,7 @@ def calibrate_scene(
     dst = np.array(CORNER_TARGETS + (_VIRTUAL.centroid,))
     matrix = estimate_homography(src, dst)
     residual = mean_reprojection_error(matrix, src, dst)
+    log.info("fit residual %.6g", residual)
     if residual > RESIDUAL_LIMIT:
         raise ResidualTooHighError(
             f"mean fit residual {residual:.4g} exceeds {RESIDUAL_LIMIT}"

@@ -23,9 +23,10 @@ import pytest
 
 from tangible_tracker import bench, cli, color_calibration, imaging, pnm, simulator, tracking
 from tangible_tracker.cli import main
+from tangible_tracker.color_calibration import HueBounds
 from tangible_tracker.errors import DegenerateError, PipelineError
 from tangible_tracker.imaging import AffineTransform
-from tangible_tracker.mask_extraction import DEFAULT_MIN_AREA
+from tangible_tracker.mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
 from tangible_tracker.registration import apply_homography, load_profile, save_profile
 from tangible_tracker.simulator import (
     SceneSpec,
@@ -66,6 +67,35 @@ def test_tt_log_controls_stderr_diagnostics(sequence_dir, sequence_profile_path,
     assert quiet.returncode == chatty.returncode == 0
     assert "frame 0" not in quiet.stderr
     assert "frame 0 invalid" in chatty.stderr
+
+
+def test_calibrate_logs_its_evidence_at_info(sequence_dir, tmp_path):
+    captures = {name: sequence_dir / f"{name}.ppm"
+                for name in ("background", "with_marker", "with_pointer")}
+    args = ["calibrate", "--background", str(captures["background"]),
+            "--with-marker", str(captures["with_marker"]),
+            "--with-pointer", str(captures["with_pointer"]),
+            "--camera-height", "600", "--principal-point", "319.5,239.5",
+            "--rho-z", "0.002", "--out", str(tmp_path / "profile.json")]
+    quiet = run_cli(*args)
+    chatty = run_cli(*args, env={"TT_LOG": "info"})
+    assert quiet.returncode == chatty.returncode == 0, chatty.stderr
+    assert quiet.stderr == "" and quiet.stdout == chatty.stdout
+    background, marker, pointer = (pnm.read_ppm(captures[name]) for name in
+                                   ("background", "with_marker", "with_pointer"))
+    marker_area = extract_mask(MaskRequest(background, marker, DEFAULT_MIN_AREA)).area
+    pointer_mask = extract_mask(MaskRequest(background, pointer, DEFAULT_MIN_AREA))
+    hsv = imaging.rgb_to_hsv(pointer)
+    passing = int((color_calibration.hue_bounds_mask(hsv, HueBounds(0, 179)).bits
+                   & pointer_mask.bits).sum())
+    lo = int(re.search(r"hue_bounds = \[(\d+),", chatty.stdout).group(1))
+    residual = re.search(r"fit_residual = (\S+)", chatty.stdout).group(1)
+    assert chatty.stderr.splitlines() == [
+        f"INFO tangible_tracker.registration: marker mask {marker_area} px",
+        f"INFO tangible_tracker.registration: fit residual {residual}",
+        f"INFO tangible_tracker.color_calibration: pointer mask {pointer_mask.area} px, "
+        f"{passing} pass both floors, hue peak bin {(lo + 15) % 180}",
+    ]
 
 
 # ------------------------------------------------------------------- calibrate
@@ -615,14 +645,17 @@ def test_fps_report_counts_statuses(sequence_dir, sequence_profile_path,
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
     report = json.loads(lines[-1])
-    assert list(report) == ["fps", "frames", "kernel_seconds", "wall_seconds",
-                            "status_counts", "peak_rss_kb"]
+    assert list(report) == ["fps", "frames", "kernel_seconds", "kernel_cpu_seconds",
+                            "wall_seconds", "status_counts", "peak_rss_kb"]
     # the high-water mark of this very process, read after the frame loop
     assert isinstance(report["peak_rss_kb"], int)
     assert 0 < report["peak_rss_kb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert report["frames"] == 5
     assert report["fps"] > 0
     assert 0 < report["kernel_seconds"] <= report["wall_seconds"]
+    # the tracking thread's CPU time over the same calls, which host load
+    # does not stretch
+    assert 0 < report["kernel_cpu_seconds"] <= report["wall_seconds"]
     assert report["status_counts"] == {"ok": 3, "NoPointer": 1, "BadFrame": 1}
 
 
@@ -673,17 +706,15 @@ def test_fps_report_leaves_out_the_key_table_build(sequence_dir, sequence_profil
 
     def marked_track_frame(frame, profile):
         in_kernel.append(True)
-        sets_built = color_calibration._channel_sets.cache_info().misses
+        built = color_calibration.key_tables.cache_info().misses
         try:
             return track_frame(frame, profile)
         finally:
             in_kernel.pop()
-            if color_calibration._channel_sets.cache_info().misses != sets_built:
-                kernel_builds.append("channel sets")
+            if color_calibration.key_tables.cache_info().misses != built:
+                kernel_builds.append("key tables")
 
-    color_calibration._floor_thresholds.cache_clear()
-    color_calibration._hue_passes.cache_clear()
-    color_calibration._channel_sets.cache_clear()
+    color_calibration.key_tables.cache_clear()
     monkeypatch.setattr(color_calibration, "rgb_to_hsv", slow_rgb_to_hsv)
     monkeypatch.setattr(cli, "track_frame", marked_track_frame)
     rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames),
@@ -693,7 +724,7 @@ def test_fps_report_leaves_out_the_key_table_build(sequence_dir, sequence_profil
     report = json.loads(lines[-1])
     assert report["status_counts"] == {"ok": 3}
     assert len(build_seconds) > 1 and kernel_builds == []  # every table, before the loop
-    assert color_calibration._channel_sets.cache_info().misses == 1
+    assert color_calibration.key_tables.cache_info().misses == 1
     assert report["kernel_seconds"] < sum(build_seconds)
 
 

@@ -1,3 +1,4 @@
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -16,14 +17,13 @@ from tangible_tracker.color_calibration import (
     MIN_VALUE,
     PEAK_MARGIN,
     HueBounds,
-    _channel_sets,
-    _floor_thresholds,
     _hue_key,
-    _hue_passes,
     _keyed_indices,
+    _value_ceilings,
     _window_starts,
     calibrate_hue_bounds,
     hue_bounds_mask,
+    key_tables,
 )
 from tangible_tracker.errors import LowSaturationError, PipelineError
 from tangible_tracker.imaging import HUE_BINS, RgbImage, rgb_to_hsv
@@ -210,8 +210,9 @@ def test_mask_exhaustive_over_hues_and_floors():
 
 # ------------------------------------------------------------------ color key
 
-# the key's channel sets (see _channel_sets) differ between these: (r, g)
-# over (r, b); r alone, g alone and b alone over all three channels
+# the key's channel sets (see color_calibration._channel_sets) differ
+# between these: (r, g) over (r, b); r alone, g alone and b alone over all
+# three channels
 KEY_BOUNDS = (HueBounds(5, 35), HueBounds(165, 15), HueBounds(45, 75), HueBounds(105, 135))
 
 
@@ -268,15 +269,26 @@ def test_color_key_any_memory_layout(layout):
         assert np.array_equal(_keyed_indices(img, bounds), expected)
 
 
+@functools.cache
+def reference_floor_passes():
+    """passes[v, delta], over every (v, delta) pair: does the color
+    (v, v - delta, v - delta) reach both floors under the reference
+    conversion? False where delta > v. The floors depend on (v, delta)
+    alone."""
+    v, delta = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    low = np.clip(v - delta, 0, 255)
+    hsv = rgb_to_hsv(RgbImage(np.stack([v, low, low], axis=2)))
+    return (hsv[..., 1] >= MIN_SATURATION) & (hsv[..., 2] >= MIN_VALUE) & (delta <= v)
+
+
 def frozen_color_key(rgb, bounds):
     """The key before it was banded: full-frame channel max and min, the
-    floor table looked up at every pixel, the survivors converted."""
+    reference's floors looked up at every pixel, the survivors converted."""
     pixels = rgb.pixels
     r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
     v = np.maximum(np.maximum(r, g), b)
     delta = v - np.minimum(np.minimum(r, g), b)
-    table = _floor_thresholds()
-    keep = delta >= np.take(table, v)
+    keep = np.ascontiguousarray(reference_floor_passes()[v, delta])  # flat is a view
     flat = keep.reshape(-1)
     survivors = np.flatnonzero(flat)
     if survivors.size:
@@ -287,8 +299,8 @@ def frozen_color_key(rgb, bounds):
 
 any_bounds = st.builds(HueBounds, st.integers(0, 179), st.integers(0, 179))
 
-# (255, 245, 245) has chroma 10, the smallest entry of the floor table,
-# but needs 60 at value 255: a candidate that never survives
+# (255, 245, 245) has chroma 10, the smallest that passes the floors at
+# any value, but needs 60 at value 255: a candidate that never survives
 CANDIDATE_ONLY = (255, 245, 245)
 GRAY = (90, 90, 90)
 HIT = (255, 85, 0)  # hue 10: inside HueBounds(5, 35)
@@ -422,28 +434,25 @@ def test_color_key_concurrent_calls_match_serial(monkeypatch):
         assert all(np.array_equal(keyed, expected) for keyed in results)
 
 
-def test_floor_table_is_the_start_of_a_suffix():
-    # passes[v, delta], over every (v, delta) pair: does the color
-    # (v, v - delta, v - delta) reach both floors under the reference
-    # conversion? False where delta > v. The passing deltas of each v are
-    # exactly those from table[v] up.
+def test_value_ceilings_end_every_passing_run():
+    # over every (v, delta) pair, the reference passes exactly where the
+    # color exists and v runs from the value floor to the delta's ceiling
     v, delta = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
-    low = np.clip(v - delta, 0, 255)
-    hsv = rgb_to_hsv(RgbImage(np.stack([v, low, low], axis=2)))
-    passes = (hsv[..., 1] >= MIN_SATURATION) & (hsv[..., 2] >= MIN_VALUE) & (delta <= v)
-    table = _floor_thresholds()
-    assert table.shape == (256,) and table.dtype == np.uint16
-    assert np.array_equal(passes, (delta >= table[:, None]) & (delta <= v))
+    ceiling = _value_ceilings()
+    assert ceiling.shape == (256,) and ceiling.dtype == np.uint8
+    assert np.array_equal(reference_floor_passes(),
+                          (delta <= v) & (MIN_VALUE <= v) & (v <= ceiling[delta]))
 
 
-def test_floor_table_extremes_and_cache():
-    table = _floor_thresholds()
-    # no delta lifts a value below the value floor; at the top value the
-    # saturation rint(255 * delta / 255) is delta itself
-    assert (table[:MIN_VALUE] == 256).all() and table[MIN_VALUE] < 256
-    assert table[255] == MIN_SATURATION
-    assert _floor_thresholds() is table
-    assert not table.flags.writeable
+def test_value_ceiling_extremes():
+    ceiling = _value_ceilings()
+    # below chroma 10 no value from the value floor up reaches saturation
+    # 60; at 10, value 42 still reads rint(2550 / 42) = 61; from 60 on,
+    # value 255 reads the chroma itself
+    assert (ceiling[:10] == 0).all() and ceiling[10] == 42
+    assert (ceiling[60:] == 255).all() and ceiling[59] < 255
+    # the bands' candidate floor is the smallest chroma with a ceiling
+    assert key_tables(HueBounds(5, 35))[1] == 10
 
 
 @settings(max_examples=200, deadline=None)
@@ -457,19 +466,19 @@ def test_floor_table_extremes_and_cache():
                          dtype=np.uint8),
          bounds=HueBounds(15, 45))
 def test_hue_table_matches_the_reference_on_any_color(colors, bounds):
-    # the table decides the hue interval alone, for every color, not only
-    # the zero-channel colors it was built from
-    hue = rgb_to_hsv(RgbImage(colors[:, None, :]))[:, 0, 0]
-    expected = np.isin(hue, list(wrap_membership_oracle(bounds.lo, bounds.hi)))
-    table = _hue_passes(bounds.lo, bounds.hi)
-    assert np.array_equal(table[_hue_key(*colors.T.astype(np.int32))], expected)
+    # one lookup and two compares decide the whole key, the floors and the
+    # hue, for every color, not only the zero-channel colors it was built from
+    expected = hue_bounds_mask(rgb_to_hsv(RgbImage(colors[:, None, :])), bounds).bits[:, 0]
+    ceiling = key_tables(bounds)[0][_hue_key(*colors.T.astype(np.int32))]
+    v = colors.max(axis=1)
+    assert np.array_equal((MIN_VALUE <= v) & (v <= ceiling), expected)
 
 
 def test_hue_table_is_cached_and_read_only():
-    table = _hue_passes(5, 35)
-    assert table.shape == (511 * 511,) and table.dtype == bool
+    table = key_tables(HueBounds(5, 35))[0]
+    assert table.shape == (511 * 511,) and table.dtype == np.uint8
     assert not table.flags.writeable
-    assert _hue_passes(5, 35) is table
+    assert key_tables(HueBounds(5, 35))[0] is table
 
 
 def key_grid_colors():
@@ -492,18 +501,33 @@ CHANNEL_SET_BOUNDS = {
 
 
 @pytest.mark.parametrize("kind", sorted(CHANNEL_SET_BOUNDS))
+def test_key_table_is_the_value_ceiling_inside_the_interval(kind):
+    # over every key: the ceiling of the key's chroma where the reference
+    # hue of the key's zero-min color lies in the interval; 0 elsewhere,
+    # and at every key that no 8-bit color has
+    colors, reachable = key_grid_colors()
+    zero_min = colors - colors.min(axis=1, keepdims=True)
+    chroma = zero_min.max(axis=1)
+    hue = rgb_to_hsv(RgbImage(np.minimum(zero_min, 255)[:, None, :]))[:, 0, 0]
+    ceiling = _value_ceilings()[np.minimum(chroma, 255)]
+    for lo, hi in CHANNEL_SET_BOUNDS[kind]:
+        inside = np.isin(hue, list(wrap_membership_oracle(lo, hi))) & reachable
+        expected = np.where(inside, ceiling, 0)
+        assert np.array_equal(key_tables(HueBounds(lo, hi))[0], expected), (lo, hi)
+
+
+@pytest.mark.parametrize("kind", sorted(CHANNEL_SET_BOUNDS))
 def test_channel_sets_read_the_chroma_of_every_keyed_key(kind):
     # over every key: max over peaks minus min over bottoms is the chroma
     # wherever the key can be keyed, and from 0 to the chroma wherever an
     # 8-bit color has the key, so no uint8 difference wraps
     colors, reachable = key_grid_colors()
     chroma = colors.max(axis=1) - colors.min(axis=1)
-    floor = int(_floor_thresholds().min())
     for lo, hi in CHANNEL_SET_BOUNDS[kind]:
-        peaks, bottoms = _channel_sets(lo, hi)
+        table, _, peaks, bottoms = key_tables(HueBounds(lo, hi))
         assert peaks and bottoms and set(peaks) & set(bottoms), (lo, hi)
         read = colors[:, list(peaks)].max(axis=1) - colors[:, list(bottoms)].min(axis=1)
-        keyed = _hue_passes(lo, hi) & (chroma >= floor)
+        keyed = table > 0
         assert keyed.any() and not (keyed & ~reachable).any(), (lo, hi)
         assert np.array_equal(read[keyed], chroma[keyed]), (lo, hi)
         assert (read[reachable] >= 0).all(), (lo, hi)
@@ -514,12 +538,11 @@ def test_channel_sets_of_calibrated_bounds_take_five_passes():
     # one max and one min, or no max and two mins, for every calibrated
     # interval; all three channels twice for the whole hue circle
     for lo, hi in CHANNEL_SET_BOUNDS["calibrated"]:
-        peaks, bottoms = _channel_sets(lo, hi)
+        _, _, peaks, bottoms = key_tables(HueBounds(lo, hi))
         assert len(peaks) + len(bottoms) == 4, (lo, hi)
-    assert _channel_sets(5, 35) == ((0, 1), (0, 2))
-    assert _channel_sets(167, 17) == ((0,), (0, 1, 2))
-    assert _channel_sets(0, HUE_BINS - 1) == ((0, 1, 2), (0, 1, 2))
-    assert _channel_sets(5, 35) is _channel_sets(5, 35)
+    assert key_tables(HueBounds(5, 35))[2:] == ((0, 1), (0, 2))
+    assert key_tables(HueBounds(167, 17))[2:] == ((0,), (0, 1, 2))
+    assert key_tables(HueBounds(0, HUE_BINS - 1))[2:] == ((0, 1, 2), (0, 1, 2))
 
 
 def test_window_mask_is_cached_read_only_and_keeps_pixel_windows():
