@@ -73,22 +73,31 @@ def _read_raster(path, fmt: tuple) -> np.ndarray:
     return np.frombuffer(data, dtype=sample, count=count, offset=start).reshape(shape)
 
 
-def _write_raster(path, fmt: tuple, pixels: np.ndarray) -> None:
-    """Write pixels already in the format's sample type, as the image
-    types hold them, to a new file renamed over path: a file that a reader
-    has mapped is never truncated."""
-    magic, maxval, _, _ = fmt
+@contextlib.contextmanager
+def write_by_rename(path, mode: str, encoding: str | None = None):
+    """A new file beside path, opened in mode, that replaces path by rename
+    once the block completes and is removed if it fails: path always holds
+    a whole file, old or new, and a file that a reader has mapped is never
+    truncated."""
     path = os.fsdecode(path)
     temp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temp, "wb") as f:
-            f.write(b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], maxval))
-            f.write(pixels.tobytes())
+        with open(temp, mode, encoding=encoding) as f:
+            yield f
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp)
         raise
+
+
+def _write_raster(path, fmt: tuple, pixels: np.ndarray) -> None:
+    """Write pixels already in the format's sample type, as the image
+    types hold them, by ``write_by_rename``."""
+    magic, maxval, _, _ = fmt
+    with write_by_rename(path, "wb") as f:
+        f.write(b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], maxval))
+        f.write(pixels.tobytes())
 
 
 def read_ppm(path) -> RgbImage:

@@ -23,6 +23,7 @@ from .corner_detection import CMinMaxParams, cminmax_corners, mask_centroid
 from .errors import DegenerateError, DegenerateMaskError, ResidualTooHighError
 from .imaging import AffineTransform, Point2, RgbImage, _is_singular
 from .mask_extraction import DEFAULT_MIN_AREA, MaskRequest, extract_mask
+from .pnm import write_by_rename
 
 log = logging.getLogger(__name__)
 
@@ -316,31 +317,23 @@ def calibrate_scene(
     return CalibrationSummary(profile, ordered, centroid, residual)
 
 
-def profile_to_dict(profile: CalibrationProfile) -> dict:
-    b = profile.hue_bounds
-    return {
-        "depth_to_rgb": [float(v) for v in profile.depth_to_rgb.matrix.ravel()],
-        "hue_bounds": {"lo": b.lo, "hi": b.hi},
-        "t_rv": [float(v) for v in profile.t_rv.ravel()],
-        "rho_z": float(profile.rho_z),
-        "camera_height_mm": float(profile.camera_height_mm),
-        "principal_point": [float(profile.principal_point[0]),
-                            float(profile.principal_point[1])],
-        "raw_to_mm": float(profile.raw_to_mm),
-    }
-
-
-# JSON kind and list length (or "scalar") of every profile field; a nested
-# table is a nested object. Both levels take exactly these keys.
+# The profile file, one row per field in the file's order: the field's
+# JSON kind and list length (or "scalar"; a nested table is a nested
+# object, and both levels take exactly these keys), how save_profile writes
+# the profile's value, and how load_profile turns the checked value back.
 _INTEGER = ("integer", "scalar")
+_NUMBER = (("number", "scalar"), float, float)
 PROFILE_FIELDS = {
-    "depth_to_rgb": ("number", 6),
-    "hue_bounds": {"lo": _INTEGER, "hi": _INTEGER},
-    "t_rv": ("number", 9),
-    "rho_z": ("number", "scalar"),
-    "camera_height_mm": ("number", "scalar"),
-    "principal_point": ("number", 2),
-    "raw_to_mm": ("number", "scalar"),
+    "depth_to_rgb": (("number", 6), lambda a: [float(v) for v in a.matrix.ravel()],
+                     lambda v: AffineTransform(np.reshape(v, (2, 3)))),
+    "hue_bounds": ({"lo": _INTEGER, "hi": _INTEGER}, lambda b: {"lo": b.lo, "hi": b.hi},
+                   lambda v: HueBounds(**v)),
+    "t_rv": (("number", 9), lambda m: [float(v) for v in m.ravel()],
+             lambda v: np.reshape(v, (3, 3))),
+    "rho_z": _NUMBER,
+    "camera_height_mm": _NUMBER,
+    "principal_point": (("number", 2), lambda p: [float(p[0]), float(p[1])], tuple),
+    "raw_to_mm": _NUMBER,
 }
 
 # exact types: a bool is never a number and a float never an integer
@@ -391,25 +384,17 @@ def _checked(data, table: dict, prefix: str = "") -> dict:
     return out
 
 
-def profile_from_dict(data: dict) -> CalibrationProfile:
-    fields = _checked(data, PROFILE_FIELDS)
-    return CalibrationProfile(
-        depth_to_rgb=AffineTransform(np.reshape(fields["depth_to_rgb"], (2, 3))),
-        hue_bounds=HueBounds(**fields["hue_bounds"]),
-        t_rv=np.reshape(fields["t_rv"], (3, 3)),
-        rho_z=fields["rho_z"],
-        camera_height_mm=fields["camera_height_mm"],
-        principal_point=fields["principal_point"],
-        raw_to_mm=fields["raw_to_mm"],
-    )
-
-
 def save_profile(profile: CalibrationProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(profile_to_dict(profile), f, indent=2)
+    doc = {key: write(getattr(profile, key))
+           for key, (_, write, _) in PROFILE_FIELDS.items()}
+    with write_by_rename(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
         f.write("\n")
 
 
 def load_profile(path) -> CalibrationProfile:
     with open(path, "r", encoding="utf-8") as f:
-        return profile_from_dict(json.load(f))
+        data = json.load(f)
+    values = _checked(data, {key: shape for key, (shape, _, _) in PROFILE_FIELDS.items()})
+    return CalibrationProfile(**{key: read(values[key])
+                                 for key, (_, _, read) in PROFILE_FIELDS.items()})

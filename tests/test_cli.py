@@ -1,11 +1,11 @@
 import contextlib
 import dataclasses
 import errno
-import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import platform
 import re
 import resource
@@ -1277,14 +1277,15 @@ def test_readme_commands_parse():
         cli._build_parser().parse_args(argv)
 
 
-# every tangible_tracker.<module>.<name> that README names imports and resolves
+# every tangible_tracker.<module> and tangible_tracker.<module>.<name> that
+# README names, the whole Library surface among them, imports and resolves
 def test_readme_module_paths_resolve():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    paths = sorted(set(re.findall(r"\btangible_tracker\.(\w+)\.(\w+)", readme)))
-    assert len(paths) > 20
-    for module, name in paths:
-        assert hasattr(importlib.import_module(f"tangible_tracker.{module}"), name), \
-            f"tangible_tracker.{module}.{name}"
+    dotted = r"\btangible_tracker(?:\.\w+)+"
+    surface = readme.split("\n## Library surface\n")[1].split("\n## ")[0]
+    assert len(set(re.findall(dotted, surface))) > 40
+    for path in sorted(set(re.findall(dotted, readme))):
+        pkgutil.resolve_name(path)  # raises ImportError or AttributeError
 
 
 # ------------------------------------------------------------- failure table
@@ -1323,6 +1324,27 @@ def test_closed_stdout_exits_4(sequence_dir, sequence_profile_path, tmp_path, ca
         rc = main(argv)
     assert rc == 4
     assert capsys.readouterr().err == "IOError: [Errno 32] Broken pipe\n"
+
+
+# a disk that fills while the profile is written: the old profile keeps its
+# bytes and no temporary file is left beside it
+def test_failed_profile_write_keeps_the_old_profile(sequence_dir, sequence_profile_path,
+                                                    tmp_path, capsys, monkeypatch):
+    argv = command_argv("calibrate", sequence_dir, sequence_profile_path, tmp_path)
+    out = tmp_path / "profile.json"
+    old = sequence_profile_path.read_bytes()
+    out.write_bytes(old)
+
+    def dump_then_fill_the_disk(doc, f, **kwargs):
+        f.write('{"depth_to_rgb": [1.0,')
+        f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fill_the_disk)
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", "IOError: [Errno 28] No space left on device\n")
+    assert out.read_bytes() == old
+    assert list(tmp_path.glob("profile.json*")) == [out]
 
 
 # one callee of each command raises each kind of failure; main maps it

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,6 @@ from tangible_tracker.registration import (
     load_profile,
     mean_reprojection_error,
     order_corners,
-    profile_from_dict,
-    profile_to_dict,
     save_profile,
 )
 from tangible_tracker.simulator import (
@@ -282,18 +282,71 @@ def test_profile_round_trip_is_byte_identical(tmp_path, default_summary):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_profile_json_schema(default_summary):
-    doc = profile_to_dict(default_summary.profile)
+def test_profile_json_schema(tmp_path, default_summary):
+    save_profile(default_summary.profile, tmp_path / "profile.json")
+    doc = json.loads((tmp_path / "profile.json").read_text(encoding="utf-8"))
     assert list(doc) == ["depth_to_rgb", "hue_bounds", "t_rv", "rho_z",
                          "camera_height_mm", "principal_point", "raw_to_mm"]
     assert len(doc["depth_to_rgb"]) == 6
     assert len(doc["t_rv"]) == 9
     assert list(doc["hue_bounds"]) == ["lo", "hi"]
-    assert json.dumps(doc)  # JSON-serializable as-is
-    clone = profile_from_dict(doc)
+    clone = load_profile(tmp_path / "profile.json")
     assert isinstance(clone, CalibrationProfile)
     assert isinstance(clone.depth_to_rgb, AffineTransform)
-    assert profile_to_dict(clone) == doc
+    save_profile(clone, tmp_path / "clone.json")
+    assert json.loads((tmp_path / "clone.json").read_text(encoding="utf-8")) == doc
+
+
+# the whole text of one profile file: key order, indent, float reprs, integer
+# hue bounds and the final newline; numpy and int values write as floats
+GOLDEN_PROFILE = """\
+{
+  "depth_to_rgb": [
+    1.02,
+    0.0,
+    4.5,
+    -0.0,
+    0.98,
+    -2.25
+  ],
+  "hue_bounds": {
+    "lo": 170,
+    "hi": 10
+  },
+  "t_rv": [
+    0.3333333333333333,
+    0.0,
+    -1.6,
+    0.0,
+    0.005,
+    -1.2,
+    1e-06,
+    1e+16,
+    1.0
+  ],
+  "rho_z": 0.002,
+  "camera_height_mm": 600.0,
+  "principal_point": [
+    319.5,
+    239.0
+  ],
+  "raw_to_mm": 1.0
+}
+"""
+
+
+def test_profile_file_text_is_pinned(tmp_path):
+    profile = CalibrationProfile(
+        depth_to_rgb=AffineTransform(np.array([[1.02, 0.0, 4.5], [-0.0, 0.98, -2.25]])),
+        hue_bounds=HueBounds(170, 10),
+        t_rv=np.array([[1 / 3, 0.0, -1.6], [0.0, 0.005, -1.2], [1e-06, 1e16, 1.0]]),
+        rho_z=0.002,
+        camera_height_mm=600,
+        principal_point=(np.float32(319.5), 239),
+        raw_to_mm=np.float64(1),
+    )
+    save_profile(profile, tmp_path / "profile.json")
+    assert (tmp_path / "profile.json").read_bytes() == GOLDEN_PROFILE.encode()
 
 
 _FINITE = st.floats(-1e6, 1e6)
@@ -329,6 +382,14 @@ def test_profile_dict_round_trip_property(affine, lo, hi, matrix, rho_z,
         )
     except ValueError:  # a singular matrix
         assume(False)
-    doc = profile_to_dict(profile)
-    assert profile_to_dict(profile_from_dict(doc)) == doc
-    assert profile_to_dict(profile_from_dict(json.loads(json.dumps(doc)))) == doc
+    with tempfile.TemporaryDirectory() as work:
+        save_profile(profile, Path(work, "a.json"))
+        loaded = load_profile(Path(work, "a.json"))
+        save_profile(loaded, Path(work, "b.json"))
+        assert Path(work, "a.json").read_bytes() == Path(work, "b.json").read_bytes()
+    assert np.array_equal(loaded.depth_to_rgb.matrix, profile.depth_to_rgb.matrix)
+    assert loaded.hue_bounds == profile.hue_bounds
+    assert np.array_equal(loaded.t_rv, profile.t_rv)
+    assert (loaded.rho_z, loaded.camera_height_mm, loaded.raw_to_mm) == \
+        (profile.rho_z, profile.camera_height_mm, profile.raw_to_mm)
+    assert loaded.principal_point == tuple(profile.principal_point)
