@@ -78,16 +78,18 @@ def write_by_rename(path, mode: str, encoding: str | None = None):
     """A new file beside path, opened in mode, that replaces path by rename
     once the block completes and is removed if it fails: path always holds
     a whole file, old or new, and a file that a reader has mapped is never
-    truncated."""
+    truncated. An OSError about the temporary file names path instead."""
     path = os.fsdecode(path)
     temp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temp, mode, encoding=encoding) as f:
             yield f
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import os
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,29 +40,46 @@ CALIBRATION_IMAGES = ("background.ppm", "with_marker.ppm", "with_pointer.ppm")
 MAX_SCENE_PIXELS = 3840 * 2160
 
 
-# The desk rigs the simulator renders, one (field, lo, hi) row per field:
-# the field, or each entry of a tuple field, lies in lo..hi. A comparison
-# with nan is false, so a non-finite value is refused too. The rules that
-# span fields are SceneSpec.__post_init__'s.
-SCENE_DOMAIN = (
-    ("width", 16, math.inf), ("height", 16, math.inf), ("seed", 0, math.inf),
-    ("camera_height_mm", 1.0, 1e4), ("marker_size_mm", 1.0, 1e4),
-    ("ball_radius_mm", 0.1, 1e4), ("ball_height_mm", 0.0, 1e4),
-    ("ball_plane_mm", -1e4, 1e4), ("shadow_offset_px", -1e4, 1e4),
-    ("rho_z", 1e-4, 1e4), ("raw_to_mm", 1e-4, 1e4),
-    ("ball_hue", 0, 179), ("hue_jitter", 0, 179), ("depth_jitter", 0, 65535),
-    ("marker_color", 0, 255), ("background_color", 0, 255),
-    ("ball_saturation", 0, 255), ("ball_value", 0, 255),
-)
+# The scene file and the desk rigs the simulator renders, one row per
+# SceneSpec field in field order: the field's JSON kind, its list length
+# (or "scalar"; marker_to_image is a row-major 3x3 matrix), and the bounds
+# lo..hi the field, or each entry of a list field, lies in (None for a
+# field with no bounds of its own). A comparison with nan is false, so a
+# non-finite value is refused too. The rules that span fields are
+# SceneSpec.__post_init__'s.
+SCENE_FIELDS = {
+    "width": ("integer", "scalar", 16, math.inf),
+    "height": ("integer", "scalar", 16, math.inf),
+    "camera_height_mm": ("number", "scalar", 1.0, 1e4),
+    "principal_point": ("number", 2, None, None),
+    "marker_size_mm": ("number", 2, 1.0, 1e4),
+    "marker_to_image": ("number", 9, None, None),
+    "marker_color": ("integer", 3, 0, 255),
+    "background_color": ("integer", 3, 0, 255),
+    "ball_plane_mm": ("number", 2, -1e4, 1e4),
+    "ball_height_mm": ("number", "scalar", 0.0, 1e4),
+    "ball_radius_mm": ("number", "scalar", 0.1, 1e4),
+    "ball_hue": ("integer", "scalar", 0, 179),
+    "ball_saturation": ("integer", "scalar", 0, 255),
+    "ball_value": ("integer", "scalar", 0, 255),
+    "rho_z": ("number", "scalar", 1e-4, 1e4),
+    "raw_to_mm": ("number", "scalar", 1e-4, 1e4),
+    "depth_frame_offset": ("integer", 2, None, None),
+    "shadow_offset_px": ("number", 2, -1e4, 1e4),
+    "hue_jitter": ("integer", "scalar", 0, 179),
+    "depth_jitter": ("integer", "scalar", 0, 65535),
+    "seed": ("integer", "scalar", 0, math.inf),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
     """Complete description of one synthetic capture rig and scene.
 
-    A scene outside the desk-scale domain, ``SCENE_DOMAIN`` and the rules of
-    ``__post_init__``, is refused before anything is derived from it. Inside
-    it nothing rendering derives from the scene leaves float range.
+    A scene outside the desk-scale domain, ``SCENE_FIELDS``' bounds and the
+    rules of ``__post_init__``, is refused before anything is derived from
+    it. Inside it nothing rendering derives from the scene leaves float
+    range.
     """
 
     width: int = 640
@@ -89,9 +105,9 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, lo, hi in SCENE_DOMAIN:
+        for name, (_, _, lo, hi) in SCENE_FIELDS.items():
             value = getattr(self, name)
-            if not all(lo <= v <= hi for v in np.ravel(value)):
+            if lo is not None and not all(lo <= v <= hi for v in np.ravel(value)):
                 raise ValueError(f"scene field {name} must lie in {lo:g}..{hi:g}, "
                                  f"got {value!r}")
         if self.width * self.height > MAX_SCENE_PIXELS:
@@ -475,39 +491,15 @@ def random_quadrangle_scene(width: int, height: int,
     raise ValueError(f"no usable quadrangle fits in {width}x{height}")
 
 
-def _tuple_args(hint) -> tuple:
-    """Element types of a tuple annotation, also of ``tuple[...] | None``."""
-    for h in (hint, *typing.get_args(hint)):
-        if typing.get_origin(h) is tuple:
-            return typing.get_args(h)
-    return ()
-
-
-_KINDS = {int: "integer", float: "number"}
-
-
-def _json_shape(hint) -> tuple:
-    """JSON kind and list length (or "scalar") of a scene field from its
-    annotation; the one array field, marker_to_image, is a row-major 3x3
-    matrix."""
-    if hint in _KINDS:
-        return _KINDS[hint], "scalar"
-    args = _tuple_args(hint)
-    return (_KINDS[args[0]], len(args)) if args else ("number", 9)
-
-
-_SHAPES = {name: _json_shape(hint)
-           for name, hint in typing.get_type_hints(SceneSpec).items()}
-
-
 def spec_from_dict(data: dict) -> SceneSpec:
     """The SceneSpec of a JSON object; a field left out takes its default.
 
     Every value must have its field's JSON kind and length, as in the
     calibration profile: ``null`` is not a value.
     """
-    unknown = data.keys() - _SHAPES.keys()
+    unknown = data.keys() - SCENE_FIELDS.keys()
     if unknown:
         raise ValueError(f"unknown scene fields: {sorted(unknown)}")
-    return SceneSpec(**{key: checked_value(f"scene field {key}", value, *_SHAPES[key])
+    return SceneSpec(**{key: checked_value(f"scene field {key}", value,
+                                           *SCENE_FIELDS[key][:2])
                         for key, value in data.items()})

@@ -7,8 +7,11 @@ once; it never waits on the network. A client whose send fails, or whose
 pending bytes exceed the limit, is closed and dropped, so the tracking loop
 keeps pace. Every client socket asks the kernel for a fixed 64 KiB send
 buffer, so the limit applies near ``MAX_BUFFERED`` bytes of backlog rather
-than after the megabytes a self-sized buffer would take first. A server is
-not for concurrent use: call it from one thread at a time.
+than after the megabytes a self-sized buffer would take first. Nagle's
+algorithm is off on every client socket, so a record leaves when it is
+published rather than after the client's (possibly delayed) ACK of the
+last one. A server is not for concurrent use: call it from one thread at
+a time.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ class StreamServer:
                 return
             conn.setblocking(False)
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             log.info("stream client connected: %s:%s", *peer[:2])
             self._clients[conn] = bytearray()
 

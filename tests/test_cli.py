@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tangible_tracker
 from tangible_tracker import bench, cli, color_calibration, imaging, pnm, simulator, tracking
 from tangible_tracker.cli import main
 from tangible_tracker.color_calibration import HueBounds
@@ -1284,7 +1285,13 @@ def test_readme_module_paths_resolve():
     dotted = r"\btangible_tracker(?:\.\w+)+"
     surface = readme.split("\n## Library surface\n")[1].split("\n## ")[0]
     assert len(set(re.findall(dotted, surface))) > 40
-    for path in sorted(set(re.findall(dotted, readme))):
+    # a short `module.name` names a module of the package (not a file name)
+    modules = {m.name for m in pkgutil.iter_modules(tangible_tracker.__path__)}
+    short = {f"tangible_tracker.{module}.{name}"
+             for module, name in re.findall(r"`(\w+)\.(\w+(?:\.\w+)*)`", readme)
+             if module in modules}
+    assert len(short) >= 9
+    for path in sorted(set(re.findall(dotted, readme)) | short):
         pkgutil.resolve_name(path)  # raises ImportError or AttributeError
 
 
@@ -1345,6 +1352,23 @@ def test_failed_profile_write_keeps_the_old_profile(sequence_dir, sequence_profi
     assert capsys.readouterr() == ("", "IOError: [Errno 28] No space left on device\n")
     assert out.read_bytes() == old
     assert list(tmp_path.glob("profile.json*")) == [out]
+
+
+# an --out that cannot be written is named as given, not as the temporary
+# file beside it, and no temporary file is left
+@pytest.mark.parametrize("target, code", [("missing/p.json", errno.ENOENT),
+                                          ("taken", errno.EISDIR)],
+                         ids=["missing-directory", "directory"])
+def test_failed_profile_write_names_the_out_path(sequence_dir, sequence_profile_path,
+                                                 tmp_path, capsys, target, code):
+    (tmp_path / "taken").mkdir()
+    out = tmp_path / target
+    argv = command_argv("calibrate", sequence_dir, sequence_profile_path, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv[:-1], str(out)]) == 4
+    assert capsys.readouterr().err == \
+        f"IOError: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # one callee of each command raises each kind of failure; main maps it

@@ -248,7 +248,8 @@ def kind_values(kind, length):
     return st.lists(numbers, min_size=length, max_size=length)
 
 
-SCENE_VALUES = {name: kind_values(*shape) for name, shape in simulator._SHAPES.items()
+SCENE_VALUES = {name: kind_values(kind, length)
+                for name, (kind, length, _, _) in simulator.SCENE_FIELDS.items()
                 if name not in ("width", "height")}
 
 
@@ -306,17 +307,16 @@ def simulate_or_exit_5(doc, trajectory):
     assert rc == 0 or (rc == 5 and err.getvalue().startswith("Validation:")), err.getvalue()
 
 
-def domain_values(name, lo, hi):
-    """JSON values of scene field ``name`` inside its domain row."""
-    kind, length = simulator._SHAPES[name]
+def domain_values(kind, length, lo, hi):
+    """JSON values of a scene field's kind and length inside its bounds."""
     numbers = st.floats(lo, hi) if kind == "number" else st.integers(lo, min(hi, 2 ** 70))
     if length == "scalar":
         return numbers
     return st.lists(numbers, min_size=length, max_size=length)
 
 
-IN_DOMAIN_VALUES = {name: domain_values(name, lo, hi)
-                    for name, lo, hi in simulator.SCENE_DOMAIN if name not in ("width", "height")}
+IN_DOMAIN_VALUES = {name: domain_values(*row) for name, row in simulator.SCENE_FIELDS.items()
+                    if row[2] is not None and name not in ("width", "height")}
 IN_DOMAIN_VALUES["principal_point"] = st.lists(st.floats(0, 31), min_size=2, max_size=2)
 # the default 32x32 map, 2 px/mm centred, with each affine entry moved by
 # up to 0.5 and perspective terms up to 1e-3

@@ -11,7 +11,7 @@ from tangible_tracker.cli import main
 from tangible_tracker.simulator import (
     CALIBRATION_IMAGES,
     MAX_SCENE_PIXELS,
-    SCENE_DOMAIN,
+    SCENE_FIELDS,
     SceneSpec,
     _fill_disc,
     apply_projective,
@@ -211,6 +211,12 @@ def test_fill_disc_non_finite_or_far_centre_matches_the_full_frame_test(center, 
                           frozen_fill_disc(20, 10, center, radius))
 
 
+# the scene file's table has one row per SceneSpec field, in field order,
+# so a field added without a row fails here
+def test_scene_fields_are_the_spec_fields_in_order():
+    assert list(SCENE_FIELDS) == [field.name for field in dataclasses.fields(SceneSpec)]
+
+
 # fields a bound needs beside it: a camera low enough for the smallest raw
 # scale or height, and one high enough for the tallest ball
 COMPANIONS = {("camera_height_mm", 1.0): {"ball_height_mm": 0.0},
@@ -237,7 +243,8 @@ def past(bound, direction):
 # top of its row, as the rule across the two fields asks
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, bound", [
-    (name, bound) for name, lo, hi in SCENE_DOMAIN for bound in (lo, hi) if bound != math.inf])
+    (name, bound) for name, (_, _, lo, hi) in SCENE_FIELDS.items() if lo is not None
+    for bound in (lo, hi) if bound != math.inf])
 def test_each_domain_bound_renders(tmp_path, name, bound):
     value = math.nextafter(bound, 0) if (name, bound) == ("ball_height_mm", 1e4) else bound
     doc = {"width": 32, "height": 32, **COMPANIONS.get((name, bound), {}),
@@ -252,10 +259,10 @@ def test_each_domain_bound_renders(tmp_path, name, bound):
 # the field and its row, and writes nothing
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, bound, direction", [
-    (name, bound, direction) for name, lo, hi in SCENE_DOMAIN
+    (name, bound, direction) for name, (_, _, lo, hi) in SCENE_FIELDS.items() if lo is not None
     for bound, direction in ((lo, -1), (hi, 1)) if bound != math.inf])
 def test_just_past_each_domain_bound_exits_5(tmp_path, capsys, name, bound, direction):
-    lo, hi = next(row[1:] for row in SCENE_DOMAIN if row[0] == name)
+    _, _, lo, hi = SCENE_FIELDS[name]
     value = domain_value(name, past(bound, direction))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"width": 32, "height": 32, name: value}))

@@ -1,8 +1,11 @@
 import socket
+import statistics
 import subprocess
 import sys
 import threading
 import time
+
+import pytest
 
 from tangible_tracker import stream
 from tangible_tracker.stream import MAX_BUFFERED, StreamServer
@@ -190,3 +193,48 @@ def test_close_waits_one_deadline_for_all_stalled_clients(monkeypatch):
             sock.close()
     # one shared deadline: three stalled clients waited for in turn take 1.5 s
     assert 0.5 <= elapsed < 1.2
+
+
+def test_client_sockets_send_without_nagle():
+    server = StreamServer()
+    sock = connect(server)
+    try:
+        (conn,) = server._clients
+        assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+    finally:
+        server.close()
+        sock.close()
+
+
+# a client that delays its ACKs, as a remote device may: with Nagle's
+# algorithm on, each small record waits for the ACK of the one before
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK")
+def test_delayed_ack_client_gets_records_when_published():
+    server = StreamServer()
+    sock = connect(server)
+    sock.settimeout(5)
+    latencies = []
+
+    def read(count):
+        pending = b""
+        while len(latencies) < count:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 0)
+            data = sock.recv(4096)
+            if not data:
+                return
+            arrived = time.monotonic_ns()
+            *lines, pending = (pending + data).split(b"\n")
+            latencies.extend(arrived - int(line) for line in lines)
+
+    reader = threading.Thread(target=read, args=(100,))
+    reader.start()
+    try:
+        for _ in range(100):
+            server.publish(b"%d\n" % time.monotonic_ns())
+            time.sleep(0.01)
+    finally:
+        reader.join(5)
+        server.close()
+        sock.close()
+    assert len(latencies) == 100
+    assert statistics.median(latencies) < 5e6
