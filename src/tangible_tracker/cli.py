@@ -283,9 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="render a synthetic scene sequence")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--frames", type=int, default=10, help="trajectory length")
     sim.add_argument("--spec", help="scene spec JSON (fields override defaults)")
-    sim.add_argument("--trajectory", help="JSON list of [x_mm, y_mm, h_mm] points")
+    ball_path = sim.add_mutually_exclusive_group()
+    ball_path.add_argument("--frames", type=int, default=10,
+                           help="length of the default circular trajectory")
+    ball_path.add_argument("--trajectory", help="JSON list of [x_mm, y_mm, h_mm] points")
     sim.set_defaults(func=cmd_simulate)
 
     ben = sub.add_parser("bench", help="compare corner detector timings")

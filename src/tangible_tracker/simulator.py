@@ -39,6 +39,13 @@ CALIBRATION_IMAGES = ("background.ppm", "with_marker.ppm", "with_pointer.ppm")
 # this size, so a larger scene is refused before anything is allocated.
 MAX_SCENE_PIXELS = 3840 * 2160
 
+# The rig's fixed parts, which no scene varies: the marker rectangle's size
+# in plane mm, the marker's and the background's colours, and the offset in
+# pixels of the ball's IR shadow (no depth return) from the ball's image.
+MARKER_SIZE_MM = (100.0, 150.0)
+MARKER_COLOR = (45, 45, 45)
+BACKGROUND_COLOR = (190, 190, 190)
+SHADOW_OFFSET_PX = (8.0, 0.0)
 
 # The scene file and the desk rigs the simulator renders, one row per
 # SceneSpec field in field order: the field's JSON kind, its list length
@@ -52,10 +59,7 @@ SCENE_FIELDS = {
     "height": ("integer", "scalar", 16, math.inf),
     "camera_height_mm": ("number", "scalar", 1.0, 1e4),
     "principal_point": ("number", 2, None, None),
-    "marker_size_mm": ("number", 2, 1.0, 1e4),
     "marker_to_image": ("number", 9, None, None),
-    "marker_color": ("integer", 3, 0, 255),
-    "background_color": ("integer", 3, 0, 255),
     "ball_plane_mm": ("number", 2, -1e4, 1e4),
     "ball_height_mm": ("number", "scalar", 0.0, 1e4),
     "ball_radius_mm": ("number", "scalar", 0.1, 1e4),
@@ -65,7 +69,6 @@ SCENE_FIELDS = {
     "rho_z": ("number", "scalar", 1e-4, 1e4),
     "raw_to_mm": ("number", "scalar", 1e-4, 1e4),
     "depth_frame_offset": ("integer", 2, None, None),
-    "shadow_offset_px": ("number", 2, -1e4, 1e4),
     "hue_jitter": ("integer", "scalar", 0, 179),
     "depth_jitter": ("integer", "scalar", 0, 65535),
     "seed": ("integer", "scalar", 0, math.inf),
@@ -74,7 +77,7 @@ SCENE_FIELDS = {
 
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
-    """Complete description of one synthetic capture rig and scene.
+    """One synthetic capture rig and scene, but for the rig's fixed parts.
 
     A scene outside the desk-scale domain, ``SCENE_FIELDS``' bounds and the
     rules of ``__post_init__``, is refused before anything is derived from
@@ -86,10 +89,7 @@ class SceneSpec:
     height: int = 480
     camera_height_mm: float = 600.0
     principal_point: Point2 | None = None  # image center when omitted
-    marker_size_mm: tuple[float, float] = (100.0, 150.0)
     marker_to_image: np.ndarray | None = None  # plane mm -> image px, m33 = 1; default 2 px/mm
-    marker_color: tuple[int, int, int] = (45, 45, 45)
-    background_color: tuple[int, int, int] = (190, 190, 190)
     ball_plane_mm: Point2 = (30.0, 40.0)
     ball_height_mm: float = 120.0
     ball_radius_mm: float = 20.0
@@ -99,7 +99,6 @@ class SceneSpec:
     rho_z: float = 0.002
     raw_to_mm: float = 1.0
     depth_frame_offset: tuple[int, int] = (4, 2)
-    shadow_offset_px: tuple[float, float] = (8.0, 0.0)
     hue_jitter: int = 0
     depth_jitter: int = 0
     seed: int = 0
@@ -143,7 +142,7 @@ class SceneSpec:
         if not 1e-4 <= abs(det) <= 1e4:
             raise ValueError("scene field marker_to_image must scale the marker's area "
                              f"by 1e-4..1e4 at its centre, got {abs(det)!r}")
-        points = [*marker_plane_corners(self).tolist(), self.ball_plane_mm]
+        points = [*marker_plane_corners().tolist(), self.ball_plane_mm]
         if not all(0.25 <= g * x + h * y + 1.0 <= 4.0 for x, y in points):
             raise ValueError("scene field marker_to_image must put the marker's corners "
                              "and ball_plane_mm in front of the camera, w in 0.25..4")
@@ -154,7 +153,7 @@ class SceneSpec:
                    for u in (0, self.width - 1) for v in (0, self.height - 1)):
             raise ValueError("scene field marker_to_image must keep the horizon out of "
                              "the frame, the inverse's w in 0.25..4 at its corners")
-        if not _is_strictly_convex(apply_projective(m, marker_plane_corners(self))):
+        if not _is_strictly_convex(apply_projective(m, marker_plane_corners())):
             raise ValueError("scene field marker_to_image must map the marker's corners "
                              "to convex position")
 
@@ -171,10 +170,10 @@ class GroundTruth:
     expected_virtual: Point3
 
 
-def marker_plane_corners(spec: SceneSpec) -> np.ndarray:
+def marker_plane_corners() -> np.ndarray:
     """Rectangle corners in plane mm, ordered TL, BL, BR, TR (plane y down)."""
-    hw = spec.marker_size_mm[0] / 2.0
-    hh = spec.marker_size_mm[1] / 2.0
+    hw = MARKER_SIZE_MM[0] / 2.0
+    hh = MARKER_SIZE_MM[1] / 2.0
     return np.array([[-hw, -hh], [-hw, hh], [hw, hh], [hw, -hh]])
 
 
@@ -197,7 +196,7 @@ def _is_strictly_convex(corners: np.ndarray) -> bool:
 
 
 def true_t_rv(spec: SceneSpec) -> np.ndarray:
-    mw, mh = spec.marker_size_mm
+    mw, mh = MARKER_SIZE_MM
     to_virtual = np.array([[1.0 / mw, 0.0, 0.0],
                            [0.0, 1.5 / mh, 0.0],
                            [0.0, 0.0, 1.0]])
@@ -287,10 +286,10 @@ def hsv_to_rgb_bins(h, s, v) -> np.ndarray:
 def render_rgb(spec: SceneSpec, rng: np.random.Generator, *,
                with_marker: bool, with_ball: bool) -> RgbImage:
     canvas = np.empty((spec.height, spec.width, 3), dtype=np.uint8)
-    canvas[:, :] = spec.background_color
+    canvas[:, :] = BACKGROUND_COLOR
     if with_marker:
-        corners = apply_projective(spec.marker_to_image, marker_plane_corners(spec))
-        canvas[fill_convex_polygon(spec.width, spec.height, corners).bits] = spec.marker_color
+        corners = apply_projective(spec.marker_to_image, marker_plane_corners())
+        canvas[fill_convex_polygon(spec.width, spec.height, corners).bits] = MARKER_COLOR
     if with_ball:
         _, b, radius = ball_geometry(spec)
         disc = _fill_disc(spec.width, spec.height, b, radius)
@@ -313,7 +312,7 @@ def render_depth_rgb_frame(spec: SceneSpec, rng: np.random.Generator) -> np.ndar
     _, b, radius = ball_geometry(spec)
     ball_raw = max(1, int(round(
         (spec.camera_height_mm - spec.ball_height_mm) / spec.raw_to_mm)))
-    shadow_center = np.add(b, spec.shadow_offset_px)
+    shadow_center = np.add(b, SHADOW_OFFSET_PX)
     canvas[_fill_disc(spec.width, spec.height, shadow_center, radius)] = 0
     canvas[_fill_disc(spec.width, spec.height, b, radius)] = ball_raw
     if spec.depth_jitter > 0:
@@ -345,10 +344,10 @@ def depth_alignment(spec: SceneSpec) -> AffineTransform:
 
 
 def scene_truth(spec: SceneSpec) -> GroundTruth:
-    corners = apply_projective(spec.marker_to_image, marker_plane_corners(spec))
+    corners = apply_projective(spec.marker_to_image, marker_plane_corners())
     centroid = apply_projective(spec.marker_to_image, [(0.0, 0.0)])[0]
     a, b, _ = ball_geometry(spec)
-    (x, y), (mw, mh) = spec.ball_plane_mm, spec.marker_size_mm
+    (x, y), (mw, mh) = spec.ball_plane_mm, MARKER_SIZE_MM
     return GroundTruth(
         marker_corners_px=corners,
         marker_centroid_px=(float(centroid[0]), float(centroid[1])),

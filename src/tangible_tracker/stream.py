@@ -50,10 +50,14 @@ class StreamServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen()
-        self._listener.setblocking(False)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen()
+            self._listener.setblocking(False)
+        except OSError:
+            self._listener.close()  # a caller that retries ports keeps no descriptor
+            raise
         self._clients: dict[socket.socket, bytearray] = {}
 
     @property

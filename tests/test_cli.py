@@ -146,7 +146,7 @@ def test_calibrate_three_corner_marker_exits_3(sequence_dir, tmp_path, capsys):
     pixels = background.pixels.copy()
     triangle = fill_convex_polygon(background.width, background.height,
                                    [(320, 50), (120, 400), (520, 400)])
-    pixels[triangle.bits] = SceneSpec().marker_color
+    pixels[triangle.bits] = simulator.MARKER_COLOR
     with_marker = tmp_path / "triangle.ppm"
     pnm.write_ppm(with_marker, imaging.RgbImage(pixels))
     out = tmp_path / "never.json"
@@ -954,9 +954,9 @@ def test_simulate_rejects_bad_trajectory(tmp_path):
 # objects, tuple fields of the wrong length and non-finite numbers; values
 # of another JSON kind, null, 8-bit fields out of range, a plane depth
 # beyond 16 bits; a file that is not UTF-8 and one nested too deep for the
-# parser; marker sizes, marker maps, a rho_z and a depth jitter outside the
-# scene domain (the jitter used to fail only after the calibration captures
-# were written)
+# parser; marker maps, a rho_z and a depth jitter outside the scene domain
+# (the jitter used to fail only after the calibration captures were
+# written); and the rig's fixed parts, once scene fields, now unknown ones
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("doc", [{"ball_hue": 20.5}, {"hue_jitter": 2.5},
                                  {"ball_saturation": True}, [1], [["width", 64]], 7,
@@ -988,6 +988,22 @@ def test_simulate_malformed_spec_exits_5(tmp_path, capsys, doc):
     assert err.startswith("Validation:") and err.count("\n") == 1, err
     if isinstance(doc, dict):
         assert all(key in err for key in doc), err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_scene_naming_the_rigs_fixed_parts(tmp_path, capsys):
+    # marker size, colours and shadow offset are the simulator's constants:
+    # a scene file that still names them, even at their values, is refused
+    doc = {"marker_size_mm": list(simulator.MARKER_SIZE_MM),
+           "marker_color": list(simulator.MARKER_COLOR),
+           "background_color": list(simulator.BACKGROUND_COLOR),
+           "shadow_offset_px": list(simulator.SHADOW_OFFSET_PX)}
+    spec = write_json(tmp_path / "spec.json", doc)
+    out = tmp_path / "seq"
+    rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", spec])
+    assert rc == 5
+    assert capsys.readouterr().err == (
+        f"Validation: unknown scene fields: {sorted(doc)}\n")
     assert not out.exists()
 
 
@@ -1071,21 +1087,6 @@ def test_simulate_ball_far_off_the_frame_warns_nothing(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_simulate_shadow_beyond_float_range_warns_nothing(tmp_path, capsys):
-    # a shadow offset at the domain's edge puts the shadow off the frame
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"shadow_offset_px": [1e4, 0]}))
-    trajectory = tmp_path / "trajectory.json"
-    trajectory.write_text(json.dumps([[0, 0, 120]]))
-    out = tmp_path / "seq"
-    rc = main(["simulate", "--out", str(out), "--spec", str(spec),
-               "--trajectory", str(trajectory)])
-    assert rc == 0
-    assert capsys.readouterr().err == ""
-    assert (out / "depth_0000.pgm").exists()
-
-
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["--spec", "--trajectory"])
 def test_simulate_ball_beyond_float_range_exits_5(tmp_path, capsys, flag):
     # a finite plane point far outside the scene domain, in the spec or in
@@ -1094,7 +1095,8 @@ def test_simulate_ball_beyond_float_range_exits_5(tmp_path, capsys, flag):
     doc.write_text(json.dumps({"ball_plane_mm": [1e308, 0]} if flag == "--spec"
                               else [[0, 0, 120], [1e308, 0, 120]]))
     out = tmp_path / "seq"
-    rc = main(["simulate", "--out", str(out), "--frames", "1", flag, str(doc)])
+    frames = ["--frames", "1"] if flag == "--spec" else []
+    rc = main(["simulate", "--out", str(out), *frames, flag, str(doc)])
     assert rc == 5
     err = capsys.readouterr().err
     prefix = "Validation: " + ("trajectory point 1: " if flag == "--trajectory" else "")
@@ -1107,11 +1109,9 @@ def test_simulate_ball_beyond_float_range_exits_5(tmp_path, capsys, flag):
 # range lie outside the scene domain: the spec is refused before any point
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("doc, point, message", [
-    ({"marker_size_mm": [1e-5, 1e-5]}, [1e304, 0, 120],
-     "scene field marker_size_mm must lie in 1..10000, got (1e-05, 1e-05)"),
     ({"rho_z": 1e307}, [0, 0, 120],
      "scene field rho_z must lie in 0.0001..10000, got 1e+307"),
-], ids=["virtual-x", "virtual-z"])
+], ids=["virtual-z"])
 def test_simulate_point_with_virtual_truth_beyond_float_range_exits_5(tmp_path, capsys,
                                                                       doc, point, message):
     spec = write_json(tmp_path / "spec.json", doc)
@@ -1243,6 +1243,18 @@ def test_simulate_takes_its_scene_only_from_spec(tmp_path, capsys):
         assert exc.value.code == 2, flag
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "seq").exists()
+
+
+def test_simulate_refuses_frames_beside_a_trajectory(tmp_path, capsys):
+    # the trajectory sets the frame count, so a --frames beside it would be
+    # ignored: it is a usage error instead
+    trajectory = write_json(tmp_path / "trajectory.json", [[0, 0, 120]])
+    out = tmp_path / "seq"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", str(out), "--frames", "5", "--trajectory", trajectory])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_has_no_min_area_flag(tmp_path, capsys):

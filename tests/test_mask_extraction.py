@@ -55,7 +55,7 @@ def test_warped_marker_area_within_two_percent():
     bg = render_rgb(spec, rng, with_marker=False, with_ball=False)
     wm = render_rgb(spec, rng, with_marker=True, with_ball=False)
     mask = extract_mask(MaskRequest(bg, wm))
-    corners = apply_projective(spec.marker_to_image, marker_plane_corners(spec))
+    corners = apply_projective(spec.marker_to_image, marker_plane_corners())
     target = fill_convex_polygon(spec.width, spec.height, corners).area
     assert abs(mask.area - target) <= 0.02 * target
 

@@ -30,6 +30,7 @@ from tangible_tracker.registration import (
     save_profile,
 )
 from tangible_tracker.simulator import (
+    MARKER_SIZE_MM,
     SceneSpec,
     depth_alignment,
     scene_truth,
@@ -168,8 +169,8 @@ def test_identity_scene_yields_pure_scale_map():
                                                [0.0, 0.0, 1.0]]))
     summary = calibrate_spec(spec)
     matrix = summary.profile.t_rv
-    mw_px = spec.marker_size_mm[0] * s
-    mh_px = spec.marker_size_mm[1] * s
+    mw_px = MARKER_SIZE_MM[0] * s
+    mh_px = MARKER_SIZE_MM[1] * s
     closed_form = np.array([[1.0 / mw_px, 0.0, -(w // 2) / mw_px],
                             [0.0, 1.5 / mh_px, -1.5 * (h // 2) / mh_px],
                             [0.0, 0.0, 1.0]])
@@ -181,7 +182,6 @@ def test_identity_scene_yields_pure_scale_map():
 
 
 def test_fit_residual_small_on_mild_perspective_scene():
-    base = SceneSpec()
     warped = np.array([[2.0, 0.06, 320.0], [-0.05, 2.1, 242.0],
                        [1.5e-5, -1.2e-5, 1.0]])
     spec = SceneSpec(marker_to_image=warped)
@@ -191,7 +191,6 @@ def test_fit_residual_small_on_mild_perspective_scene():
     mapped = apply_homography(summary.profile.t_rv,
                               truth.marker_corners_px)
     assert np.abs(mapped - np.array(CORNER_TARGETS)).max() < 2e-2
-    assert base.marker_size_mm == spec.marker_size_mm
 
 
 def test_blank_marker_scene_propagates_empty_mask():

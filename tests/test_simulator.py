@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -56,7 +57,7 @@ def test_truth_corners_are_exact_homography_images():
                        [2e-5, -1e-5, 1.0]])
     spec = SceneSpec(marker_to_image=warped)
     _, _, truth = render_scene(spec)
-    expected = apply_projective(warped, marker_plane_corners(spec))
+    expected = apply_projective(warped, marker_plane_corners())
     assert (truth.marker_corners_px == expected).all()
 
 
@@ -112,6 +113,48 @@ def test_sequence_files_and_truth(tmp_path):
     assert set(frame) == {"idx", "marker_corners", "ball_px", "ball_plane_px",
                           "ball_real", "virtual"}
     assert frame["ball_real"] == [10.0, 5.0, 80.0]
+
+
+# sha256 of every file two rigs write with no random draw (jitter 0): the
+# geometry of perfbench's track-vga, and that of its track-hd-miss with one
+# ball out of view. A refactor of the renderer keeps these bytes.
+RIG_DIGESTS = {
+    "vga": {
+        "background.ppm": "309f8ba249c7df1e6843da61006925084043469e4de3d5e132a56fd0a72a66f4",
+        "depth_0000.pgm": "87db617c993eda24e07e63a7bb1fe6b54bc3354634ffa2b48ae151336cc6e1ba",
+        "depth_0001.pgm": "01bfddbbf5220084b94ce52193ccb59d4b5c38d02de081ccac064fba40b2c2f6",
+        "rgb_0000.ppm": "3ce4e7595c1b7b0aeb265433b26e7424c284c1c695d5674a4d807ebbc2c61c21",
+        "rgb_0001.ppm": "a49c794aeedea30de9254f3d3d51c8e95d57021cd2bc246a47bed7c094771b55",
+        "truth.json": "ef81983431c5470525bece5d21e6c373fb359cef489dadb104613a668be51b50",
+        "with_marker.ppm": "9ba9d588b273345ff0d8579dd49e2cdfd6a550924e26b59d0b75231923552813",
+        "with_pointer.ppm": "2862b51bd2a1d6682a743cd335a5f6d1fb3ce5bef36d0d4403be70f8c3810cb7",
+    },
+    "hd-miss": {
+        "background.ppm": "f83eb0c3f6a9157915300159dad3c73b8fe67c3cd29c5c23dc53add21a28f7e9",
+        "depth_0000.pgm": "12f6bd982f1ced5f5af38abd189144a8db05b13d9c8d3edce1a32ac72bfeb74b",
+        "depth_0001.pgm": "73da90727c88ad2805613bcc91b2def66308c89c94fea005fb3275618c83368c",
+        "depth_0002.pgm": "ea1e90ab9c9922091530444368f323cb2cbb62afca41719e90e73fd83c6a5238",
+        "rgb_0000.ppm": "5828e58ed0eb09f6b4b27c9a6547a28730a1a90e4092630f61d1b1a8ae109c40",
+        "rgb_0001.ppm": "0d064ecfdfe89c9e28eeca0fa7684beb8647a28a2bc0cefd1d346a240a82af59",
+        "rgb_0002.ppm": "7618471269108e61611394160fad1445936a5f8bf5ec194a6ec0c4b5bb9d5b74",
+        "truth.json": "a323e6b34a1b561fd3a251249c62e6210f0d678af86ebb0c611a662c70afcf77",
+        "with_marker.ppm": "7618471269108e61611394160fad1445936a5f8bf5ec194a6ec0c4b5bb9d5b74",
+        "with_pointer.ppm": "f2da3f0b301f610e6a6b28d09627c37ca85505f646e66f310fcd07427a1de739",
+    },
+}
+
+
+@pytest.mark.parametrize("rig", RIG_DIGESTS)
+def test_rig_renders_keep_their_bytes(tmp_path, rig):
+    if rig == "vga":
+        spec = SceneSpec(depth_frame_offset=(4, 2))
+        trajectory = circular_trajectory(2)
+    else:
+        spec = SceneSpec(width=1280, height=720, ball_hue=2, depth_frame_offset=(0, 0))
+        trajectory = [*circular_trajectory(2), (1200.0, 900.0, 120.0)]
+    render_sequence(spec, trajectory, tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == RIG_DIGESTS[rig]
 
 
 def test_sequence_empty_trajectory(tmp_path):

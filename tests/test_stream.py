@@ -1,9 +1,11 @@
+import gc
 import socket
 import statistics
 import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -172,6 +174,21 @@ def test_server_starts_no_thread():
         sock.close()
     assert during == before
     assert threading.active_count() == before
+
+
+def test_failed_bind_closes_the_listener():
+    # a port another server holds: the refused listener is closed, not left
+    # for the collector to find open
+    holder = StreamServer()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError):
+                StreamServer(*holder.address)
+            gc.collect()
+    finally:
+        holder.close()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)], caught
 
 
 def test_close_waits_one_deadline_for_all_stalled_clients(monkeypatch):
