@@ -1043,10 +1043,31 @@ def test_simulate_malformed_trajectory_exits_5(tmp_path, capsys, points):
     assert not out.exists()
 
 
+# the fields a scene file took before they became the simulator's
+# constants, each in its former place among SceneSpec's fields: their
+# cases keep the kept fields' case ids as they were, and a scene file
+# naming one is refused as naming an unknown field
+RETIRED_FIELDS = {
+    "marker_size_mm": ("principal_point", simulator.MARKER_SIZE_MM),
+    "marker_color": ("marker_to_image", simulator.MARKER_COLOR),
+    "background_color": ("marker_color", simulator.BACKGROUND_COLOR),
+    "shadow_offset_px": ("depth_frame_offset", simulator.SHADOW_OFFSET_PX),
+}
+
+
+def scene_file_names():
+    """SceneSpec's field names with the retired fields in their places."""
+    names = [f.name for f in dataclasses.fields(SceneSpec)]
+    for name, (after, _) in RETIRED_FIELDS.items():
+        names.insert(names.index(after) + 1, name)
+    return names
+
+
 def wrong_kinds(name):
     """JSON values of another kind or length than scene field ``name``
     takes, read off its default."""
-    default = np.ravel(getattr(SceneSpec(), name))
+    default = np.ravel(RETIRED_FIELDS[name][1] if name in RETIRED_FIELDS
+                       else getattr(SceneSpec(), name))
     wrong = ["1", True, None, {}, [default.tolist()]]
     if default.size == 1:
         wrong.append(default.tolist())  # a list for a scalar
@@ -1061,14 +1082,16 @@ def wrong_kinds(name):
 # every wrong kind in every field, on a 32x32 scene: a kind let through
 # renders at most that frame
 @pytest.mark.parametrize("name, value", [
-    (f.name, value) for f in dataclasses.fields(SceneSpec) for value in wrong_kinds(f.name)])
+    (name, value) for name in scene_file_names() for value in wrong_kinds(name)])
 def test_simulate_rejects_every_wrong_kind(tmp_path, capsys, name, value):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"width": 32, "height": 32, name: value}))
     out = tmp_path / "seq"
     rc = main(["simulate", "--out", str(out), "--frames", "1", "--spec", str(spec)])
     err = capsys.readouterr().err
-    assert rc == 5 and err.startswith(f"Validation: scene field {name} "), err
+    expected = (f"Validation: unknown scene fields: ['{name}']\n" if name in RETIRED_FIELDS
+                else f"Validation: scene field {name} ")
+    assert rc == 5 and err.startswith(expected), err
     assert not out.exists()
 
 
