@@ -54,21 +54,3 @@ def run_benchmark(sizes, iterations: int, seed: int) -> list[dict]:
         })
     return rows
 
-
-def format_table(rows: list[dict]) -> str:
-    header = ("size", "cminmax ns/op", "harris ns/op", "ratio")
-    table = [header]
-    for row in rows:
-        table.append((
-            row["size"],
-            f"{row['cminmax_median_ns']:,}",
-            f"{row['harris_median_ns']:,}",
-            f"{row['ratio']:.2f}",
-        ))
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    lines = []
-    for i, row in enumerate(table):
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)

@@ -52,6 +52,18 @@ _LOG_LEVELS = {
 _FRAME_RE = re.compile(r"rgb_([0-9]+)\.ppm")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record comes,
+    as logging's own last-resort handler does."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
@@ -237,13 +249,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import format_table, run_benchmark
+    from .bench import run_benchmark
 
     rows = run_benchmark(_parse_sizes(args.sizes), args.iterations, args.seed)
-    if args.json:
-        print(json.dumps(rows, indent=2))
-    else:
-        print(format_table(rows))
+    print(json.dumps(rows, indent=2))
     return EXIT_OK
 
 
@@ -290,21 +299,23 @@ def _build_parser() -> argparse.ArgumentParser:
     ball_path.add_argument("--trajectory", help="JSON list of [x_mm, y_mm, h_mm] points")
     sim.set_defaults(func=cmd_simulate)
 
-    ben = sub.add_parser("bench", help="compare corner detector timings")
+    ben = sub.add_parser("bench", help="compare corner detector timings, as JSON rows")
     ben.add_argument("--sizes", default="640x480",
                      help="comma-separated list like 640x480,320x240")
     ben.add_argument("--iterations", type=int, default=100)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     ben.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command and map its failures to exits 3, 4 and 5."""
-    level = _LOG_LEVELS.get(os.environ.get("TT_LOG", "warn"), logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level,
+    # a no-op where the root logger has handlers already (a host program's,
+    # or an earlier call's); the level is this call's either way
+    logging.basicConfig(handlers=[_StderrHandler()],
                         format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("tangible_tracker").setLevel(
+        _LOG_LEVELS.get(os.environ.get("TT_LOG", "warn"), logging.WARNING))
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)

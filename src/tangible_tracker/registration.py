@@ -193,10 +193,9 @@ def estimate_homography(src, dst) -> np.ndarray:
         rows.append([-x, -y, -1.0, 0.0, 0.0, 0.0, u * x, u * y, u])
         rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v])
     a = np.asarray(rows)
+    # 4 or more correspondences give 8 or more rows, so sv[7] exists
     _, sv, vt = np.linalg.svd(a)
-    spectrum = np.zeros(9)
-    spectrum[:sv.size] = sv
-    if spectrum[7] < 1e-8 * spectrum[0]:
+    if sv[7] < 1e-8 * sv[0]:
         raise DegenerateError("correspondences do not determine a unique map")
     hn = vt[-1].reshape(3, 3)
     h = np.linalg.inv(td) @ hn @ ts

@@ -142,6 +142,8 @@ class SceneSpec:
         if not 1e-4 <= abs(det) <= 1e4:
             raise ValueError("scene field marker_to_image must scale the marker's area "
                              f"by 1e-4..1e4 at its centre, got {abs(det)!r}")
+        # w > 0 at the marker's corners, so over all of it, and det != 0 make
+        # the marker's image a strictly convex quadrangle
         points = [*marker_plane_corners().tolist(), self.ball_plane_mm]
         if not all(0.25 <= g * x + h * y + 1.0 <= 4.0 for x, y in points):
             raise ValueError("scene field marker_to_image must put the marker's corners "
@@ -153,9 +155,6 @@ class SceneSpec:
                    for u in (0, self.width - 1) for v in (0, self.height - 1)):
             raise ValueError("scene field marker_to_image must keep the horizon out of "
                              "the frame, the inverse's w in 0.25..4 at its corners")
-        if not _is_strictly_convex(apply_projective(m, marker_plane_corners())):
-            raise ValueError("scene field marker_to_image must map the marker's corners "
-                             "to convex position")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,11 +187,6 @@ def _turns(corners: np.ndarray) -> np.ndarray:
     a, b, c = corners, np.roll(corners, -1, axis=0), np.roll(corners, -2, axis=0)
     (ux, uy), (wx, wy) = (b - a).T, (c - a).T
     return ux * wy - uy * wx
-
-
-def _is_strictly_convex(corners: np.ndarray) -> bool:
-    turns = _turns(corners)
-    return bool((turns > 0).all() or (turns < 0).all())
 
 
 def true_t_rv(spec: SceneSpec) -> np.ndarray:
@@ -320,7 +314,7 @@ def render_depth_rgb_frame(spec: SceneSpec, rng: np.random.Generator) -> np.ndar
                               size=canvas.shape)
         lit = canvas > 0
         canvas[lit] = np.clip(canvas[lit] + jitter[lit], 1, 65535)
-    return np.clip(canvas, 0, 65535).astype(DEPTH_SAMPLE)
+    return canvas.astype(DEPTH_SAMPLE)
 
 
 def _shift_to_depth_frame(plane: np.ndarray, offset: tuple[int, int]) -> np.ndarray:
@@ -379,7 +373,7 @@ def circular_trajectory(frames: int, radius_mm: float = 60.0,
         raise ValueError(f"frame count must be non-negative, got {frames}")
     out = []
     for i in range(frames):
-        phase = 2.0 * math.pi * i / max(frames, 1)
+        phase = 2.0 * math.pi * i / frames
         out.append((radius_mm * math.cos(phase),
                     radius_mm * math.sin(phase),
                     height_mm + height_amp_mm * math.sin(2.0 * phase)))
@@ -445,9 +439,12 @@ def random_quadrangle_scene(width: int, height: int,
                             rng: np.random.Generator) -> tuple[BinaryMask, np.ndarray]:
     """Random mildly perspective-warped rectangle with exact vertex truth.
 
-    Rejection-samples until the quadrangle is comfortably convex, fully in
-    frame, and free of razor-thin angles that rasterize ambiguously; raises
-    ValueError when the frame is too small to hold one.
+    Rejection-samples until the quadrangle lies 8 px inside the frame with
+    every edge 40 px or more; raises ValueError when the frame is too small
+    to hold one. No draw needs a convexity or an angle test: w stays in
+    0.85..1.15 over the rectangle and det(h) above 0.59, so the rectangle's
+    image is strictly convex, and its angles stay within about 70..115
+    degrees.
     """
     if width < 1 or height < 1:
         raise ValueError(f"quadrangle scene size {width}x{height} has a zero side")
@@ -470,21 +467,7 @@ def random_quadrangle_scene(width: int, height: int,
             continue
         if corners[:, 1].min() < 8 or corners[:, 1].max() > height - 9:
             continue
-        if not _is_strictly_convex(corners):
-            continue
-        ok = True
-        for i in range(4):
-            prev = corners[(i - 1) % 4] - corners[i]
-            nxt = corners[(i + 1) % 4] - corners[i]
-            if min(np.hypot(*prev), np.hypot(*nxt)) < 40:
-                ok = False
-                break
-            cos_a = np.dot(prev, nxt) / (np.hypot(*prev) * np.hypot(*nxt))
-            angle = math.degrees(math.acos(np.clip(cos_a, -1.0, 1.0)))
-            if not 35.0 <= angle <= 145.0:
-                ok = False
-                break
-        if not ok:
+        if np.hypot(*(np.roll(corners, -1, axis=0) - corners).T).min() < 40:
             continue
         return fill_convex_polygon(width, height, corners), corners
     raise ValueError(f"no usable quadrangle fits in {width}x{height}")

@@ -64,7 +64,7 @@ def test_1_corner_accuracy():
 
 def test_2_speed_ratio(capsys):
     rc = main(["bench", "--sizes", "640x480", "--iterations", "100",
-               "--seed", "0", "--json"])
+               "--seed", "0"])
     out = capsys.readouterr().out
     with capsys.disabled():
         assert rc == 0

@@ -70,6 +70,38 @@ def test_tt_log_controls_stderr_diagnostics(sequence_dir, sequence_profile_path,
     assert "frame 0 invalid" in chatty.stderr
 
 
+# three in-process calls, each under its own stderr and TT_LOG; run in a
+# fresh interpreter, as a host program would, where no test harness holds
+# a root handler already
+_CALLS_WITH_THEIR_OWN_STDERR = """
+import contextlib, io, json, os, sys
+from tangible_tracker.cli import main
+errs = []
+for level in ("warn", "error", "info"):
+    os.environ["TT_LOG"] = level
+    with contextlib.redirect_stderr(io.StringIO()) as err, \\
+            contextlib.redirect_stdout(io.StringIO()):
+        main(["track", "--calib", sys.argv[1], "--frames", sys.argv[2]])
+    errs.append(err.getvalue())
+print(json.dumps(errs))
+"""
+
+
+def test_each_in_process_call_logs_to_its_own_stderr_at_its_own_level(
+        sequence_profile_path, tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "rgb_0000.ppm").write_bytes(b"P6\n2 2\n255\n")  # truncated
+    done = subprocess.run([sys.executable, "-c", _CALLS_WITH_THEIR_OWN_STDERR,
+                           str(sequence_profile_path), str(frames)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    warn, error, info = json.loads(done.stdout)
+    assert warn.startswith("WARNING tangible_tracker.cli: frame 0 invalid: ")
+    assert error == ""
+    assert info == warn
+
+
 def test_calibrate_logs_its_evidence_at_info(sequence_dir, tmp_path):
     captures = {name: sequence_dir / f"{name}.ppm"
                 for name in ("background", "with_marker", "with_pointer")}
@@ -1181,23 +1213,29 @@ def test_simulate_seeds_differ_only_in_noise(tmp_path):
 
 def test_bench_json_rows(capsys):
     rc = main(["bench", "--sizes", "160x120,200x150", "--iterations", "3",
-               "--seed", "1", "--json"])
+               "--seed", "1"])
     assert rc == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["size"] for r in rows] == ["160x120", "200x150"]
     for row in rows:
+        assert set(row) == {"size", "width", "height", "iterations",
+                            "cminmax_median_ns", "harris_median_ns", "ratio"}
         assert row["iterations"] == 3
         assert row["cminmax_median_ns"] > 0
         assert row["harris_median_ns"] > 0
         assert row["ratio"] > 0
 
 
-def test_bench_table_format(capsys):
-    rc = main(["bench", "--sizes", "160x120", "--iterations", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "ratio" in out.splitlines()[0]
-    assert "160x120" in out
+# bench prints JSON rows only: it has no format option
+def test_bench_takes_sizes_iterations_and_seed_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--sizes", "--iterations", "--seed"}
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--iterations", "1", "--json"])
+    assert exc.value.code == 2
 
 
 # 3841x2160 is one column above the simulator's pixel budget: refused

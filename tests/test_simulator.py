@@ -21,6 +21,7 @@ from tangible_tracker.simulator import (
     depth_alignment,
     fill_convex_polygon,
     marker_plane_corners,
+    random_quadrangle_scene,
     render_scene,
     render_sequence,
     spec_from_dict,
@@ -144,17 +145,67 @@ RIG_DIGESTS = {
 }
 
 
+def rig_scene(rig):
+    """The spec and ball path of one of RIG_DIGESTS' rigs."""
+    if rig == "vga":
+        return SceneSpec(depth_frame_offset=(4, 2)), circular_trajectory(2)
+    spec = SceneSpec(width=1280, height=720, ball_hue=2, depth_frame_offset=(0, 0))
+    return spec, [*circular_trajectory(2), (1200.0, 900.0, 120.0)]
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("rig", RIG_DIGESTS)
 def test_rig_renders_keep_their_bytes(tmp_path, rig):
-    if rig == "vga":
-        spec = SceneSpec(depth_frame_offset=(4, 2))
-        trajectory = circular_trajectory(2)
-    else:
-        spec = SceneSpec(width=1280, height=720, ball_hue=2, depth_frame_offset=(0, 0))
-        trajectory = [*circular_trajectory(2), (1200.0, 900.0, 120.0)]
-    render_sequence(spec, trajectory, tmp_path)
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+    render_sequence(*rig_scene(rig), tmp_path)
+    assert {p.name: sha256_hex(p.read_bytes())
             for p in tmp_path.iterdir()} == RIG_DIGESTS[rig]
+
+
+# sha256 of what calibrate and track make of each rig above: the profile
+# file, calibrate's stdout but its last line (which names the profile's
+# path), and track's stdout. A refactor of either command keeps these bytes.
+RECORD_DIGESTS = {
+    "vga": {
+        "profile": "6d51eb76c8502403ba9577b1f31096bcb32f6139f799edf88deafdc040e67b9b",
+        "calibrate": "258c6943530365b641edee840613d9f964ca92d5d1e8b12c2b7177bedf92540d",
+        "track": "4682cb479d70766dccdedd60d21589e2471044286fbea41ba2d1767a4bb01cc0",
+    },
+    "hd-miss": {
+        "profile": "511e89ca36dff05bf442a4165f59cdc3035ad78e5b22500ffecef185c0622371",
+        "calibrate": "2e4e1ffa062d4db7a17e9bdf94dca21c8d5e609df7e3376b79dc6e872cc5e8a3",
+        "track": "31b6cfd08d7ad805e66eeb29e3595f74f6ebe235cb86cfb22aceb7cca2948a73",
+    },
+}
+
+
+def numbers_arg(values) -> str:
+    """A comma-separated option value, each number as perfbench writes it."""
+    return ",".join(repr(float(v)) for v in np.ravel(values))
+
+
+@pytest.mark.parametrize("rig", RECORD_DIGESTS)
+def test_rig_records_keep_their_bytes(tmp_path, capsys, rig):
+    spec, trajectory = rig_scene(rig)
+    frames, profile = tmp_path / "frames", tmp_path / "profile.json"
+    render_sequence(spec, trajectory, frames)
+    assert main(["calibrate", "--background", str(frames / "background.ppm"),
+                 "--with-marker", str(frames / "with_marker.ppm"),
+                 "--with-pointer", str(frames / "with_pointer.ppm"),
+                 "--depth-to-rgb", numbers_arg(depth_alignment(spec).matrix),
+                 "--camera-height", numbers_arg(spec.camera_height_mm),
+                 "--principal-point", numbers_arg(spec.principal_point),
+                 "--rho-z", numbers_arg(spec.rho_z),
+                 "--raw-to-mm", numbers_arg(spec.raw_to_mm),
+                 "--out", str(profile)]) == 0
+    calibrate_out = capsys.readouterr().out
+    assert calibrate_out.endswith(f"profile written to {profile}\n")
+    assert main(["track", "--calib", str(profile), "--frames", str(frames)]) == 0
+    assert {"profile": sha256_hex(profile.read_bytes()),
+            "calibrate": sha256_hex(calibrate_out.rpartition("profile written")[0].encode()),
+            "track": sha256_hex(capsys.readouterr().out.encode())} == RECORD_DIGESTS[rig]
 
 
 def test_sequence_empty_trajectory(tmp_path):
@@ -348,3 +399,79 @@ def test_marker_map_rules(inside, outside):
     assert np.isfinite(truth.marker_corners_px).all()
     with pytest.raises(ValueError, match="^scene field marker_to_image must "):
         SceneSpec(**outside)
+
+
+def strictly_convex(corners) -> bool:
+    """Every turn of the closed polygon is of one sign, and none is 0."""
+    u = np.roll(corners, -1, axis=0) - corners
+    w = np.roll(corners, -2, axis=0) - corners
+    turns = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+    return bool((turns > 0).all() or (turns < 0).all())
+
+
+# the w and area rules alone make the marker's image strictly convex: a
+# map of any scale, rotation, shear, reflection and perspective that the
+# spec accepts takes the marker's corners to convex position
+@settings(max_examples=300, deadline=None)
+@given(log_scale=st.floats(-2.2, 2.2), theta=st.floats(-math.pi, math.pi),
+       shear=st.floats(-3.0, 3.0), flip=st.sampled_from([1.0, -1.0]),
+       log_perspective=st.tuples(st.floats(-6.0, -1.5), st.floats(-6.0, -1.5)),
+       perspective_signs=st.tuples(st.sampled_from([1.0, -1.0]),
+                                   st.sampled_from([1.0, -1.0])))
+def test_every_accepted_marker_map_keeps_the_marker_convex(
+        log_scale, theta, shear, flip, log_perspective, perspective_signs):
+    c, s = math.cos(theta), math.sin(theta)
+    linear = 10 ** log_scale * np.array([[c, -s], [s, c]]) @ np.array([[flip, shear],
+                                                                      [0.0, 1.0]])
+    perspective = np.multiply(perspective_signs, np.power(10.0, log_perspective))
+    m = np.array([[*linear[0], 319.5], [*linear[1], 239.5], [*perspective, 1.0]])
+    try:
+        spec = SceneSpec(marker_to_image=m)
+    except ValueError:
+        return
+    assert strictly_convex(apply_projective(spec.marker_to_image, marker_plane_corners()))
+
+
+# sha256 over random_quadrangle_scene's draws on a grid of sizes and seeds,
+# five draws from one generator per seed as run_benchmark draws them: the
+# corners, the mask's packed bits or the refusal, and the generator's state
+# after the draws. 300x40 holds no usable quadrangle, so it pins refusals.
+def test_quadrangle_sampler_keeps_its_draws():
+    digest = hashlib.sha256()
+    for width, height in ((80, 80), (160, 120), (640, 480), (1280, 720), (300, 40)):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                try:
+                    mask, corners = random_quadrangle_scene(width, height, rng)
+                except ValueError as exc:
+                    digest.update(str(exc).encode())
+                else:
+                    digest.update(corners.tobytes())
+                    digest.update(np.packbits(mask.bits).tobytes())
+            digest.update(rng.bytes(8))
+    assert digest.hexdigest() == \
+        "0593750b829d96a399f07ee5fd0778aac576236c17a7dfbf18f0560ae28367aa"
+
+
+# every quadrangle the sampler returns, at any size in its range, is
+# strictly convex, keeps every angle in 35..145 degrees and every edge at
+# 40 px or more, and stays 8 px inside the frame; a size that holds none
+# is refused by name
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(16, 3840), height=st.integers(16, 2160),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_quadrangles_keep_their_shape(width, height, seed):
+    try:
+        _, corners = random_quadrangle_scene(width, height, np.random.default_rng(seed))
+    except ValueError as exc:
+        assert str(exc) == f"no usable quadrangle fits in {width}x{height}"
+        return
+    assert strictly_convex(corners)
+    prev, nxt = np.roll(corners, 1, axis=0) - corners, np.roll(corners, -1, axis=0) - corners
+    assert (np.hypot(*nxt.T) >= 40).all()
+    angles = np.degrees(np.arccos((prev * nxt).sum(axis=1)
+                                  / (np.hypot(*prev.T) * np.hypot(*nxt.T))))
+    assert ((35 <= angles) & (angles <= 145)).all()
+    assert (corners >= 8).all()
+    assert (corners <= (width - 9, height - 9)).all()
