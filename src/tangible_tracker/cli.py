@@ -163,12 +163,14 @@ def cmd_track(args: argparse.Namespace) -> int:
     kernel_seconds = 0.0
     kernel_cpu_ns = 0  # this thread's CPU time over the same calls
     kernel_frames = 0  # frames that reached track_frame
+    near = None  # the last ok fix's box, where the next frame's search starts
     wall_start = time.perf_counter()
     try:
         for seq, (idx, rgb_path, depth_path) in enumerate(frames):
+            hint, near = near, None  # only an ok record keeps a box
             try:
                 rgb = pnm.read_ppm(rgb_path)
-                frame = FramePair(rgb, pnm.read_depth(depth_path))
+                frame = FramePair(rgb, pnm.read_depth(depth_path), hint)
             except OSError as exc:
                 log.warning("frame %d unreadable: %s", idx, exc)
                 record = error_record(idx, "IOError")
@@ -184,9 +186,12 @@ def cmd_track(args: argparse.Namespace) -> int:
                     checked_principal = True
                 t0, cpu0 = time.perf_counter(), time.thread_time_ns()
                 try:
-                    record = frame_record(idx, track_frame(frame, profile))
+                    fix = track_frame(frame, profile)
                 except PipelineError as exc:
                     record = error_record(idx, exc.name)
+                else:
+                    record = frame_record(idx, fix)
+                    near = fix.box
                 kernel_cpu_ns += time.thread_time_ns() - cpu0
                 kernel_seconds += time.perf_counter() - t0
                 kernel_frames += 1

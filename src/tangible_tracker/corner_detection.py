@@ -94,7 +94,15 @@ def cminmax_corners(mask: BinaryMask, params: CMinMaxParams) -> CornerSet:
 
     dx = xf - xf.mean()
     dy = yf - yf.mean()
-    cov = np.array([[dx @ dx, dx @ dy], [dx @ dy, dy @ dy]])
+    # count**2 times the coordinates' covariance, from sums of the local
+    # coordinates: einsum sums without BLAS, whose threads spin on a busy
+    # host, and sums of integer-valued floats are exact below 2**53, which
+    # holds for masks up to 8192 pixels a side
+    count, sx, sy = xs.size, int(xf.sum()), int(yf.sum())
+    cxy = count * int(np.einsum("i,i", xf, yf)) - sx * sy
+    cov = np.array([[count * int(np.einsum("i,i", xf, xf)) - sx * sx, cxy],
+                    [cxy, count * int(np.einsum("i,i", yf, yf)) - sy * sy]],
+                   dtype=np.float64)
     _, evecs = np.linalg.eigh(cov)
     if np.abs(dx * evecs[0, 0] + dy * evecs[1, 0]).max() < 1.0:
         raise DegenerateMaskError("set pixels are collinear within 1 px")

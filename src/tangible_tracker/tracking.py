@@ -5,8 +5,10 @@ filtered depth from the depth pixels that the profile's alignment maps
 into the blob's bounding box (a slice of the depth frame when the
 alignment is an integer translation, the identity included), shifts the
 observed pixel to its marker-plane footprint to undo parallax, and maps
-the result into virtual coordinates. Frames are independent: the function
-is pure with respect to an immutable calibration profile.
+the result into virtual coordinates. Frames are independent: the result
+is a pure function of the frame, its search hint (``FramePair.near``, the
+box where the caller last saw the ball) and an immutable calibration
+profile.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ _IDENTITY_LINEAR = [[1.0, 0.0], [0.0, 1.0]]
 
 @dataclass(frozen=True)
 class PointerFix:
-    """One frame's result: observed pixel, depth, corrected real and
-    virtual coordinates."""
+    """One frame's result: observed pixel, the blob's bounding box (the
+    next frame's search hint), depth, corrected real and virtual
+    coordinates."""
 
     pixel: Point2
+    box: BBox
     depth_mm: float
     real: Point3
     virtual: Point3
@@ -54,37 +58,81 @@ class FramePair:
 
     Both frames must have the same size, so every box found in ``rgb`` lies
     within ``depth``; ``track_frame`` maps the box's pixels to depth pixels
-    through the inverse of the profile's ``depth_to_rgb``.
+    through the inverse of the profile's ``depth_to_rgb``. ``near``, a box
+    in RGB pixels such as the last fix's ``PointerFix.box``, is where the
+    search for the pointer starts (see ``detect_pointer_2d``).
     """
 
     rgb: RgbImage
     depth: DepthImage
+    near: BBox | None = None
 
     def __post_init__(self):
         if (self.rgb.height, self.rgb.width) != (self.depth.height, self.depth.width):
             raise ValueError("rgb and depth dimensions must match")
 
 
-def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds) -> tuple[Point2, BBox]:
-    """Locate the pointer as the largest in-bounds color blob.
-
-    Returns the blob's center and its bounding rectangle. Raises
-    NoPointerError when nothing passes the color key or the largest blob
-    is below MIN_POINTER_PIXELS.
-    """
+def _largest_blob(rgb: RgbImage, bounds: HueBounds) -> tuple[BBox | None, int]:
+    """The bounding box and area of the largest in-bounds color blob, or
+    ``(None, 0)`` when no pixel passes the color key."""
     keyed = _keyed_indices(rgb, bounds)
     if keyed.size == 0:
-        raise NoPointerError("no pixels inside the color bounds")
+        return None, 0
     row, c0, c1, area = _largest_run_component(keyed, rgb.width)
-    if area < MIN_POINTER_PIXELS:
-        raise NoPointerError(
-            f"largest in-bounds blob is {area} px, need >= {MIN_POINTER_PIXELS}"
-        )
     x0, y0 = int(c0.min()), int(row[0])  # the runs are in row-major order
-    w = int(c1.max()) - x0 + 1
-    h = int(row[-1]) - y0 + 1
+    return (x0, y0, int(c1.max()) - x0 + 1, int(row[-1]) - y0 + 1), area
+
+
+def _window_blob(rgb: RgbImage, bounds: HueBounds, near: BBox) -> BBox | None:
+    """The largest blob of the search window around ``near``, in frame
+    coordinates, if it stands for the frame's; else None.
+
+    The window is ``near`` grown by its own width and height on each side
+    and clipped to the frame. Its largest blob stands if it reaches
+    MIN_POINTER_PIXELS and its box touches no window edge that is not also
+    a frame edge: a blob cut by an inner edge may go on outside the window.
+    So a frame holding one blob gets the whole frame's answer.
+    """
+    x, y, w, h = near
+    x0, y0 = max(x - w, 0), max(y - h, 0)
+    x1, y1 = min(x + 2 * w, rgb.width), min(y + 2 * h, rgb.height)
+    if x0 >= x1 or y0 >= y1:
+        return None  # the window misses the frame, or near is degenerate
+    box, area = _largest_blob(RgbImage(rgb.pixels[y0:y1, x0:x1]), bounds)
+    if area < MIN_POINTER_PIXELS:
+        return None
+    bx, by, bw, bh = box
+    if (bx == 0 < x0 or by == 0 < y0 or x0 + bx + bw == x1 < rgb.width
+            or y0 + by + bh == y1 < rgb.height):
+        return None
+    return (x0 + bx, y0 + by, bw, bh)
+
+
+def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds,
+                      near: BBox | None = None) -> tuple[Point2, BBox]:
+    """Locate the pointer as the largest in-bounds color blob.
+
+    Returns the blob's center and its bounding rectangle, in frame
+    coordinates. With ``near`` (the last fix's box), the frame is keyed
+    first inside a search window around it (see ``_window_blob``), and
+    whole only when the window's answer does not stand. So a frame with
+    one blob gets the same answer with any ``near``; where a larger blob of
+    the same hue lies outside the window, the window's own blob wins.
+    Raises NoPointerError when nothing passes the color key or the largest
+    blob is below MIN_POINTER_PIXELS.
+    """
+    box = None if near is None else _window_blob(rgb, bounds, near)
+    if box is None:
+        box, area = _largest_blob(rgb, bounds)
+        if box is None:
+            raise NoPointerError("no pixels inside the color bounds")
+        if area < MIN_POINTER_PIXELS:
+            raise NoPointerError(
+                f"largest in-bounds blob is {area} px, need >= {MIN_POINTER_PIXELS}"
+            )
+    x0, y0, w, h = box
     center = (x0 + (w - 1) / 2.0, y0 + (h - 1) / 2.0)
-    return center, (x0, y0, w, h)
+    return center, box
 
 
 def _filtered_depth_mm(samples: np.ndarray, raw_to_mm: float) -> float:
@@ -178,9 +226,10 @@ def correct_parallax(b: Point2, o: Point2, h: float, camera_height_mm: float) ->
 
 
 def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
-    """Detect, depth-filter the box's aligned samples at the profile's
-    ``raw_to_mm``, parallax-correct, and map one frame."""
-    center, bbox = detect_pointer_2d(frame.rgb, cal.hue_bounds)
+    """Detect (starting at ``frame.near``), depth-filter the box's aligned
+    samples at the profile's ``raw_to_mm``, parallax-correct, and map one
+    frame."""
+    center, bbox = detect_pointer_2d(frame.rgb, cal.hue_bounds, frame.near)
     samples = _box_depth_samples(frame.depth, cal.depth_to_rgb, bbox)
     depth_mm = _filtered_depth_mm(samples, cal.raw_to_mm)
 
@@ -206,6 +255,7 @@ def track_frame(frame: FramePair, cal: CalibrationProfile) -> PointerFix:
         raise NonFiniteError(f"non-finite fix: real {real}, virtual {virtual}")
     return PointerFix(
         pixel=center,
+        box=bbox,
         depth_mm=depth_mm,
         real=real,
         virtual=virtual,

@@ -32,6 +32,7 @@ from tangible_tracker.registration import apply_homography, load_profile, save_p
 from tangible_tracker.simulator import (
     SceneSpec,
     circular_trajectory,
+    depth_alignment,
     fill_convex_polygon,
     render_sequence,
 )
@@ -45,6 +46,7 @@ from tangible_tracker.tracking import (
 from tests.conftest import calibrate_spec
 from tests.test_imaging import full_warp_oracle
 from tests.test_pnm import open_fd_count
+from tests.test_simulator import numbers_arg
 
 
 def run_cli(*args, env=None):
@@ -643,6 +645,170 @@ def test_track_aligns_only_the_pointer_box(
     for box, sampled in calls:
         assert sampled == (box[2] * box[3] if aligns else 0)
     assert lines == full_warp_records(frames, profile)
+
+
+# ----------------------------------------------------------- the search window
+
+def stateless_lines(frames, profile):
+    """``track``'s stdout lines as each frame alone gives them: every frame
+    keyed whole, with no search hint from the frame before."""
+    lines = []
+    for seq, (idx, rgb_path, depth_path) in enumerate(cli._scan_frames(str(frames))):
+        try:
+            frame = FramePair(pnm.read_ppm(rgb_path), pnm.read_depth(depth_path))
+        except OSError:
+            record = error_record(idx, "IOError")
+        except ValueError:
+            record = error_record(idx, "BadFrame")
+        else:
+            try:
+                record = frame_record(idx, track_frame(frame, profile))
+            except PipelineError as exc:
+                record = error_record(idx, exc.name)
+        lines.append(json.dumps({"seq": seq, **record}, allow_nan=False))
+    return lines
+
+
+def copy_frame(sequence_dir, frames, src, dst):
+    for kind in ("rgb_%04d.ppm", "depth_%04d.pgm"):
+        (frames / (kind % dst)).write_bytes((sequence_dir / (kind % src)).read_bytes())
+
+
+def hinted_track_frame(monkeypatch):
+    """The search hint (``FramePair.near``) of every frame that ``track``
+    passes to ``track_frame``, in order."""
+    hints = []
+    real = cli.track_frame
+
+    def spy(frame, profile):
+        hints.append(frame.near)
+        return real(frame, profile)
+
+    monkeypatch.setattr(cli, "track_frame", spy)
+    return hints
+
+
+def test_track_keeps_only_an_ok_box_and_reacquires_a_lost_ball(
+        sequence_dir, sequence_profile_path, tmp_path, capsys, monkeypatch):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    # the sequence's ball circles its frames: frame 50 is across the
+    # circle from frame 0, outside the window around it and back
+    for dst, src in enumerate([0, 1, 2, 3, 50, 0, 6, 7, 8, 9]):
+        copy_frame(sequence_dir, frames, src, dst)
+    (frames / "rgb_0001.ppm").write_bytes(b"P6\n9 9\n255\n")  # BadFrame
+    (frames / "rgb_0003.ppm").write_bytes((sequence_dir / "background.ppm").read_bytes())
+    (frames / "depth_0006.pgm").unlink()  # IOError
+    pnm.write_depth(frames / "depth_0008.pgm",  # all IR shadow: NoDepth
+                    imaging.DepthImage(np.zeros((480, 640), dtype=np.uint16)))
+    profile = load_profile(sequence_profile_path)
+    hints = hinted_track_frame(monkeypatch)
+    rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [json.loads(line)["status"] for line in lines] == [
+        "ok", "BadFrame", "ok", "NoPointer", "ok", "ok", "IOError", "ok", "NoDepth", "ok"]
+    box = {i: detect_pointer_2d(pnm.read_ppm(frames / f"rgb_{i:04d}.ppm"),
+                                profile.hue_bounds)[1] for i in (2, 4, 7)}
+    # frames 0, 2, 3, 4, 5, 7, 8 and 9 reach track_frame; a frame after any
+    # record but ok starts from the whole frame, as frame 4 reacquires the
+    # ball the miss lost, and frame 5 finds it outside frame 4's window
+    assert hints == [None, None, box[2], None, box[4], None, box[7], None]
+    assert lines == stateless_lines(frames, profile)
+
+
+def test_track_window_keeps_the_ball_over_a_larger_distractor(
+        sequence_dir, sequence_profile_path, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    copy_frame(sequence_dir, frames, 0, 0)
+    copy_frame(sequence_dir, frames, 1, 1)
+    spec = SceneSpec()
+    rgb = pnm.read_ppm(frames / "rgb_0001.ppm").pixels.copy()
+    # a 120x120 square of the ball's hue, far from the ball's window
+    rgb[340:460, 20:140] = simulator.hsv_to_rgb_bins(
+        spec.ball_hue, spec.ball_saturation, spec.ball_value)
+    pnm.write_ppm(frames / "rgb_0001.ppm", imaging.RgbImage(rgb))
+    profile = load_profile(sequence_profile_path)
+    rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    stateless = [json.loads(line) for line in stateless_lines(frames, profile)]
+    assert records[0] == stateless[0]
+    # a frame keyed whole takes the larger region, as before the window
+    assert stateless[1]["px"] == [79.5, 399.5]
+    # tracked from frame 0, the ball stays the pointer
+    assert records[1]["status"] == "ok"
+    assert math.dist(records[1]["px"], records[0]["px"]) < 20
+
+
+def test_track_a_smaller_frame_after_a_hit_is_keyed_whole(
+        sequence_profile_path, tmp_path, capsys, monkeypatch):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    rig = SceneSpec(hue_jitter=3, depth_jitter=3, seed=11)  # the sequence's
+    # frame 0: a 640x480 hit at the lower right; frame 1: the top left
+    # 320x240 of a frame whose ball lies inside that corner
+    for idx, plane, crop in [(0, (90.0, 70.0), None), (1, (-80.0, -50.0), (240, 320))]:
+        rgb, depth, _ = simulator.render_scene(dataclasses.replace(rig, ball_plane_mm=plane))
+        if crop:
+            rgb = imaging.RgbImage(rgb.pixels[:crop[0], :crop[1]])
+            depth = imaging.DepthImage(depth.pixels[:crop[0], :crop[1]])
+        pnm.write_ppm(frames / f"rgb_{idx:04d}.ppm", rgb)
+        pnm.write_depth(frames / f"depth_{idx:04d}.pgm", depth)
+    profile = load_profile(sequence_profile_path)
+    hints = hinted_track_frame(monkeypatch)
+    rc = main(["track", "--calib", str(sequence_profile_path), "--frames", str(frames)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    x, y, w, h = hints[1]
+    assert x - w >= 320 and y - h >= 240  # frame 1's window would be empty
+    assert [json.loads(line)["status"] for line in lines] == ["ok", "ok"]
+    assert lines == stateless_lines(frames, profile)
+
+
+# The two rigs of perfbench's workloads (``perfbench/scenes.py``), restated:
+# a 32-frame VGA loop with its depth offset by (4, 2), and a 28-frame HD
+# loop of a red ball whose every fourth frame is out of view.
+def workload_rig(workload, seed):
+    frames = {"track-vga": 32, "track-hd-miss": 28}[workload]
+    start = int(np.random.default_rng(seed).integers(frames))
+    path = circular_trajectory(frames, radius_mm=60.0, height_mm=120.0,
+                               height_amp_mm=40.0)
+    path = path[start:] + path[:start]
+    if workload == "track-vga":
+        return SceneSpec(hue_jitter=3, depth_jitter=3, depth_frame_offset=(4, 2),
+                         seed=seed), path
+    return (SceneSpec(width=1280, height=720, ball_hue=2, hue_jitter=3, depth_jitter=3,
+                      depth_frame_offset=(0, 0), seed=seed),
+            [(1200.0, 900.0, h) if i % 4 == 3 else (x, y, h)
+             for i, (x, y, h) in enumerate(path)])
+
+
+@pytest.mark.parametrize("seed", [101, 505, 4242])
+@pytest.mark.parametrize("workload", ["track-vga", "track-hd-miss"])
+def test_workload_records_equal_the_stateless_tracker(tmp_path, capsys, monkeypatch,
+                                                      workload, seed):
+    spec, path = workload_rig(workload, seed)
+    frames, profile_path = tmp_path / "frames", tmp_path / "profile.json"
+    render_sequence(spec, path, frames)
+    assert main(["calibrate", "--background", str(frames / "background.ppm"),
+                 "--with-marker", str(frames / "with_marker.ppm"),
+                 "--with-pointer", str(frames / "with_pointer.ppm"),
+                 "--depth-to-rgb", numbers_arg(depth_alignment(spec).matrix),
+                 "--camera-height", numbers_arg(spec.camera_height_mm),
+                 "--principal-point", numbers_arg(spec.principal_point),
+                 "--rho-z", numbers_arg(spec.rho_z),
+                 "--raw-to-mm", numbers_arg(spec.raw_to_mm),
+                 "--out", str(profile_path)]) == 0
+    capsys.readouterr()
+    hints = hinted_track_frame(monkeypatch)
+    assert main(["track", "--calib", str(profile_path), "--frames", str(frames)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == stateless_lines(frames, load_profile(profile_path))
+    # every frame after a hit started from a window
+    ok = [json.loads(line)["status"] == "ok" for line in lines]
+    assert [near is not None for near in hints] == [False] + ok[:-1]
 
 
 @pytest.mark.parametrize("principal_point", [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from tangible_tracker import tracking
 from tangible_tracker.errors import (
     DegenerateError,
     InvalidHeightError,
@@ -175,6 +176,114 @@ def test_detect_matches_full_frame_oracle(frame, bounds):
             detect_pointer_2d(rgb, bounds)
     else:
         assert detect_pointer_2d(rgb, bounds) == expected
+
+
+@st.composite
+def one_blob_frames(draw):
+    """A frame whose keyed pixels are one 8-connected blob over unkeyed
+    clutter: a chain of keyed rectangles, each covering an in-frame pixel
+    of the last, so the blob can be any union of up to four rectangles
+    (an L or a U among them) and may cross the frame's borders."""
+    height = draw(st.integers(3, 40))
+    width = draw(st.integers(3, 40))
+    rects = [(draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1)),
+              draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+              draw(st.sampled_from(UNKEYED)))
+             for _ in range(draw(st.integers(0, 3)))]
+    color = draw(st.sampled_from(KEYED[:2]))  # keyed by every DETECT_BOUNDS
+    y, x = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+    for _ in range(draw(st.integers(1, 4))):
+        h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+        top, left = y - draw(st.integers(0, h - 1)), x - draw(st.integers(0, w - 1))
+        rects.append((top, left, h, w, color))
+        y = draw(st.integers(max(top, 0), min(top + h, height) - 1))
+        x = draw(st.integers(max(left, 0), min(left + w, width) - 1))
+    return height, width, draw(st.sampled_from(UNKEYED)), rects
+
+
+ONE_BLOB = (30, 40, UNKEYED[0], [(3, 5, 6, 7, KEY)])
+
+
+# ``near`` is either any box, in or out of the frame, empty or negative, or
+# the blob's own box moved by the drawn offsets, as a tracked ball moves
+@settings(max_examples=400, deadline=None)
+@given(frame=one_blob_frames(), bounds=st.sampled_from(DETECT_BOUNDS),
+       near=st.tuples(st.integers(-60, 100), st.integers(-60, 100),
+                      st.integers(-4, 60), st.integers(-4, 60)),
+       around_the_blob=st.booleans())
+@example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(1000, 600, 50, 50),
+         around_the_blob=False)  # the window misses the frame
+@example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(-200, 4, 50, 50),
+         around_the_blob=False)  # wholly left of the frame
+@example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(4, 4, 0, 9),
+         around_the_blob=False)  # an empty box
+@example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(4, 4, -3, 9),
+         around_the_blob=False)  # a negative width
+@example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(0, 0, 0, 0),
+         around_the_blob=True)  # the blob's own box: the window holds it
+@example(frame=(30, 40, UNKEYED[0], [(10, 2, 4, 36, KEY)]), bounds=DETECT_BOUNDS[1],
+         near=(14, 10, 4, 4), around_the_blob=False)  # a bar crossing the window
+@example(frame=(30, 40, UNKEYED[0], [(2, 2, 20, 4, KEY), (18, 2, 4, 30, KEY),
+                                     (2, 28, 20, 4, KEY)]),
+         bounds=DETECT_BOUNDS[0], near=(2, 12, 4, 4),
+         around_the_blob=False)  # a U whose one arm the window holds
+def test_detect_near_any_box_matches_the_whole_frame_on_one_blob(
+        frame, bounds, near, around_the_blob):
+    rgb = paint_rects(*frame)
+    try:
+        expected = detect_pointer_2d(rgb, bounds)
+    except NoPointerError:
+        with pytest.raises(NoPointerError):
+            detect_pointer_2d(rgb, bounds, near)
+        return
+    if around_the_blob:
+        x, y, w, h = expected[1]
+        near = (x + near[0] // 8, y + near[1] // 8, w, h)
+    assert detect_pointer_2d(rgb, bounds, near) == expected
+
+
+def keyed_areas(monkeypatch):
+    """The (height, width) of every image the key reads, in order."""
+    areas = []
+    real = tracking._keyed_indices
+
+    def spy(rgb, bounds):
+        areas.append((rgb.height, rgb.width))
+        return real(rgb, bounds)
+
+    monkeypatch.setattr(tracking, "_keyed_indices", spy)
+    return areas
+
+
+# an 8x8 ball, whole or cut by the frame's edges, and, away from it, a
+# larger 10x10 blob of the same hue
+@pytest.mark.parametrize("top, left", [(0, 0), (-2, -3), (52, 0), (0, 72), (55, 75)],
+                         ids=["top-left", "cut-top-left", "bottom-left", "top-right",
+                              "cut-bottom-right"])
+def test_window_at_a_frame_edge_is_accepted(monkeypatch, top, left):
+    rgb = paint_rects(60, 80, UNKEYED[0], [(top, left, 8, 8, KEY), (25, 35, 10, 10, KEY)])
+    assert detect_pointer_2d(rgb, BOUNDS)[1] == (35, 25, 10, 10)
+    x, y = max(left, 0), max(top, 0)
+    ball = (x, y, min(left + 8, 80) - x, min(top + 8, 60) - y)
+    areas = keyed_areas(monkeypatch)
+    # the window is clipped at the frame edges the ball's box touches, and
+    # its blob, touching them too, stands: the frame is not keyed whole
+    assert detect_pointer_2d(rgb, BOUNDS, ball)[1] == ball
+    assert len(areas) == 1 and areas[0] != (60, 80)
+
+
+# near = (10, 10, 6, 6) makes the window x, y in 4..21
+@pytest.mark.parametrize("rects, whole", [
+    ([(10, 10, 6, 60, KEY)], (10, 10, 60, 6)),  # a bar leaving the window
+    ([(12, 12, 3, 3, KEY), (30, 60, 6, 6, KEY)], (60, 30, 6, 6)),  # a 9 px speck
+], ids=["cut-by-an-inner-edge", "below-the-pixel-floor"])
+def test_window_blob_that_cannot_stand_falls_back_to_the_whole_frame(
+        monkeypatch, rects, whole):
+    rgb = paint_rects(40, 100, UNKEYED[0], rects)
+    areas = keyed_areas(monkeypatch)
+    assert detect_pointer_2d(rgb, BOUNDS, (10, 10, 6, 6)) == detect_pointer_2d(rgb, BOUNDS)
+    assert detect_pointer_2d(rgb, BOUNDS)[1] == whole
+    assert areas[:2] == [(18, 18), (40, 100)]  # the window, then the whole frame
 
 
 # -------------------------------------------------------- estimate_pointer_depth
