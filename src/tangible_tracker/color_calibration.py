@@ -134,8 +134,10 @@ def _window_starts(size: int) -> np.ndarray:
 
     ANDed with a band's window chroma, it keeps the window at byte ``3k``,
     which is pixel k's own, and zeroes the two windows after it, which
-    straddle two pixels. A prefix of it is the mask of any shorter band.
-    Shared between callers and marked read-only.
+    straddle two pixels. A prefix of it is the mask of any shorter band,
+    so ``_keyed_indices`` asks for at least ``_BAND_BYTES``: every frame up
+    to 43,690 pixels wide, window or whole, reads a prefix of one cached
+    mask. Shared between callers and marked read-only.
     """
     mask = np.zeros(size, dtype=np.uint8)
     mask[::3] = 0xFF
@@ -235,8 +237,11 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     ``key_tables``, without converting any pixel to HSV.
 
     Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
-    run ``b``, and read at byte ``3k`` it holds pixel k's channels at
-    ``b[3k]``, ``b[3k + 1]`` and ``b[3k + 2]``. The band's pass takes, at
+    run ``b``: a view of a C-contiguous frame, as every region that
+    ``tracking._region_blob`` keys is, and a copy of each band of a strided
+    frame, which the gather below then copies whole once more. Read at
+    byte ``3k``, ``b`` holds pixel k's channels at ``b[3k]``, ``b[3k + 1]``
+    and ``b[3k + 2]``. The band's pass takes, at
     every byte i, ``A``, the max of ``b[i + c]`` over the channels c of the
     interval's ``peaks``, and ``B``, the min over its ``bottoms`` (see
     ``_channel_sets``), and reads ``A - B``. At byte ``3k`` that is, for
@@ -285,7 +290,7 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     hi_buf = np.empty(band_rows * width * 3 - 2, dtype=np.uint8)
     lo_buf = np.empty_like(hi_buf)
     delta_buf = np.empty(band_rows * width, dtype=np.uint8)
-    starts = _window_starts(hi_buf.size)
+    starts = _window_starts(max(hi_buf.size, _BAND_BYTES))
     parts = []
     for row in range(0, height, band_rows):
         b = pixels[row:row + band_rows].reshape(-1)  # a copy only if strided

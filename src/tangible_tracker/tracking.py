@@ -72,40 +72,28 @@ class FramePair:
             raise ValueError("rgb and depth dimensions must match")
 
 
-def _largest_blob(rgb: RgbImage, bounds: HueBounds) -> tuple[BBox | None, int]:
-    """The bounding box and area of the largest in-bounds color blob, or
-    ``(None, 0)`` when no pixel passes the color key."""
-    keyed = _keyed_indices(rgb, bounds)
+def _region_blob(rgb: RgbImage, bounds: HueBounds,
+                 x0: int, y0: int, x1: int, y1: int) -> tuple[BBox | None, int]:
+    """The largest in-bounds color blob of the frame's region ``[x0, x1) x
+    [y0, y1)``: its bounding box, in frame coordinates, and its area.
+
+    The region is keyed from one C-contiguous copy of its pixels (none
+    when it is the whole of a contiguous frame). The box is None when
+    nothing passes the color key (area 0), and when it touches a region
+    edge that is not also a frame edge: a blob cut there may go on outside
+    the region, so the whole frame never trips that rule.
+    """
+    region = np.ascontiguousarray(rgb.pixels[y0:y1, x0:x1])
+    keyed = _keyed_indices(RgbImage(region), bounds)
     if keyed.size == 0:
         return None, 0
-    row, c0, c1, area = _largest_run_component(keyed, rgb.width)
-    x0, y0 = int(c0.min()), int(row[0])  # the runs are in row-major order
-    return (x0, y0, int(c1.max()) - x0 + 1, int(row[-1]) - y0 + 1), area
-
-
-def _window_blob(rgb: RgbImage, bounds: HueBounds, near: BBox) -> BBox | None:
-    """The largest blob of the search window around ``near``, in frame
-    coordinates, if it stands for the frame's; else None.
-
-    The window is ``near`` grown by its own width and height on each side
-    and clipped to the frame. Its largest blob stands if it reaches
-    MIN_POINTER_PIXELS and its box touches no window edge that is not also
-    a frame edge: a blob cut by an inner edge may go on outside the window.
-    So a frame holding one blob gets the whole frame's answer.
-    """
-    x, y, w, h = near
-    x0, y0 = max(x - w, 0), max(y - h, 0)
-    x1, y1 = min(x + 2 * w, rgb.width), min(y + 2 * h, rgb.height)
-    if x0 >= x1 or y0 >= y1:
-        return None  # the window misses the frame, or near is degenerate
-    box, area = _largest_blob(RgbImage(rgb.pixels[y0:y1, x0:x1]), bounds)
-    if area < MIN_POINTER_PIXELS:
-        return None
-    bx, by, bw, bh = box
-    if (bx == 0 < x0 or by == 0 < y0 or x0 + bx + bw == x1 < rgb.width
-            or y0 + by + bh == y1 < rgb.height):
-        return None
-    return (x0 + bx, y0 + by, bw, bh)
+    row, c0, c1, area = _largest_run_component(keyed, x1 - x0)
+    # the runs are in row-major order
+    bx0, by0 = x0 + int(c0.min()), y0 + int(row[0])
+    bx1, by1 = x0 + int(c1.max()) + 1, y0 + int(row[-1]) + 1
+    if bx0 == x0 > 0 or by0 == y0 > 0 or bx1 == x1 < rgb.width or by1 == y1 < rgb.height:
+        return None, area
+    return (bx0, by0, bx1 - bx0, by1 - by0), area
 
 
 def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds,
@@ -114,18 +102,24 @@ def detect_pointer_2d(rgb: RgbImage, bounds: HueBounds,
 
     Returns the blob's center and its bounding rectangle, in frame
     coordinates. With ``near`` (the last fix's box), the frame is keyed
-    first inside a search window around it (see ``_window_blob``), and
-    whole only when the window's answer does not stand. So a frame with
-    one blob gets the same answer with any ``near``; where a larger blob of
-    the same hue lies outside the window, the window's own blob wins.
-    Raises NoPointerError when nothing passes the color key or the largest
-    blob is below MIN_POINTER_PIXELS.
+    first inside a search window: ``near`` grown by its own width and
+    height on each side and clipped to the frame. The window's blob stands
+    if ``_region_blob`` gives it a box and it reaches MIN_POINTER_PIXELS;
+    otherwise, and when the window is empty, the whole frame is keyed. So
+    a frame with one blob gets the same answer with any ``near``; where a
+    larger blob of the same hue lies outside the window, the window's own
+    blob wins. Raises NoPointerError when the whole frame's largest blob
+    is below MIN_POINTER_PIXELS, none included.
     """
-    box = None if near is None else _window_blob(rgb, bounds, near)
-    if box is None:
-        box, area = _largest_blob(rgb, bounds)
-        if box is None:
-            raise NoPointerError("no pixels inside the color bounds")
+    box, area = None, 0
+    if near is not None:
+        x, y, w, h = near
+        x0, y0 = max(x - w, 0), max(y - h, 0)
+        x1, y1 = min(x + 2 * w, rgb.width), min(y + 2 * h, rgb.height)
+        if x0 < x1 and y0 < y1:  # else the window misses the frame, or near is degenerate
+            box, area = _region_blob(rgb, bounds, x0, y0, x1, y1)
+    if box is None or area < MIN_POINTER_PIXELS:
+        box, area = _region_blob(rgb, bounds, 0, 0, rgb.width, rgb.height)
         if area < MIN_POINTER_PIXELS:
             raise NoPointerError(
                 f"largest in-bounds blob is {area} px, need >= {MIN_POINTER_PIXELS}"

@@ -16,8 +16,9 @@ from tangible_tracker.errors import (
     NoDepthError,
     NonFiniteError,
     NoPointerError,
+    PipelineError,
 )
-from tangible_tracker.color_calibration import HueBounds, hue_bounds_mask
+from tangible_tracker.color_calibration import HueBounds, _window_starts, hue_bounds_mask
 from tangible_tracker.imaging import (
     DEPTH_SAMPLE,
     EIGHT_CONNECTED,
@@ -45,6 +46,7 @@ from tangible_tracker.tracking import (
     track_frame,
 )
 from tests.conftest import calibrate_spec
+from tests.test_cli import workload_rig
 from tests.test_imaging import disc_bits, largest_label_oracle, solid_rgb, warp_cases
 
 BOUNDS = HueBounds(5, 35)
@@ -204,42 +206,66 @@ def one_blob_frames(draw):
 ONE_BLOB = (30, 40, UNKEYED[0], [(3, 5, 6, 7, KEY)])
 
 
+def lay_out(rgb: RgbImage, layout: str) -> RgbImage:
+    """The same frame in another memory layout: C order, Fortran order, or
+    a crop or a stepped slice of a larger array."""
+    if layout == "C":
+        return rgb
+    if layout == "F":
+        return RgbImage(np.asfortranarray(rgb.pixels))
+    height, width, _ = rgb.pixels.shape
+    step = 1 if layout == "crop" else 2
+    larger = np.zeros((step * height + 3, step * width + 5, 3), dtype=np.uint8)
+    view = larger[1:1 + step * height:step, 2:2 + step * width:step]
+    view[:] = rgb.pixels
+    return RgbImage(view)
+
+
 # ``near`` is either any box, in or out of the frame, empty or negative, or
-# the blob's own box moved by the drawn offsets, as a tracked ball moves
+# the blob's own box moved by the drawn offsets, as a tracked ball moves;
+# the frame is searched in any memory layout
 @settings(max_examples=400, deadline=None)
 @given(frame=one_blob_frames(), bounds=st.sampled_from(DETECT_BOUNDS),
        near=st.tuples(st.integers(-60, 100), st.integers(-60, 100),
                       st.integers(-4, 60), st.integers(-4, 60)),
-       around_the_blob=st.booleans())
+       around_the_blob=st.booleans(), layout=st.sampled_from(["C", "F", "crop", "stepped"]))
 @example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(1000, 600, 50, 50),
-         around_the_blob=False)  # the window misses the frame
+         around_the_blob=False, layout="C")  # the window misses the frame
 @example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(-200, 4, 50, 50),
-         around_the_blob=False)  # wholly left of the frame
+         around_the_blob=False, layout="C")  # wholly left of the frame
 @example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(4, 4, 0, 9),
-         around_the_blob=False)  # an empty box
+         around_the_blob=False, layout="C")  # an empty box
 @example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(4, 4, -3, 9),
-         around_the_blob=False)  # a negative width
+         around_the_blob=False, layout="C")  # a negative width
 @example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(0, 0, 0, 0),
-         around_the_blob=True)  # the blob's own box: the window holds it
+         around_the_blob=True, layout="C")  # the blob's own box: the window holds it
+@example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(0, 0, 0, 0),
+         around_the_blob=True, layout="F")  # the window of a Fortran-ordered frame
+@example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(0, 0, 0, 0),
+         around_the_blob=True, layout="crop")  # the window of a crop of a larger array
+@example(frame=ONE_BLOB, bounds=DETECT_BOUNDS[0], near=(0, 0, 0, 0),
+         around_the_blob=True, layout="stepped")  # the window of a stepped slice
 @example(frame=(30, 40, UNKEYED[0], [(10, 2, 4, 36, KEY)]), bounds=DETECT_BOUNDS[1],
-         near=(14, 10, 4, 4), around_the_blob=False)  # a bar crossing the window
+         near=(14, 10, 4, 4), around_the_blob=False, layout="C")  # a bar crossing the window
 @example(frame=(30, 40, UNKEYED[0], [(2, 2, 20, 4, KEY), (18, 2, 4, 30, KEY),
                                      (2, 28, 20, 4, KEY)]),
-         bounds=DETECT_BOUNDS[0], near=(2, 12, 4, 4),
-         around_the_blob=False)  # a U whose one arm the window holds
+         bounds=DETECT_BOUNDS[0], near=(2, 12, 4, 4), around_the_blob=False,
+         layout="C")  # a U whose one arm the window holds
 def test_detect_near_any_box_matches_the_whole_frame_on_one_blob(
-        frame, bounds, near, around_the_blob):
+        frame, bounds, near, around_the_blob, layout):
     rgb = paint_rects(*frame)
+    laid_out = lay_out(rgb, layout)
     try:
         expected = detect_pointer_2d(rgb, bounds)
     except NoPointerError:
         with pytest.raises(NoPointerError):
-            detect_pointer_2d(rgb, bounds, near)
+            detect_pointer_2d(laid_out, bounds, near)
         return
     if around_the_blob:
         x, y, w, h = expected[1]
         near = (x + near[0] // 8, y + near[1] // 8, w, h)
-    assert detect_pointer_2d(rgb, bounds, near) == expected
+    assert detect_pointer_2d(laid_out, bounds) == expected
+    assert detect_pointer_2d(laid_out, bounds, near) == expected
 
 
 def keyed_areas(monkeypatch):
@@ -661,6 +687,38 @@ def test_scene_translation_leaves_virtual_unchanged(default_spec, profile):
     moved_fix = track_frame(scene_frame(moved_spec)[0], moved_profile)
     assert np.abs(np.array(moved_fix.virtual) - np.array(base_fix.virtual)).max() \
         < 0.02
+
+
+def test_tracking_keys_a_contiguous_window_after_every_hit(monkeypatch):
+    # both workload rigs tracked frame by frame as ``track`` tracks them:
+    # each ok fix's box is the next frame's search hint
+    keys = []  # the pixel count and C-contiguity of every keyed region
+    real = tracking._keyed_indices
+
+    def spy(rgb, bounds):
+        keys.append((rgb.height * rgb.width, rgb.pixels.flags.c_contiguous))
+        return real(rgb, bounds)
+
+    monkeypatch.setattr(tracking, "_keyed_indices", spy)
+    _window_starts.cache_clear()
+    for workload in ("track-vga", "track-hd-miss"):
+        spec, path = workload_rig(workload, 505)
+        profile = calibrate_spec(spec).profile
+        near = None
+        for idx, (x, y, h) in enumerate(path):  # as render_sequence renders it
+            rgb, depth, _ = render_scene(dataclasses.replace(
+                spec, ball_plane_mm=(x, y), ball_height_mm=h, seed=spec.seed + idx))
+            first = len(keys)
+            try:
+                box = track_frame(FramePair(rgb, depth, near), profile).box
+            except PipelineError:
+                box = None
+            if near is not None:  # the first key after a hit reads a window
+                assert keys[first][0] < rgb.height * rgb.width, (workload, idx)
+            near = box
+    assert all(contiguous for _, contiguous in keys)
+    # every band of both rigs' frames, window or whole, reads one mask
+    assert _window_starts.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------- JSONL records
