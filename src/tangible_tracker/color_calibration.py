@@ -31,9 +31,18 @@ PEAK_MARGIN = 15  # hue bins kept on each side of the histogram peak
 MIN_SATURATION = 60
 MIN_VALUE = 40
 
-# Bytes of the frame ``_keyed_indices`` keys per band: a band and its
-# temporaries stay in cache, where frame-sized ones cost page faults.
+# Bytes of the frame ``_keyed_indices`` keys per band, rounded down to
+# whole pixels: a band and its temporaries stay in cache, where
+# frame-sized ones cost page faults.
 _BAND_BYTES = 128 * 1024
+
+# 0xFF at every byte 3k of a band, 0 at the others: ANDed with a band's
+# window chroma, it keeps the window at byte 3k, which is pixel k's own,
+# and zeroes the two after it, which straddle two pixels. Every band reads
+# a prefix of it.
+_WINDOW_STARTS = np.zeros(_BAND_BYTES, dtype=np.uint8)
+_WINDOW_STARTS[::3] = 0xFF
+_WINDOW_STARTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -128,23 +137,6 @@ def _hue_key(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (r - g + 255) * 511 + (g - b + 255)
 
 
-@functools.lru_cache(maxsize=8)
-def _window_starts(size: int) -> np.ndarray:
-    """``size`` bytes, ``0xFF`` at every byte ``3k`` and 0 at the others.
-
-    ANDed with a band's window chroma, it keeps the window at byte ``3k``,
-    which is pixel k's own, and zeroes the two windows after it, which
-    straddle two pixels. A prefix of it is the mask of any shorter band,
-    so ``_keyed_indices`` asks for at least ``_BAND_BYTES``: every frame up
-    to 43,690 pixels wide, window or whole, reads a prefix of one cached
-    mask. Shared between callers and marked read-only.
-    """
-    mask = np.zeros(size, dtype=np.uint8)
-    mask[::3] = 0xFF
-    mask.flags.writeable = False
-    return mask
-
-
 def _channel_sets(table: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The channels, as byte offsets in a pixel (0 = r, 1 = g, 2 = b), that
     ``_keyed_indices`` takes a pixel's max and its min over under the key
@@ -233,38 +225,37 @@ def _window_extreme(ufunc, b: np.ndarray, offsets: tuple[int, ...],
 def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     """The color key of a frame: the sorted row-major flat indices
     ``np.flatnonzero(hue_bounds_mask(rgb_to_hsv(rgb), bounds).bits)``,
-    computed from row bands of the frame's bytes and the table of
+    computed from bands of the frame's bytes and the table of
     ``key_tables``, without converting any pixel to HSV.
 
-    Each band of about ``_BAND_BYTES`` bytes is read as one contiguous byte
-    run ``b``: a view of a C-contiguous frame, as every region that
-    ``tracking._region_blob`` keys is, and a copy of each band of a strided
-    frame, which the gather below then copies whole once more. Read at
-    byte ``3k``, ``b`` holds pixel k's channels at ``b[3k]``, ``b[3k + 1]``
-    and ``b[3k + 2]``. The band's pass takes, at
+    The frame is read as one flat byte run (a view of a C-contiguous frame,
+    else one copy, which the gather below reads too) and keyed in bands of
+    ``_BAND_BYTES`` bytes rounded down to whole pixels, at least one, which
+    may start or end mid-row. A band ``b`` holds its pixel k's channels at
+    ``b[3k]``, ``b[3k + 1]`` and ``b[3k + 2]``. The band's pass takes, at
     every byte i, ``A``, the max of ``b[i + c]`` over the channels c of the
     interval's ``peaks``, and ``B``, the min over its ``bottoms`` (see
     ``_channel_sets``), and reads ``A - B``. At byte ``3k`` that is, for
-    every pixel that can be keyed, its chroma ``delta = max - min``, and
-    for any pixel a value from 0 to its chroma, so it never wraps. A
-    calibrated interval of 31 bins meets at most two of the hue sectors in
-    which one channel is the largest, and two in which one is the smallest,
-    so its sets hold four channels between them: one max and one min pass,
-    or two mins and no max, five byte passes with the subtract, the AND and
-    the max below. The full interval (0, 179) takes all three channels in
-    both sets, and seven. The two windows between,
-    at bytes ``3k + 1`` and ``3k + 2``, straddle two pixels and read a value
-    no pixel has, so ``A - B`` is ANDed with ``_window_starts``, which zeroes
-    them. A band whose masked max is below ``floor``, the smallest chroma
-    at which any value passes both floors, holds no pixel that can reach
-    the floors, and is done after that AND and one max. In any other
-    band, a strided compare gets no SIMD loop in numpy, so ``A - B`` at
-    the pixel windows is copied once into a contiguous pixel-aligned
-    buffer, where the compare finds the band's candidates: pixels whose
-    ``A - B`` reaches ``floor``. That is all a band does. Since ``A - B`` is at most the chroma,
-    and equal to it at every pixel that can be keyed, the skipped bands
-    and the candidates are those of the full max and min over all three
-    channels, less pixels that cannot be keyed.
+    every pixel that can be keyed, its chroma ``delta = max - min``, and for
+    any pixel a value from 0 to its chroma, so it never wraps. A calibrated
+    interval of 31 bins meets at most two of the hue sectors in which one
+    channel is the largest, and two in which one is the smallest, so its
+    sets hold four channels between them: one max and one min pass, or two
+    mins and no max, five byte passes with the subtract, the AND and the max
+    below. The full interval (0, 179) takes all three channels in both sets,
+    and seven. The two windows between, at bytes ``3k + 1`` and ``3k + 2``,
+    straddle two pixels and read a value no pixel has, so ``A - B`` is ANDed
+    with a prefix of ``_WINDOW_STARTS``, which zeroes them. A band whose
+    masked max is below ``floor``, the smallest chroma at which any value
+    passes both floors, holds no pixel that can reach the floors, and is
+    done after that AND and one max. In any other band, a strided compare
+    gets no SIMD loop in numpy, so ``A - B`` at the pixel windows is copied
+    once into a contiguous pixel-aligned buffer, where the compare finds the
+    band's candidates: pixels whose ``A - B`` reaches ``floor``, indexed
+    from the band's first pixel. That is all a band does. Since ``A - B`` is
+    at most the chroma, and equal to it at every pixel that can be keyed,
+    the skipped bands and the candidates are those of the full max and min
+    over all three channels, less pixels that cannot be keyed.
 
     After the last band, the channels of every candidate of the frame are
     gathered once, as int32, and the floors and the hue are decided
@@ -282,34 +273,32 @@ def _keyed_indices(rgb: RgbImage, bounds: HueBounds) -> np.ndarray:
     nearly, a gray frame whose sensor noise reaches ``floor`` in every
     band.
     """
-    pixels = rgb.pixels
-    height, width, _ = pixels.shape
     table, floor, peaks, bottoms = key_tables(bounds)
-    band_rows = min(height, max(1, _BAND_BYTES // (3 * width)))
+    run = rgb.pixels.reshape(-1)  # a copy only if the frame is not C-contiguous
+    band = min(run.size, max(3, _BAND_BYTES - _BAND_BYTES % 3))
     # per call, not per module: concurrent calls share nothing writable
-    hi_buf = np.empty(band_rows * width * 3 - 2, dtype=np.uint8)
+    hi_buf = np.empty(band - 2, dtype=np.uint8)
     lo_buf = np.empty_like(hi_buf)
-    delta_buf = np.empty(band_rows * width, dtype=np.uint8)
-    starts = _window_starts(max(hi_buf.size, _BAND_BYTES))
+    delta_buf = np.empty(band // 3, dtype=np.uint8)
     parts = []
-    for row in range(0, height, band_rows):
-        b = pixels[row:row + band_rows].reshape(-1)  # a copy only if strided
+    for start in range(0, run.size, band):
+        b = run[start:start + band]
         hi, lo = hi_buf[:b.size - 2], lo_buf[:b.size - 2]
         # A - B: no wrap, as peaks and bottoms share a channel
         np.subtract(_window_extreme(np.maximum, b, peaks, hi),
                     _window_extreme(np.minimum, b, bottoms, lo), out=lo)
-        np.bitwise_and(lo, starts[:lo.size], out=lo)  # pixel windows only
+        np.bitwise_and(lo, _WINDOW_STARTS[:lo.size], out=lo)  # pixel windows only
         if lo.max() < floor:
             continue  # a gray band: no copy or compare
         delta = delta_buf[:b.size // 3]
         np.copyto(delta, lo[::3])  # pixel k's window starts at byte 3k
         candidates = np.flatnonzero(delta >= floor)
-        candidates += row * width
+        candidates += start // 3
         parts.append(candidates)
     if not parts:
         return np.empty(0, dtype=np.intp)
     candidates = np.concatenate(parts)
-    kept = np.take(pixels.reshape(-1, 3), candidates, axis=0)
+    kept = np.take(run.reshape(-1, 3), candidates, axis=0)
     r, g, b = kept.T.astype(np.int32, order="C")
     v = np.maximum(np.maximum(r, g), b)
     ceiling = np.take(table, _hue_key(r, g, b))

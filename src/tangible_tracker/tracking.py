@@ -77,14 +77,13 @@ def _region_blob(rgb: RgbImage, bounds: HueBounds,
     """The largest in-bounds color blob of the frame's region ``[x0, x1) x
     [y0, y1)``: its bounding box, in frame coordinates, and its area.
 
-    The region is keyed from one C-contiguous copy of its pixels (none
-    when it is the whole of a contiguous frame). The box is None when
+    The key reads the region as a slice of the frame and makes the only
+    copy, of a window (see ``_keyed_indices``). The box is None when
     nothing passes the color key (area 0), and when it touches a region
     edge that is not also a frame edge: a blob cut there may go on outside
     the region, so the whole frame never trips that rule.
     """
-    region = np.ascontiguousarray(rgb.pixels[y0:y1, x0:x1])
-    keyed = _keyed_indices(RgbImage(region), bounds)
+    keyed = _keyed_indices(RgbImage(rgb.pixels[y0:y1, x0:x1]), bounds)
     if keyed.size == 0:
         return None, 0
     row, c0, c1, area = _largest_run_component(keyed, x1 - x0)

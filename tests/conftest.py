@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from tangible_tracker.color_calibration import hue_bounds_mask
 from tangible_tracker.registration import calibrate_scene
 from tangible_tracker.simulator import (
     SceneSpec,
@@ -13,6 +16,7 @@ from tangible_tracker.simulator import (
     render_rgb,
     render_sequence,
 )
+from tests.test_imaging import frozen_rgb_to_hsv, largest_label_oracle
 
 
 def render_calibration_trio(spec: SceneSpec):
@@ -36,6 +40,82 @@ def calibrate_spec(spec: SceneSpec):
         rho_z=spec.rho_z,
         raw_to_mm=spec.raw_to_mm,
     )
+
+
+# The two rigs of perfbench's workloads (``perfbench/scenes.py``), restated:
+# a 32-frame VGA loop with its depth offset by (4, 2), and a 28-frame HD
+# loop of a red ball whose every fourth frame is out of view.
+def workload_rig(workload, seed):
+    frames = {"track-vga": 32, "track-hd-miss": 28}[workload]
+    start = int(np.random.default_rng(seed).integers(frames))
+    path = circular_trajectory(frames, radius_mm=60.0, height_mm=120.0,
+                               height_amp_mm=40.0)
+    path = path[start:] + path[:start]
+    if workload == "track-vga":
+        return SceneSpec(hue_jitter=3, depth_jitter=3, depth_frame_offset=(4, 2),
+                         seed=seed), path
+    return (SceneSpec(width=1280, height=720, ball_hue=2, hue_jitter=3, depth_jitter=3,
+                      depth_frame_offset=(0, 0), seed=seed),
+            [(1200.0, 900.0, h) if i % 4 == 3 else (x, y, h)
+             for i, (x, y, h) in enumerate(path)])
+
+
+def reference_track(rgb, depth, profile) -> dict:
+    """The record of one frame keyed whole, but its ``seq`` and ``frame``,
+    from the frozen parts: the reference HSV and predicate, scipy's
+    8-connected labels with the first-in-row-major tie rule, the box
+    centre, the box's depth samples mapped through the inverse of
+    ``depth_to_rgb`` pixel by pixel, the two-pass filter as numpy means,
+    and the height clamp, parallax and mapping formulas, each restated."""
+    def failed(status):
+        return {"px": None, "depth_mm": None, "real": None, "virtual": None,
+                "status": status}
+
+    keep = hue_bounds_mask(frozen_rgb_to_hsv(rgb), profile.hue_bounds).bits
+    labels, _ = ndimage.label(keep, structure=np.ones((3, 3), dtype=bool))
+    winner, area = largest_label_oracle(labels)
+    if area < 20:
+        return failed("NoPointer")
+    ys, xs = np.nonzero(labels == winner)
+    x0, y0, x1, y1 = int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+
+    inv = np.linalg.inv(profile.depth_to_rgb.matrix[:, :2]).tolist()
+    tx, ty = profile.depth_to_rgb.matrix[:, 2].tolist()
+    samples = []
+    for y in range(y0, y1 + 1):
+        for x in range(x0, x1 + 1):
+            sx = round(inv[0][0] * (x - tx) + inv[0][1] * (y - ty))
+            sy = round(inv[1][0] * (x - tx) + inv[1][1] * (y - ty))
+            if 0 <= sx < depth.width and 0 <= sy < depth.height:
+                samples.append(int(depth.pixels[sy, sx]))
+    returns = np.array([s for s in samples if s], dtype=np.float64)
+    if returns.size == 0:
+        return failed("NoDepth")
+    near = returns[returns <= 1.10 * returns.mean()]
+    depth_mm = float(near.mean()) * profile.raw_to_mm
+
+    cam_h = profile.camera_height_mm
+    height = cam_h - depth_mm
+    if height < -0.02 * cam_h:
+        return failed("InvalidHeight")
+    if height < 0:
+        height = 0.0
+    if height >= cam_h:
+        return failed("InvalidHeight")
+    (ox, oy), scale = profile.principal_point, 1.0 - height / cam_h
+    px, py = (cx, cy) if height == 0 else (ox + (cx - ox) * scale, oy + (cy - oy) * scale)
+    m = profile.t_rv.tolist()
+    w = m[2][0] * px + m[2][1] * py + m[2][2]
+    if abs(w) < 1e-12:
+        return failed("Degenerate")
+    real = [px, py, height]
+    virtual = [(m[0][0] * px + m[0][1] * py + m[0][2]) / w,
+               (m[1][0] * px + m[1][1] * py + m[1][2]) / w, profile.rho_z * height]
+    if not all(map(math.isfinite, [depth_mm, *real, *virtual])):
+        return failed("NonFinite")
+    return {"px": [cx, cy], "depth_mm": depth_mm, "real": real,
+            "virtual": virtual, "status": "ok"}
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import errno
@@ -43,7 +44,7 @@ from tangible_tracker.tracking import (
     frame_record,
     track_frame,
 )
-from tests.conftest import calibrate_spec
+from tests.conftest import calibrate_spec, reference_track, workload_rig
 from tests.test_imaging import full_warp_oracle
 from tests.test_pnm import open_fd_count
 from tests.test_simulator import numbers_arg
@@ -767,29 +768,9 @@ def test_track_a_smaller_frame_after_a_hit_is_keyed_whole(
     assert lines == stateless_lines(frames, profile)
 
 
-# The two rigs of perfbench's workloads (``perfbench/scenes.py``), restated:
-# a 32-frame VGA loop with its depth offset by (4, 2), and a 28-frame HD
-# loop of a red ball whose every fourth frame is out of view.
-def workload_rig(workload, seed):
-    frames = {"track-vga": 32, "track-hd-miss": 28}[workload]
-    start = int(np.random.default_rng(seed).integers(frames))
-    path = circular_trajectory(frames, radius_mm=60.0, height_mm=120.0,
-                               height_amp_mm=40.0)
-    path = path[start:] + path[:start]
-    if workload == "track-vga":
-        return SceneSpec(hue_jitter=3, depth_jitter=3, depth_frame_offset=(4, 2),
-                         seed=seed), path
-    return (SceneSpec(width=1280, height=720, ball_hue=2, hue_jitter=3, depth_jitter=3,
-                      depth_frame_offset=(0, 0), seed=seed),
-            [(1200.0, 900.0, h) if i % 4 == 3 else (x, y, h)
-             for i, (x, y, h) in enumerate(path)])
-
-
-@pytest.mark.parametrize("seed", [101, 505, 4242])
-@pytest.mark.parametrize("workload", ["track-vga", "track-hd-miss"])
-def test_workload_records_equal_the_stateless_tracker(tmp_path, capsys, monkeypatch,
-                                                      workload, seed):
-    spec, path = workload_rig(workload, seed)
+def calibrated_rig(spec, path, tmp_path):
+    """The rig's frames rendered to ``tmp_path / "frames"`` and calibrated
+    by ``calibrate`` into ``tmp_path / "profile.json"``: both paths."""
     frames, profile_path = tmp_path / "frames", tmp_path / "profile.json"
     render_sequence(spec, path, frames)
     assert main(["calibrate", "--background", str(frames / "background.ppm"),
@@ -801,6 +782,15 @@ def test_workload_records_equal_the_stateless_tracker(tmp_path, capsys, monkeypa
                  "--rho-z", numbers_arg(spec.rho_z),
                  "--raw-to-mm", numbers_arg(spec.raw_to_mm),
                  "--out", str(profile_path)]) == 0
+    return frames, profile_path
+
+
+@pytest.mark.parametrize("seed", [101, 505, 4242])
+@pytest.mark.parametrize("workload", ["track-vga", "track-hd-miss"])
+def test_workload_records_equal_the_stateless_tracker(tmp_path, capsys, monkeypatch,
+                                                      workload, seed):
+    spec, path = workload_rig(workload, seed)
+    frames, profile_path = calibrated_rig(spec, path, tmp_path)
     capsys.readouterr()
     hints = hinted_track_frame(monkeypatch)
     assert main(["track", "--calib", str(profile_path), "--frames", str(frames)]) == 0
@@ -809,6 +799,22 @@ def test_workload_records_equal_the_stateless_tracker(tmp_path, capsys, monkeypa
     # every frame after a hit started from a window
     ok = [json.loads(line)["status"] == "ok" for line in lines]
     assert [near is not None for near in hints] == [False] + ok[:-1]
+
+
+@pytest.mark.parametrize("workload", ["track-vga", "track-hd-miss"])
+def test_workload_records_equal_the_whole_path_reference(tmp_path, capsys, workload):
+    spec, path = workload_rig(workload, 505)
+    frames, profile_path = calibrated_rig(spec, path, tmp_path)
+    capsys.readouterr()
+    assert main(["track", "--calib", str(profile_path), "--frames", str(frames)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    profile = load_profile(profile_path)
+    expected = [json.dumps({"seq": seq, "frame": idx,
+                            **reference_track(pnm.read_ppm(rgb), pnm.read_depth(depth),
+                                              profile)}, allow_nan=False)
+                for seq, (idx, rgb, depth) in enumerate(cli._scan_frames(str(frames)))]
+    assert len(lines) == len(path)
+    assert lines == expected
 
 
 @pytest.mark.parametrize("principal_point", [
@@ -1532,6 +1538,19 @@ def test_readme_module_paths_resolve():
     assert len(short) >= 9
     for path in sorted(set(re.findall(dotted, readme)) | short):
         pkgutil.resolve_name(path)  # raises ImportError or AttributeError
+
+
+# every module of the package parses under the grammar of the oldest Python
+# that pyproject.toml admits, which the suite's own interpreter may be newer than
+def test_sources_parse_at_the_python_floor():
+    root = Path(__file__).parent.parent
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$',
+                      (root / "pyproject.toml").read_text(), re.MULTILINE)
+    sources = sorted((root / "src" / "tangible_tracker").glob("*.py"))
+    assert floor and len(sources) > 10
+    for source in sources:
+        ast.parse(source.read_text(), filename=str(source),
+                  feature_version=(3, int(floor[1])))
 
 
 # ------------------------------------------------------------- failure table

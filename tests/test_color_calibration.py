@@ -16,11 +16,11 @@ from tangible_tracker.color_calibration import (
     MIN_SATURATION,
     MIN_VALUE,
     PEAK_MARGIN,
+    _WINDOW_STARTS,
     HueBounds,
     _hue_key,
     _keyed_indices,
     _value_ceilings,
-    _window_starts,
     calibrate_hue_bounds,
     hue_bounds_mask,
     key_tables,
@@ -367,6 +367,17 @@ def gray_step_frames(draw):
          layout="c", band_bytes=9, bounds=HueBounds(5, 35))  # max exactly at the floor
 @example(pixels=np.array([[GRAY], [(100, 100, 100)], [HIT], [GRAY]], dtype=np.uint8),
          layout="c", band_bytes=6, bounds=HueBounds(5, 35))  # a 1-pixel-wide column
+# bands of 7 and of 9 pixels (23 and 29 bytes round down to whole pixels)
+# end mid-row: at the pixel before a hit, so the next band starts at it,
+# and at the pixel after one
+@example(pixels=np.array([[GRAY] * 5, [GRAY, GRAY, HIT, GRAY, GRAY]], dtype=np.uint8),
+         layout="c", band_bytes=23, bounds=HueBounds(5, 35))
+@example(pixels=np.array([[GRAY] * 5, [GRAY, GRAY, HIT, GRAY, GRAY]], dtype=np.uint8),
+         layout="c", band_bytes=29, bounds=HueBounds(5, 35))
+# 3-pixel bands: row 0 spans three of them, and the third ends in row 1
+@example(pixels=np.array([[GRAY, GRAY, HIT, HIT, CANDIDATE_ONLY, GRAY, FLOOR_HIT],
+                          [GRAY, HIT, GRAY, GRAY, GRAY, GRAY, HIT]], dtype=np.uint8),
+         layout="c", band_bytes=9, bounds=HueBounds(5, 35))
 def test_color_key_matches_frozen_reference(pixels, layout, band_bytes, bounds):
     img = RgbImage(LAYOUTS[layout](pixels))
     # a budget of a few bytes makes every row, or every few rows, a band
@@ -546,10 +557,16 @@ def test_channel_sets_of_calibrated_bounds_take_five_passes():
 
 
 def test_window_mask_is_cached_read_only_and_keeps_pixel_windows():
-    mask = _window_starts(3 * 5 - 2)
-    assert mask.tolist() == [0xFF, 0, 0] * 4 + [0xFF]
-    assert not mask.flags.writeable
-    assert _window_starts(3 * 5 - 2) is mask
+    assert _WINDOW_STARTS[:13].tolist() == [0xFF, 0, 0] * 4 + [0xFF]
+    assert not _WINDOW_STARTS.flags.writeable
+    assert _WINDOW_STARTS.size == color_calibration._BAND_BYTES
+
+
+def test_a_band_longer_than_the_window_mask_fails_loudly(monkeypatch):
+    frame = RgbImage(np.full((200, 300, 3), (255, 85, 0), dtype=np.uint8))
+    monkeypatch.setattr(color_calibration, "_BAND_BYTES", 2 * _WINDOW_STARTS.size)
+    with pytest.raises(ValueError):
+        _keyed_indices(frame, HueBounds(5, 35))
 
 
 def test_wraps_is_lo_above_hi():

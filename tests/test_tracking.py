@@ -18,7 +18,7 @@ from tangible_tracker.errors import (
     NoPointerError,
     PipelineError,
 )
-from tangible_tracker.color_calibration import HueBounds, _window_starts, hue_bounds_mask
+from tangible_tracker.color_calibration import HueBounds, hue_bounds_mask
 from tangible_tracker.imaging import (
     DEPTH_SAMPLE,
     EIGHT_CONNECTED,
@@ -45,8 +45,7 @@ from tangible_tracker.tracking import (
     error_record,
     track_frame,
 )
-from tests.conftest import calibrate_spec
-from tests.test_cli import workload_rig
+from tests.conftest import calibrate_spec, workload_rig
 from tests.test_imaging import disc_bits, largest_label_oracle, solid_rgb, warp_cases
 
 BOUNDS = HueBounds(5, 35)
@@ -689,18 +688,19 @@ def test_scene_translation_leaves_virtual_unchanged(default_spec, profile):
         < 0.02
 
 
-def test_tracking_keys_a_contiguous_window_after_every_hit(monkeypatch):
+def test_tracking_keys_a_window_after_every_hit(monkeypatch):
     # both workload rigs tracked frame by frame as ``track`` tracks them:
     # each ok fix's box is the next frame's search hint
-    keys = []  # the pixel count and C-contiguity of every keyed region
+    keys = []  # the pixel count of every keyed region and whether it is the frame's
     real = tracking._keyed_indices
+    rgb = None
 
-    def spy(rgb, bounds):
-        keys.append((rgb.height * rgb.width, rgb.pixels.flags.c_contiguous))
-        return real(rgb, bounds)
+    def spy(region, bounds):
+        keys.append((region.height * region.width,
+                     np.shares_memory(region.pixels, rgb.pixels)))
+        return real(region, bounds)
 
     monkeypatch.setattr(tracking, "_keyed_indices", spy)
-    _window_starts.cache_clear()
     for workload in ("track-vga", "track-hd-miss"):
         spec, path = workload_rig(workload, 505)
         profile = calibrate_spec(spec).profile
@@ -716,9 +716,8 @@ def test_tracking_keys_a_contiguous_window_after_every_hit(monkeypatch):
             if near is not None:  # the first key after a hit reads a window
                 assert keys[first][0] < rgb.height * rgb.width, (workload, idx)
             near = box
-    assert all(contiguous for _, contiguous in keys)
-    # every band of both rigs' frames, window or whole, reads one mask
-    assert _window_starts.cache_info().currsize == 1
+    # the key gets every region, window or whole, as a slice of its frame
+    assert all(shared for _, shared in keys)
 
 
 # ---------------------------------------------------------------- JSONL records
